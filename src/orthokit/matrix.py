@@ -8,11 +8,14 @@ input in their output.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
     CsvFormatError,
     NotPositiveDefiniteError,
+    NumericalError,
     ShapeError,
     SingularTriangularError,
 )
@@ -50,6 +53,26 @@ def as_matrix(a) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return m
+
+
+def pow2_scale(top: float) -> float:
+    """Power of two to divide by before squaring: the least 2^k >= ``top``,
+    capped at 2^1023 so it never overflows (``top / scale`` then lies in
+    (0.5, 2)); 1.0 for ``top == 0``.  Dividing by it is exact."""
+    if top == 0.0:
+        return 1.0
+    mant, exp = math.frexp(top)
+    if mant == 0.5:
+        exp -= 1
+    return math.ldexp(1.0, min(exp, 1023))
+
+
+def require_finite(what: str, *arrays) -> None:
+    """Raise ``NumericalError`` if any entry of ``arrays`` overflowed to
+    Inf or NaN (results past the float64 range)."""
+    for x in arrays:
+        if not np.isfinite(x).all():
+            raise NumericalError(f"{what}: result overflowed the float64 range")
 
 
 def as_vector(b) -> np.ndarray:

@@ -10,7 +10,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ShapeError
-from .matrix import as_matrix, norm
+from .matrix import as_matrix, norm, pow2_scale, require_finite
 from .reflectors import (
     GivensRotation,
     HouseholderReflector,
@@ -109,7 +109,9 @@ def qr_householder(a, mode=QrMode.Q_AND_R) -> QrFactorization:
     mode = QrMode.of(mode)
     a = as_matrix(a)
     r = a.copy()
-    reflectors = _householder_sweep(r)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        reflectors = _householder_sweep(r)
+    require_finite("qr_householder", r)
     if mode is QrMode.R_ONLY:
         return QrFactorization(r=r)
     if mode is QrMode.R_AND_REFLECTORS:
@@ -152,14 +154,16 @@ def qr_givens(a) -> QrFactorization:
     m, n = a.shape
     r = a.copy()
     rotations: list[GivensRotation] = []
-    for k in range(min(m - 1, n)):
-        for j in range(m - 1, k, -1):
-            if r[j, k] == 0.0:
-                continue
-            c, s = givens_params(r[k, k], r[j, k])
-            _rotate_rows(r, k, j, c, s, start=k)
-            r[j, k] = 0.0
-            rotations.append(GivensRotation(c, s, k, j))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        for k in range(min(m - 1, n)):
+            for j in range(m - 1, k, -1):
+                if r[j, k] == 0.0:
+                    continue
+                c, s = givens_params(r[k, k], r[j, k])
+                _rotate_rows(r, k, j, c, s, start=k)
+                r[j, k] = 0.0
+                rotations.append(GivensRotation(c, s, k, j))
+    require_finite("qr_givens", r)
     q = np.eye(m)
     for g in rotations:
         _rotate_rows(q, g.j, g.k, g.c, g.s)
@@ -183,13 +187,15 @@ def qr_hessenberg(h) -> QrFactorization:
                 raise ShapeError(f"not upper Hessenberg: entry ({i}, {j}) = {a[i, j]!r} below subdiagonal")
     r = a.copy()
     rotations: list[GivensRotation] = []
-    for k in range(n - 1):
-        if r[k + 1, k] == 0.0:
-            continue
-        c, s = givens_params(r[k, k], r[k + 1, k])
-        _rotate_rows(r, k, k + 1, c, s, start=k)
-        r[k + 1, k] = 0.0
-        rotations.append(GivensRotation(c, s, k, k + 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        for k in range(n - 1):
+            if r[k + 1, k] == 0.0:
+                continue
+            c, s = givens_params(r[k, k], r[k + 1, k])
+            _rotate_rows(r, k, k + 1, c, s, start=k)
+            r[k + 1, k] = 0.0
+            rotations.append(GivensRotation(c, s, k, k + 1))
+    require_finite("qr_hessenberg", r)
     q = np.eye(n)
     for g in rotations:
         _rotate_rows(q, g.j, g.k, g.c, g.s)
@@ -210,11 +216,10 @@ def qr_pivoted(a, t_digits: int = DEFAULT_T_DIGITS) -> QrFactorization:
         raise ValueError(f"t_digits must be >= 1, got {t_digits}")
     m, n = a.shape
     # Exact power-of-two prescaling so the squared column norms stay in range.
-    top = float(np.abs(a).max())
-    scale = 2.0 ** np.ceil(np.log2(top)) if top > 0.0 else 1.0
+    scale = pow2_scale(float(np.abs(a).max()))
     r = a / scale
     perm = np.arange(n)
-    delta = 10.0 ** (-t_digits) * norm(a, "inf") / scale
+    delta = 10.0 ** (-t_digits) * norm(r, "inf")
     kappa = (r * r).sum(axis=0)
     kappa_ref = kappa.copy()
     reflectors: list[HouseholderReflector] = []
@@ -251,5 +256,7 @@ def qr_pivoted(a, t_digits: int = DEFAULT_T_DIGITS) -> QrFactorization:
                 kappa[k + 1 :] = 0.0
     if rank is None:
         rank = steps
-    r *= scale
+    with np.errstate(over="ignore"):  # reported just below
+        r *= scale
+    require_finite("qr_pivoted", r)
     return QrFactorization(r=r, reflectors=reflectors, perm=perm, rank=rank)

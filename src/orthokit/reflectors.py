@@ -7,12 +7,13 @@ use the rank-1 update forms, costing O(mn) instead of O(m^2 n).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError
-from .matrix import as_matrix, as_vector
+from .matrix import as_matrix, as_vector, pow2_scale
 
 __all__ = [
     "HouseholderReflector",
@@ -60,7 +61,7 @@ def stable_norm(x) -> float:
     top = float(np.abs(x).max()) if len(x) else 0.0
     if top == 0.0:
         return 0.0
-    s = 2.0 ** np.ceil(np.log2(top))
+    s = pow2_scale(top)
     y = x / s
     return float(s * np.sqrt(y @ y))
 
@@ -77,7 +78,7 @@ def householder_vector(x) -> HouseholderReflector:
     top = float(np.abs(x).max())
     if top == 0.0:
         raise ValueError("cannot build a Householder reflector from the zero vector")
-    u = x / 2.0 ** np.ceil(np.log2(top))
+    u = x / pow2_scale(top)
     nrm = float(np.sqrt(u @ u))
     u[0] += _sign_nonneg(u[0]) * nrm
     return HouseholderReflector(u, 2.0 / float(u @ u))
@@ -123,15 +124,17 @@ def givens_params(x: float, y: float) -> tuple[float, float]:
     """
     if x == 0.0 and y == 0.0:
         raise ValueError("givens_params needs a nonzero pair")
+    x = float(x)
+    y = float(y)
     if abs(x) > abs(y):
         t = y / x
-        c = 1.0 / np.sqrt(1.0 + t * t)
+        c = 1.0 / math.sqrt(1.0 + t * t)
         s = c * t
     else:
         t = x / y
-        s = 1.0 / np.sqrt(1.0 + t * t)
+        s = 1.0 / math.sqrt(1.0 + t * t)
         c = s * t
-    return float(c), float(s)
+    return c, s
 
 
 def givens_apply(g: GivensRotation, a) -> np.ndarray:

@@ -97,6 +97,37 @@ class TestQrCommand:
         assert code == 1
 
 
+NEAR_OVERFLOW = np.array([[1e308, 1e308], [1e308, -1e308]])
+
+
+class TestNearOverflowInput:
+    @pytest.mark.parametrize(
+        "argv, a",
+        [
+            (["svd"], NEAR_OVERFLOW),
+            (["svd", "--values-only"], NEAR_OVERFLOW),
+            (["qr"], NEAR_OVERFLOW),
+            (["qr", "--method", "givens"], np.full((2, 2), 1.5e308)),
+        ],
+    )
+    def test_overflowing_factorization_exits_2(self, capsys, tmp_path, argv, a):
+        path = tmp_path / "big.csv"
+        write_matrix_csv(a, path, precision=17)
+        code = run(argv + [str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: NumericalError")
+
+    def test_pivoted_qr_stays_finite_with_full_rank(self, capsys, tmp_path):
+        path = tmp_path / "big.csv"
+        write_matrix_csv(NEAR_OVERFLOW, path, precision=17)
+        out, err = run_lines(capsys, ["qr", str(path), "--method", "pivoted"])
+        assert err == ""
+        assert not any("nan" in line.lower() or "inf" in line.lower() for line in out)
+        assert "rank = 2" in out
+
+
 class TestDeterminismAndPrecision:
     def test_identical_argv_identical_output(self, capsys, survey_files):
         a, b = survey_files

@@ -175,6 +175,25 @@ class TestCholesky:
             cholesky(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+class TestPow2Scale:
+    def test_least_power_of_two_at_or_above(self):
+        from orthokit.matrix import pow2_scale
+
+        tiny = np.nextafter(0.0, 1.0)
+        for top in (tiny, 1e-310, 1e-300, 0.3, 1.0, 1.5, 2.0, 1000.0, 1e300, 2.0 ** 1023):
+            scale = pow2_scale(top)
+            assert np.frexp(scale)[0] == 0.5  # a power of two
+            assert 0.5 < top / scale <= 1.0
+
+    def test_never_overflows(self):
+        from orthokit.matrix import pow2_scale
+
+        top = np.finfo(float).max
+        scale = pow2_scale(top)
+        assert scale == 2.0 ** 1023 and 1.0 < top / scale < 2.0
+        assert pow2_scale(0.0) == 1.0
+
+
 class TestValidation:
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="finite"):

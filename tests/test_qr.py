@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from orthokit import (
+    NumericalError,
     QrMode,
     ShapeError,
     form_q,
@@ -224,6 +225,25 @@ class TestPivotedQr:
             r = int(rng.integers(1, 4))
             a = random_rank_deficient(rng, 6, 4, r)
             assert qr_pivoted(a).rank == matrix_rank(a) == r
+
+
+    def test_entries_near_float64_max(self):
+        # The prescale is capped at 2^1023; the rank threshold comes from
+        # the scaled matrix, whose inf-norm row sums cannot overflow.
+        a = np.array([[1e308, 1e308], [1e308, -1e308]])
+        f = qr_pivoted(a)
+        assert f.rank == 2 and np.isfinite(f.r).all()
+        q = form_q(f.reflectors, 2)
+        assert np.abs(q @ (f.r / 1e308) - a[:, f.perm] / 1e308).max() <= 1e-15
+        assert abs(abs(f.r[0, 0]) - np.sqrt(2.0) * 1e308) <= 1e-15 * 1e308
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_r_raises_without_warnings(self):
+        # |R[0, 0]| = 1.5e308 * sqrt(2) is past the float64 range.
+        a = np.full((2, 2), 1.5e308)
+        for factor in (qr_householder, qr_pivoted, qr_givens, qr_hessenberg):
+            with pytest.raises(NumericalError):
+                factor(a)
 
 
 class TestFactorizationInvariants:

@@ -53,6 +53,17 @@ class TestHouseholderVector:
             hx = dense_reflector(h) @ x
             assert abs(abs(hx[0]) - stable_norm(x)) <= 1e-13 * stable_norm(x)
 
+    def test_entries_above_two_to_the_1023(self):
+        from orthokit.reflectors import stable_norm
+
+        x = np.array([1e308, -1e307, 5e306])
+        expected = np.linalg.norm(x / 2.0 ** 1000) * 2.0 ** 1000
+        assert stable_norm(x) == pytest.approx(expected, rel=1e-15)
+        h = householder_vector(x)
+        hx = dense_reflector(h) @ (x / 2.0 ** 1000)
+        assert abs(hx[0]) * 2.0 ** 1000 == pytest.approx(expected, rel=1e-14)
+        assert np.abs(hx[1:]).max() <= 1e-15 * abs(hx[0])
+
     def test_applying_twice_restores(self):
         rng = np.random.default_rng(22)
         x = rng.standard_normal(6)

@@ -1,9 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 
 from orthokit import (
     Bidiagonal,
     ConvergenceError,
+    NumericalError,
     ShapeError,
     SingularMatrixError,
     bidiag_svd,
@@ -36,6 +39,10 @@ from helpers import (
     rank2_factors,
     spectral_norm_oracle,
 )
+
+# The package re-exports the function ``svd`` under the module's name.
+svd_mod = sys.modules["orthokit.svd"]
+EPS = np.finfo(float).eps
 
 
 class TestBidiagonalize:
@@ -104,11 +111,56 @@ class TestBidiagSvd:
         bid = Bidiagonal(rng.standard_normal(12), rng.standard_normal(11))
         with pytest.raises(ConvergenceError) as err:
             bidiag_svd(bid, max_sweeps=1)
-        assert err.value.partial is not None and len(err.value.partial) == 12
+        partial = err.value.partial
+        assert isinstance(partial, np.ndarray) and len(partial) == 12
+        assert (np.diff(partial) <= 0.0).all()
 
     def test_max_sweeps_validated(self):
         with pytest.raises(ValueError, match="max_sweeps"):
             bidiag_svd(Bidiagonal(np.ones(2), np.ones(1)), max_sweeps=0)
+
+
+def _sequential_chain(m, lo, c, s):
+    for k in range(len(c)):
+        svd_mod._rot_cols(m, lo + k, lo + k + 1, c[k], s[k])
+
+
+def _random_chain(rng, length):
+    theta = rng.uniform(-np.pi, np.pi, length)
+    c, s = np.cos(theta), np.sin(theta)
+    # exact identities and swaps, as the chase produces for zero entries
+    c[1::7], s[1::7] = 1.0, 0.0
+    c[4::7], s[4::7] = 0.0, 1.0
+    return c, s
+
+
+class TestRotationChains:
+    B = svd_mod.CHAIN_BLOCK
+    X = svd_mod.CHAIN_CROSSOVER
+
+    @pytest.mark.parametrize("length", [1, X - 1, X, B, B + 1, 3 * B + 5])
+    def test_chain_matrix_equals_sequential_rotations(self, length):
+        rng = np.random.default_rng(length)
+        for _ in range(5):
+            c, s = _random_chain(rng, length)
+            expected = np.eye(length + 1)
+            _sequential_chain(expected, 0, c, s)
+            assert np.array_equal(svd_mod._chain_matrix(c, s), expected)
+
+    @pytest.mark.parametrize("length", [1, X - 1, X, B, B + 1, 3 * B + 5])
+    def test_apply_chain_matches_sequential_rotations(self, length):
+        rng = np.random.default_rng(100 + length)
+        m = rng.standard_normal((40, length + 7))
+        c, s = _random_chain(rng, length)
+        expected = m.copy()
+        _sequential_chain(expected, 3, c, s)
+        svd_mod._apply_chain(m, 3, list(c), list(s))
+        if length < self.X:
+            assert np.array_equal(m, expected)
+        else:
+            assert np.abs(m - expected).max() <= 10 * length * EPS * np.abs(expected).max()
+        assert np.array_equal(m[:, :3], expected[:, :3])
+        assert np.array_equal(m[:, length + 4 :], expected[:, length + 4 :])
 
 
 class TestSvd:
@@ -187,6 +239,29 @@ class TestSvd:
             assert np.abs(f.sigma - sig_base * scale).max() <= 1e-13 * sig_base[0] * scale
             recon = (f.u * f.sigma) @ f.vt
             assert np.abs(recon - base * scale).max() <= 1e-13 * np.abs(base * scale).max()
+
+
+    @pytest.mark.parametrize("kind", ["random", "graded"])
+    def test_blocked_chains_keep_backward_error_and_orthogonality(self, kind):
+        # n = 200: sweeps span several CHAIN_BLOCK blocks.
+        n = 200
+        rng = np.random.default_rng(94)
+        a = rng.standard_normal((n, n))
+        if kind == "graded":
+            q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            a = (q1 * np.logspace(0, -12, n)) @ q2.T
+        f = svd(a)
+        assert fro((f.u * f.sigma) @ f.vt - a) <= 10 * n * EPS * fro(a)
+        assert fro(f.u.T @ f.u - np.eye(n)) <= 10 * n * EPS
+        assert fro(f.vt @ f.vt.T - np.eye(n)) <= 10 * n * EPS
+
+    def test_overflowing_factors_raise_numerical_error(self):
+        a = np.array([[1e308, 1e308], [1e308, -1e308]])
+        with pytest.raises(NumericalError):
+            svd(a)
+        with pytest.raises(NumericalError):
+            singular_values(a)
 
 
 class TestJacobi:
