@@ -32,8 +32,7 @@ class GrayImage:
         return self.pixels.shape[1]
 
 
-def _truncated(pixels, k, sigma_and_factors):
-    f = sigma_and_factors
+def _truncated(k, f):
     return (f.u[:, :k] * f.sigma[:k]) @ f.vt[:k, :]
 
 
@@ -52,7 +51,7 @@ def _compress(pixels, k):
     if not 1 <= k <= min(m, n):
         raise ValueError(f"k must be in [1, {min(m, n)}], got {k}")
     f = svd(pixels, "reduced")
-    recon = _truncated(pixels, k, f)
+    recon = _truncated(k, f)
     ratio = (m + n + 1) * k / (m * n)
     return recon, ratio, f.sigma
 
@@ -67,7 +66,7 @@ def image_denoise(img: GrayImage, threshold: float) -> GrayImage:
     k = int(np.sum(f.sigma > threshold))
     if k == 0:
         return GrayImage(np.zeros_like(img.pixels))
-    return GrayImage(_truncated(img.pixels, k, f))
+    return GrayImage(_truncated(k, f))
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,15 @@ def pow2_scale(top: float) -> float:
     return math.ldexp(1.0, min(exp, 1023))
 
 
+def norm_tol(a: np.ndarray, rtol: float) -> float:
+    """``rtol * norm(a, "inf")`` taken on ``a / s``, s = pow2_scale(max|a|),
+    so a row sum past the float64 maximum cannot overflow it; on
+    normal-range input, the same bits as the unscaled product."""
+    mag = np.abs(a)
+    s = pow2_scale(float(mag.max()))
+    return rtol * float((mag / s).sum(axis=1).max()) * s
+
+
 def require_finite(what: str, *arrays) -> None:
     """Raise ``NumericalError`` if any entry of ``arrays`` overflowed to
     Inf or NaN (results past the float64 range)."""
@@ -121,8 +130,7 @@ def _check_square_system(a, b, what):
         raise ShapeError(f"right-hand side length {b.size} does not match matrix {a.shape}")
 
 
-def _check_pivots(diag, scale):
-    tol = TRIANGULAR_PIVOT_RTOL * scale
+def _check_pivots(diag, tol):
     small = np.abs(diag) <= tol
     if small.any():
         i = int(np.argmax(small))
@@ -139,7 +147,7 @@ def back_sub(u, b) -> np.ndarray:
     b = as_vector(b)
     _check_square_system(u, b, "back substitution")
     n = u.shape[0]
-    _check_pivots(np.diagonal(u), norm(u, "inf"))
+    _check_pivots(np.diagonal(u), norm_tol(u, TRIANGULAR_PIVOT_RTOL))
     x = np.zeros(n)
     for i in range(n - 1, -1, -1):
         x[i] = (b[i] - u[i, i + 1 :] @ x[i + 1 :]) / u[i, i]
@@ -152,7 +160,7 @@ def forward_sub(l, b) -> np.ndarray:
     b = as_vector(b)
     _check_square_system(l, b, "forward substitution")
     n = l.shape[0]
-    _check_pivots(np.diagonal(l), norm(l, "inf"))
+    _check_pivots(np.diagonal(l), norm_tol(l, TRIANGULAR_PIVOT_RTOL))
     x = np.zeros(n)
     for i in range(n):
         x[i] = (b[i] - l[i, :i] @ x[:i]) / l[i, i]
@@ -170,7 +178,7 @@ def cholesky(s) -> np.ndarray:
     n = s.shape[0]
     if n != s.shape[1]:
         raise ShapeError(f"cholesky needs a square matrix, got {s.shape}")
-    sym_tol = 1e-12 * norm(s, "inf")
+    sym_tol = norm_tol(s, 1e-12)
     if np.abs(s - s.T).max() > sym_tol:
         raise ShapeError("cholesky needs a symmetric matrix")
     l = np.zeros((n, n))

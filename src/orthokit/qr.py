@@ -1,5 +1,8 @@
 """QR factorizations: Householder, Givens, upper-Hessenberg fast path, and
 column-pivoted rank-revealing QR with incremental column-norm downdating.
+
+The Householder routes record the k-th reflector unpadded, with offset k;
+``form_q`` applies them through the rank-1 path that built R.
 """
 
 from __future__ import annotations
@@ -14,9 +17,11 @@ from .matrix import as_matrix, norm, pow2_scale, require_finite
 from .reflectors import (
     GivensRotation,
     HouseholderReflector,
+    annihilate,
+    check_length,
     givens_params,
-    householder_vector,
-    stable_norm,
+    reflect,
+    rotate,
 )
 
 __all__ = ["QrMode", "QrFactorization", "qr_householder", "form_q", "qr_givens", "qr_hessenberg", "qr_pivoted"]
@@ -66,39 +71,6 @@ class QrFactorization:
         return 0 if self.rotations is None else len(self.rotations)
 
 
-def _pad_reflector(h: HouseholderReflector, offset: int, length: int) -> HouseholderReflector:
-    # Zero-prefixed u acts as identity on the first `offset` rows.
-    u = np.zeros(length)
-    u[offset:] = h.u
-    return HouseholderReflector(u, h.beta)
-
-
-def _reflect_block(r: np.ndarray, k: int, h: HouseholderReflector) -> None:
-    # In-place update of the trailing block, rank-1 form.
-    block = r[k:, k:]
-    w = h.u @ block
-    block -= h.beta * np.outer(h.u, w)
-
-
-def _householder_sweep(r: np.ndarray) -> list[HouseholderReflector]:
-    """Triangularize ``r`` in place; returns full-length reflectors in
-    application order.  Columns whose subdiagonal part is already zero are
-    skipped (the reflector would be the identity up to a sign flip)."""
-    m, n = r.shape
-    reflectors = []
-    for k in range(min(m - 1, n)):
-        x = r[k:, k]
-        if not np.any(x[1:]):
-            continue
-        h = householder_vector(x)
-        alpha = -(1.0 if x[0] >= 0.0 else -1.0) * stable_norm(x)
-        _reflect_block(r, k, h)
-        r[k, k] = alpha
-        r[k + 1 :, k] = 0.0
-        reflectors.append(_pad_reflector(h, k, m))
-    return reflectors
-
-
 def qr_householder(a, mode=QrMode.Q_AND_R) -> QrFactorization:
     """QR factorization by successive Householder reflections.
 
@@ -108,9 +80,15 @@ def qr_householder(a, mode=QrMode.Q_AND_R) -> QrFactorization:
     """
     mode = QrMode.of(mode)
     a = as_matrix(a)
+    m, n = a.shape
     r = a.copy()
+    reflectors = []
+    # Columns whose subdiagonal part is already zero get no reflector.
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        reflectors = _householder_sweep(r)
+        for k in range(min(m - 1, n)):
+            h = annihilate(r[k:, k:], k)
+            if h is not None:
+                reflectors.append(h)
     require_finite("qr_householder", r)
     if mode is QrMode.R_ONLY:
         return QrFactorization(r=r)
@@ -129,18 +107,9 @@ def form_q(reflectors, m: int, cols: int | None = None) -> np.ndarray:
         cols = m
     q = np.eye(m, cols)
     for h in reversed(list(reflectors)):
-        if h.u.size != m:
-            raise ShapeError(f"reflector length {h.u.size} inconsistent with m = {m}")
-        w = h.u @ q
-        q -= h.beta * np.outer(h.u, w)
+        check_length(h, m, "rows")
+        reflect(h, q)
     return q
-
-
-def _rotate_rows(r: np.ndarray, j: int, k: int, c: float, s: float, start: int = 0) -> None:
-    rj = r[j, start:].copy()
-    rk = r[k, start:]
-    r[j, start:] = c * rj + s * rk
-    r[k, start:] = -s * rj + c * rk
 
 
 def qr_givens(a) -> QrFactorization:
@@ -160,13 +129,13 @@ def qr_givens(a) -> QrFactorization:
                 if r[j, k] == 0.0:
                     continue
                 c, s = givens_params(r[k, k], r[j, k])
-                _rotate_rows(r, k, j, c, s, start=k)
+                rotate(r[k, k:], r[j, k:], c, s)
                 r[j, k] = 0.0
                 rotations.append(GivensRotation(c, s, k, j))
     require_finite("qr_givens", r)
     q = np.eye(m)
     for g in rotations:
-        _rotate_rows(q, g.j, g.k, g.c, g.s)
+        rotate(q[g.j], q[g.k], g.c, g.s)
     return QrFactorization(r=r, q=np.ascontiguousarray(q.T), rotations=rotations)
 
 
@@ -192,13 +161,13 @@ def qr_hessenberg(h) -> QrFactorization:
             if r[k + 1, k] == 0.0:
                 continue
             c, s = givens_params(r[k, k], r[k + 1, k])
-            _rotate_rows(r, k, k + 1, c, s, start=k)
+            rotate(r[k, k:], r[k + 1, k:], c, s)
             r[k + 1, k] = 0.0
             rotations.append(GivensRotation(c, s, k, k + 1))
     require_finite("qr_hessenberg", r)
     q = np.eye(n)
     for g in rotations:
-        _rotate_rows(q, g.j, g.k, g.c, g.s)
+        rotate(q[g.j], q[g.k], g.c, g.s)
     return QrFactorization(r=r, q=np.ascontiguousarray(q.T), rotations=rotations)
 
 
@@ -235,15 +204,9 @@ def qr_pivoted(a, t_digits: int = DEFAULT_T_DIGITS) -> QrFactorization:
         pivot_norm = float(np.sqrt(max(kappa[k], 0.0)))
         if rank is None and pivot_norm <= delta:
             rank = k
-        if k < min(m - 1, n):
-            x = r[k:, k]
-            if np.any(x[1:]):
-                h = householder_vector(x)
-                alpha = -(1.0 if x[0] >= 0.0 else -1.0) * stable_norm(x)
-                _reflect_block(r, k, h)
-                r[k, k] = alpha
-                r[k + 1 :, k] = 0.0
-                reflectors.append(_pad_reflector(h, k, m))
+        h = annihilate(r[k:, k:], k)
+        if h is not None:
+            reflectors.append(h)
         if k + 1 < n:
             kappa[k + 1 :] -= r[k, k + 1 :] ** 2
             stale = kappa[k + 1 :] < NORM_DOWNDATE_GUARD * kappa_ref[k + 1 :]

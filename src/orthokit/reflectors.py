@@ -1,8 +1,12 @@
 """Householder reflectors and Givens plane rotations as implicit operators.
 
-A reflector ``H = I - beta * u u^T`` (beta = 2 / u^T u) is stored as its
-vector ``u`` plus the cached ``beta``; it is never materialized.  Products
-use the rank-1 update forms, costing O(mn) instead of O(m^2 n).
+A reflector ``H = I - beta * u u^T`` (beta = 2 / u^T u) is stored unpadded
+as (offset, u, beta): it acts on rows ``offset:`` of an operator of
+dimension ``offset + u.size`` (Golub & Van Loan, *Matrix Computations*,
+5.1.6).  ``reflect``, the rank-1 update ``a -= beta u (u^T a)`` on rows
+``offset:``, is the one apply path of every reflector product in the
+package; ``annihilate`` is the one elimination step of the sweeps, and
+``rotate`` the one plane-rotation update.
 """
 
 from __future__ import annotations
@@ -29,8 +33,12 @@ __all__ = [
 
 @dataclass
 class HouseholderReflector:
+    """``I - beta u u^T`` on rows ``offset:`` of an operator of dimension
+    ``offset + u.size``; identity on the leading ``offset`` rows."""
+
     u: np.ndarray
     beta: float
+    offset: int = 0
 
 
 @dataclass
@@ -84,35 +92,60 @@ def householder_vector(x) -> HouseholderReflector:
     return HouseholderReflector(u, 2.0 / float(u @ u))
 
 
+def reflect(h: HouseholderReflector, a: np.ndarray) -> None:
+    """Apply ``h`` in place to the rows of the 2-D array (or view) ``a``:
+    rows ``h.offset:`` take the rank-1 update ``a -= beta u (u^T a)``."""
+    rows = a[h.offset :]
+    # One temporary, laid out like ``rows`` (column-major for a transposed
+    # view) and scaled in place, so the subtraction streams through memory.
+    update = np.outer(h.u, h.u @ rows, out=np.empty_like(rows))
+    update *= h.beta
+    rows -= update
+
+
+def annihilate(block: np.ndarray, offset: int) -> HouseholderReflector | None:
+    """Reflect ``block`` in place so its first column becomes ``alpha e1``
+    (alpha = -sign(x0) ||x||, exact zeros below); returns the reflector with
+    ``offset``, or None if ``block[1:, 0]`` is already zero.  A row is
+    eliminated through a transposed view."""
+    x = block[:, 0]
+    if not np.any(x[1:]):
+        return None
+    h = householder_vector(x)
+    alpha = -_sign_nonneg(x[0]) * stable_norm(x)
+    reflect(h, block)
+    block[0, 0] = alpha
+    block[1:, 0] = 0.0
+    h.offset = offset
+    return h
+
+
+def check_length(h: HouseholderReflector, n: int, what: str) -> None:
+    if h.offset + h.u.size != n:
+        raise ShapeError(f"reflector length {h.offset + h.u.size} inconsistent with {n} {what}")
+
+
 def householder_matrix(h: HouseholderReflector) -> np.ndarray:
-    """Materialize ``I - beta u u^T`` (for inspection; not used in products)."""
-    u = h.u
-    return np.eye(u.size) - h.beta * np.outer(u, u)
+    """Materialize ``H`` (for inspection; not used in products)."""
+    out = np.eye(h.offset + h.u.size)
+    reflect(h, out)
+    return out
 
 
 def householder_apply_left(h: HouseholderReflector, a) -> np.ndarray:
-    """Compute ``H @ a`` as ``a - beta * u (u^T a)``."""
+    """Compute ``H @ a`` as ``a - beta * u (u^T a)`` on rows ``offset:``."""
     a = as_matrix(a)
-    if h.u.size != a.shape[0]:
-        raise ShapeError(f"reflector length {h.u.size} does not match {a.shape[0]} rows")
-    w = h.u @ a
-    return a - h.beta * np.outer(h.u, w)
+    check_length(h, a.shape[0], "rows")
+    reflect(h, a)
+    return a
 
 
 def householder_apply_right(a, h: HouseholderReflector) -> np.ndarray:
-    """Compute ``a @ H`` as ``a - beta * (a u) u^T``."""
+    """Compute ``a @ H`` as ``a - beta * (a u) u^T`` on columns ``offset:``."""
     a = as_matrix(a)
-    if h.u.size != a.shape[1]:
-        raise ShapeError(f"reflector length {h.u.size} does not match {a.shape[1]} columns")
-    w = a @ h.u
-    return a - h.beta * np.outer(w, h.u)
-
-
-def apply_reflector_to_vector(h: HouseholderReflector, b) -> np.ndarray:
-    b = as_vector(b)
-    if h.u.size != b.size:
-        raise ShapeError(f"reflector length {h.u.size} does not match vector length {b.size}")
-    return b - (h.beta * (h.u @ b)) * h.u
+    check_length(h, a.shape[1], "columns")
+    reflect(h, a.T)
+    return a
 
 
 def givens_params(x: float, y: float) -> tuple[float, float]:
@@ -137,15 +170,19 @@ def givens_params(x: float, y: float) -> tuple[float, float]:
     return c, s
 
 
+def rotate(x: np.ndarray, y: np.ndarray, c: float, s: float) -> None:
+    """Plane rotation in place on two equal-shape views:
+    (x, y) <- (c x + s y, -s x + c y)."""
+    t = c * x + s * y
+    y[...] = -s * x + c * y
+    x[...] = t
+
+
 def givens_apply(g: GivensRotation, a) -> np.ndarray:
     """Apply a (j, k)-plane rotation to the rows of ``a``; only rows j and k
     change."""
     a = as_matrix(a)
     if g.k >= a.shape[0]:
         raise ShapeError(f"rotation indices ({g.j}, {g.k}) out of range for {a.shape[0]} rows")
-    out = a.copy()
-    rj = a[g.j, :]
-    rk = a[g.k, :]
-    out[g.j, :] = g.c * rj + g.s * rk
-    out[g.k, :] = -g.s * rj + g.c * rk
-    return out
+    rotate(a[g.j], a[g.k], g.c, g.s)
+    return a

@@ -29,8 +29,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, ShapeError, SingularMatrixError
-from .matrix import as_matrix, as_vector, norm, pow2_scale, require_finite
-from .reflectors import HouseholderReflector, givens_params, householder_vector, stable_norm
+from .matrix import as_matrix, as_vector, norm, norm_tol, pow2_scale, require_finite
+from .qr import form_q
+from .reflectors import HouseholderReflector, annihilate, givens_params, rotate
 
 __all__ = [
     "SvdFactorization",
@@ -89,12 +90,6 @@ class Bidiagonal:
             raise ShapeError(f"superdiagonal length {self.e.size} != diagonal length {self.d.size} - 1")
 
 
-def _pad(h: HouseholderReflector, offset: int, length: int) -> HouseholderReflector:
-    u = np.zeros(length)
-    u[offset:] = h.u
-    return HouseholderReflector(u, h.beta)
-
-
 def bidiagonalize(a):
     """Reduce a tall matrix (m >= n) to upper-bidiagonal form.
 
@@ -111,35 +106,17 @@ def bidiagonalize(a):
     left: list[HouseholderReflector] = []
     right: list[HouseholderReflector] = []
     for k in range(n):
-        x = b[k:, k]
-        if np.any(x[1:]):
-            h = householder_vector(x)
-            alpha = -(1.0 if x[0] >= 0.0 else -1.0) * stable_norm(x)
-            block = b[k:, k:]
-            block -= h.beta * np.outer(h.u, h.u @ block)
-            b[k, k] = alpha
-            b[k + 1 :, k] = 0.0
-            left.append(_pad(h, k, m))
+        h = annihilate(b[k:, k:], k)
+        if h is not None:
+            left.append(h)
         if k < n - 2:
-            xr = b[k, k + 1 :]
-            if np.any(xr[1:]):
-                h = householder_vector(xr)
-                alpha = -(1.0 if xr[0] >= 0.0 else -1.0) * stable_norm(xr)
-                block = b[k:, k + 1 :]
-                block -= h.beta * np.outer(block @ h.u, h.u)
-                b[k, k + 1] = alpha
-                b[k, k + 2 :] = 0.0
-                right.append(_pad(h, k + 1, n))
+            h = annihilate(b[k:, k + 1 :].T, k + 1)
+            if h is not None:
+                right.append(h)
     d = np.diagonal(b).copy()
-    e = np.diagonal(b, 1)[: n - 1].copy() if n > 1 else np.zeros(0)
+    e = np.diagonal(b, 1)[: n - 1].copy()
     require_finite("bidiagonalize", d, e)
     return left, Bidiagonal(d, e), right
-
-
-def _rot_cols(m: np.ndarray, j: int, k: int, c: float, s: float) -> None:
-    tj = c * m[:, j] + s * m[:, k]
-    m[:, k] = -s * m[:, j] + c * m[:, k]
-    m[:, j] = tj
 
 
 def _chain_matrix(c: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -149,8 +126,8 @@ def _chain_matrix(c: np.ndarray, s: np.ndarray) -> np.ndarray:
     Column k < b is c_k times the carried column w_k, plus s_k on the
     subdiagonal; column b is w_b.  Row i of the carries is the running
     product c_{i-1} (-s_i) (-s_{i+1}) ..., taken left to right as a row-wise
-    cumprod, so every entry equals the one sequential ``_rot_cols`` on the
-    identity would give.
+    cumprod, so every entry equals the one sequential ``rotate`` of column pairs
+    on the identity would give.
     """
     b = c.size
     i = np.arange(b + 1)
@@ -171,7 +148,7 @@ def _apply_chain(m: np.ndarray, lo: int, c, s) -> None:
     n = len(c)
     if n < CHAIN_CROSSOVER:
         for k in range(n):
-            _rot_cols(m, lo + k, lo + k + 1, c[k], s[k])
+            rotate(m[:, lo + k], m[:, lo + k + 1], c[k], s[k])
         return
     c = np.asarray(c, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -260,7 +237,7 @@ def _deflate_zero_diagonal(d, e, i, hi, u):
         s = -bulge / r
         d[j] = r
         if u is not None:
-            _rot_cols(u, i, j, c, s)
+            rotate(u[:, i], u[:, j], c, s)
         if j < hi:
             bulge = s * e[j]
             e[j] = c * e[j]
@@ -279,7 +256,7 @@ def _deflate_zero_tail(d, e, lo, hi, v):
         s = bulge / r
         d[j] = r
         if v is not None:
-            _rot_cols(v, j, hi, c, s)
+            rotate(v[:, j], v[:, hi], c, s)
         if j > lo:
             bulge = -s * e[j - 1]
             e[j - 1] = c * e[j - 1]
@@ -366,14 +343,6 @@ def bidiag_svd(b: Bidiagonal, max_sweeps: int | None = None):
     return u, s, v
 
 
-def _accumulate(reflectors, m: int, cols: int) -> np.ndarray:
-    q = np.eye(m, cols)
-    for h in reversed(reflectors):
-        w = h.u @ q
-        q -= h.beta * np.outer(h.u, w)
-    return q
-
-
 def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
     # Largest-magnitude entry of each right singular vector made positive;
     # the paired left vector flips with it.  Ties resolve to the first index.
@@ -412,8 +381,8 @@ def svd(a, shape: str = "reduced", max_sweeps: int | None = None) -> SvdFactoriz
         return SvdFactorization(u=u, sigma=f.sigma, vt=np.ascontiguousarray(v.T), shape=shape)
     with np.errstate(over="ignore", invalid="ignore"):  # bidiagonalize raises on overflow
         left, bid, right = bidiagonalize(a)
-    ua = _accumulate(left, m, m if shape == "full" else n)
-    va = _accumulate(right, n, n)
+    ua = form_q(left, m, m if shape == "full" else n)
+    va = form_q(right, n)
     ub, sig, vb = _bidiag_svd_arrays(bid.d.copy(), bid.e.copy(), want_uv=True, max_sweeps=max_sweeps)
     u_main = ua[:, :n] @ ub
     if shape == "full" and m > n:
@@ -507,7 +476,7 @@ def jacobi_eig(s, max_sweeps: int = 30):
 def default_rank_threshold(a, t_digits: int = DEFAULT_T_DIGITS) -> float:
     """delta = 10^-t * ||A||_inf: singular values at or below delta count
     as zero (entries assumed accurate to t decimal digits)."""
-    return 10.0 ** (-t_digits) * norm(a, "inf")
+    return norm_tol(as_matrix(a), 10.0 ** (-t_digits))
 
 
 def numerical_rank(sigma, threshold: float) -> int:

@@ -163,8 +163,12 @@ def triple_loop_matmul(a, b):
 
 
 def dense_reflector(h):
-    """Independent materialization I - beta u u^T from the stored fields."""
-    return np.eye(h.u.size) - h.beta * np.outer(h.u, h.u)
+    """Independent materialization I - beta u u^T from the stored fields,
+    u acting on rows offset: of the (offset + len(u))-square identity."""
+    k = h.offset
+    d = np.eye(k + h.u.size)
+    d[k:, k:] -= h.beta * np.outer(h.u, h.u)
+    return d
 
 
 def fro(a):

@@ -127,6 +127,14 @@ class TestNearOverflowInput:
         assert not any("nan" in line.lower() or "inf" in line.lower() for line in out)
         assert "rank = 2" in out
 
+    def test_qr_solve_tolerances_stay_finite(self, capsys, tmp_path):
+        a_path, b_path = tmp_path / "u.csv", tmp_path / "b.csv"
+        write_matrix_csv(np.array([[1e308, 1e308], [0.0, 1e308]]), a_path, precision=17)
+        write_matrix_csv(np.ones((2, 1)), b_path)
+        out, err = run_lines(capsys, ["solve", str(a_path), str(b_path), "--method", "qr"])
+        assert err == ""
+        assert "method = qr" in out and "rank = 2" in out
+
 
 class TestDeterminismAndPrecision:
     def test_identical_argv_identical_output(self, capsys, survey_files):

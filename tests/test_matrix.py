@@ -140,6 +140,23 @@ class TestTriangularSolves:
             xl = forward_sub(l, b)
             assert np.linalg.norm(l @ xl - b) <= 1e-12 * fro(l) * np.linalg.norm(xl)
 
+    def test_pivot_tolerance_does_not_overflow(self):
+        # ||U||_inf = 2e308 is past the float64 range; the pivot tolerance
+        # 1e-14 * ||U||_inf is not.
+        u = np.array([[1e308, 1e308], [0.0, 1e308]])
+        x = back_sub(u, np.ones(2))
+        assert np.abs(x * 1e308 - [0.0, 1.0]).max() <= 1e-15
+        xl = forward_sub(u.T.copy(), np.ones(2))
+        assert np.abs(xl * 1e308 - [1.0, 0.0]).max() <= 1e-15
+
+    def test_norm_tol_matches_unscaled_product_in_range(self):
+        from orthokit.matrix import norm_tol
+
+        rng = np.random.default_rng(7)
+        for e in (-900, -300, 0, 300, 900):
+            a = rng.standard_normal((5, 4)) * 2.0 ** e
+            assert norm_tol(a, 1e-12) == 1e-12 * np.abs(a).sum(axis=1).max()
+
 
 class TestCholesky:
     def test_identity(self):
@@ -173,6 +190,14 @@ class TestCholesky:
     def test_asymmetric_rejected(self):
         with pytest.raises(ShapeError, match="symmetric"):
             cholesky(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_symmetry_check_survives_overflowing_norm(self):
+        # ||S||_inf = 1.9e308 is past the float64 range.
+        s = np.array([[1e308, 0.9e308], [0.9e308, 1e308]])
+        l = cholesky(s)
+        assert np.abs(l @ l.T / 1e308 - s / 1e308).max() <= 1e-15
+        with pytest.raises(ShapeError, match="symmetric"):
+            cholesky(np.array([[1e308, 0.9e308], [0.5e308, 1e308]]))
 
 
 class TestPow2Scale:

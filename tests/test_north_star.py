@@ -3,6 +3,9 @@
 Every module under ``src/orthokit`` is parsed, and any use of a
 ``numpy.linalg`` factorization or solver fails the test.  ``norm`` is the
 one ``numpy.linalg`` function the library may call.
+
+Rank-1 updates have one home: ``outer`` products appear only in
+``reflectors.py``, the one reflector kernel.
 """
 
 import ast
@@ -85,3 +88,32 @@ def test_library_uses_no_numpy_linalg_factorization():
         if (hits := linalg_violations(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def outer_uses(source: str) -> list[int]:
+    """Lines of ``source`` that use an ``outer`` attribute (``np.outer``,
+    ``np.multiply.outer``) or import ``outer`` from numpy."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "outer":
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found.extend(node.lineno for alias in node.names if alias.name == "outer")
+    return found
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["import numpy as np\nnp.outer(u, w)", "import numpy\nnumpy.multiply.outer(u, w)", "from numpy import outer"],
+)
+def test_outer_detector_flags_outer_products(source):
+    assert outer_uses(source)
+
+
+def test_outer_products_only_in_reflector_kernel():
+    found = {
+        str(path.relative_to(PACKAGE))
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if outer_uses(path.read_text(encoding="utf-8"))
+    }
+    assert found == {"reflectors.py"}

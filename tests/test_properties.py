@@ -1,0 +1,142 @@
+"""Property tests: factorization invariants across shapes, ranks and the
+float64 exponent range.
+
+A matrix is drawn as a seed, a shape up to 40 x 40 (1 x n and m x 1
+included), a structure (dense, prescribed rank, graded columns) and a scale
+2^e with e in [-1000, 1000].  Every comparison is made in units of 2^e, so
+the oracle's own norms cannot overflow.  The profile is derandomized, with
+bounded examples and no example database, so tier-1 stays deterministic.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from orthokit import (
+    GivensRotation,
+    QrMode,
+    form_q,
+    givens_apply,
+    givens_params,
+    householder_matrix,
+    qr_givens,
+    qr_householder,
+    qr_pivoted,
+    svd,
+)
+from helpers import fro
+
+EPS = np.finfo(float).eps
+C = 20  # backward-error and orthogonality constant, in units of max(m, n) eps
+MAX_DIM = 40
+
+PROFILE = settings(
+    derandomize=True,
+    max_examples=150,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def scaled_matrices(draw, min_rows=1):
+    """``(a, e)``: a matrix at scale 2^e."""
+    m, n = draw(st.integers(min_rows, MAX_DIM)), draw(st.integers(1, MAX_DIM))
+    kind = draw(st.sampled_from(["dense", "rank", "graded"]))
+    rank = draw(st.integers(1, min(m, n)))
+    e = draw(st.one_of(st.sampled_from([-1000, 1000]), st.integers(-1000, 1000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "dense":
+        a = rng.standard_normal((m, n))
+    elif kind == "rank":
+        a = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+    else:
+        a = rng.standard_normal((m, n)) * np.logspace(0, -12, n)
+    return np.ldexp(a, e), e
+
+
+def _check_qr(a, e, q, r, perm=None):
+    m, n = a.shape
+    unit = np.ldexp(a, -e)
+    if perm is not None:
+        unit = unit[:, perm]
+    tol = C * max(m, n) * EPS
+    assert np.all(np.tril(r, -1) == 0.0)
+    assert fro(q.T @ q - np.eye(q.shape[1])) <= tol * np.sqrt(m)
+    assert fro(q @ np.ldexp(r, -e) - unit) <= tol * fro(unit)
+
+
+@PROFILE
+@given(scaled_matrices())
+def test_householder_qr(case):
+    a, e = case
+    f = qr_householder(a, QrMode.Q_AND_R)
+    _check_qr(a, e, f.q, f.r)
+
+
+@PROFILE
+@given(scaled_matrices())
+def test_pivoted_qr(case):
+    a, e = case
+    f = qr_pivoted(a)
+    _check_qr(a, e, form_q(f.reflectors, a.shape[0]), f.r, f.perm)
+    assert sorted(f.perm.tolist()) == list(range(a.shape[1]))
+
+
+@PROFILE
+@given(scaled_matrices())
+def test_givens_qr(case):
+    a, e = case
+    f = qr_givens(a)
+    _check_qr(a, e, f.q, f.r)
+
+
+@PROFILE
+@given(scaled_matrices(), st.sampled_from(["reduced", "full"]))
+def test_svd_backward_error_and_orthogonality(case, shape):
+    a, e = case
+    m, n = a.shape
+    f = svd(a, shape)
+    k = min(m, n)
+    tol = C * max(m, n) * EPS
+    unit = np.ldexp(a, -e)
+    sigma = np.ldexp(f.sigma, -e)
+    assert np.all(sigma >= 0.0) and np.all(np.diff(sigma) <= 0.0)
+    assert fro((f.u[:, :k] * sigma) @ f.vt[:k, :] - unit) <= tol * fro(unit)
+    assert fro(f.u.T @ f.u - np.eye(f.u.shape[1])) <= tol * np.sqrt(m)
+    assert fro(f.vt @ f.vt.T - np.eye(f.vt.shape[0])) <= tol * np.sqrt(n)
+
+
+@PROFILE
+@given(scaled_matrices(), st.integers(1, MAX_DIM))
+def test_form_q_equals_product_of_reflectors(case, cols):
+    a, _ = case
+    m = a.shape[0]
+    cols = min(cols, m)
+    reflectors = qr_householder(a, QrMode.R_AND_REFLECTORS).reflectors
+    dense = np.eye(m)
+    for h in reflectors:
+        assert h.offset + h.u.size == m
+        dense = dense @ householder_matrix(h)
+    tol = C * m * EPS
+    assert np.abs(form_q(reflectors, m) - dense).max() <= tol
+    assert np.abs(form_q(reflectors, m, cols) - dense[:, :cols]).max() <= tol
+
+
+@PROFILE
+@given(scaled_matrices(min_rows=2), st.integers(0, MAX_DIM), st.integers(0, MAX_DIM),
+       st.floats(-1.0, 1.0), st.floats(-1.0, 1.0).filter(bool))
+def test_givens_apply_equals_dense_rotation(case, j, gap, x, y):
+    a, e = case
+    m = a.shape[0]
+    j = j % (m - 1)
+    k = j + 1 + gap % (m - 1 - j)
+    c, s = givens_params(x, y)
+    g = np.eye(m)
+    g[j, j], g[j, k], g[k, j], g[k, k] = c, s, -s, c
+    out = givens_apply(GivensRotation(c, s, j, k), a)
+    rest = np.setdiff1d(np.arange(m), [j, k])
+    assert np.array_equal(out[rest], a[rest])
+    unit = np.ldexp(a, -e)
+    assert np.abs(np.ldexp(out, -e) - g @ unit).max() <= 4 * EPS * np.abs(unit).max()

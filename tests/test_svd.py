@@ -25,6 +25,7 @@ from orthokit import (
     subspace_bases,
     svd,
 )
+from orthokit.reflectors import rotate
 from helpers import (
     RANK2_A,
     RANK2_PINV,
@@ -122,7 +123,7 @@ class TestBidiagSvd:
 
 def _sequential_chain(m, lo, c, s):
     for k in range(len(c)):
-        svd_mod._rot_cols(m, lo + k, lo + k + 1, c[k], s[k])
+        rotate(m[:, lo + k], m[:, lo + k + 1], c[k], s[k])
 
 
 def _random_chain(rng, length):
@@ -328,6 +329,15 @@ class TestNormsAndRank:
         sig = singular_values(a)
         assert matrix_rank(a) == 3
         assert (sig[3:] <= default_rank_threshold(a)).all()
+
+    def test_rank_threshold_does_not_overflow(self):
+        # sigma_1 = sqrt(2) 1e308 is representable; the row sum 2e308 is not.
+        a = np.array([[1e308, 1e308]])
+        assert np.isfinite(default_rank_threshold(a))
+        assert matrix_rank(a) == 1
+        assert cond2(a) == pytest.approx(1.0, abs=1e-15)
+        pinv_unit = np.linalg.pinv(a / 2.0 ** 1000)
+        assert np.abs(pseudoinverse(a) * 2.0 ** 1000 - pinv_unit).max() <= 1e-13 * np.abs(pinv_unit).max()
 
 
 class TestPseudoinverse:
