@@ -117,6 +117,10 @@ def read_digits_csv(path):
     raw = as_matrix(np.loadtxt(path, delimiter=",", ndmin=2))
     if raw.shape[1] == MODEL_DIM + 1:
         labels = raw[:, 0].astype(int)
+        fractional = np.flatnonzero(labels != raw[:, 0])
+        if fractional.size:
+            row = int(fractional[0])
+            raise ValueError(f"{path}: row {row + 1}: label {raw[row, 0]:g} is not an integer")
         if np.any(labels < 0) or np.any(labels > 9):
             raise ValueError(f"{path}: labels must be in 0..9")
         return np.ascontiguousarray(raw[:, 1:].T), labels

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficiencyError, ShapeError
-from .matrix import as_matrix, as_vector, back_sub, cholesky, forward_sub, norm
-from .qr import qr_pivoted
+from .matrix import as_matrix, as_vector, norm
+from .qr import form_q, qr_pivoted
 
 __all__ = [
     "ProjectorCheck",
@@ -53,23 +53,23 @@ def complement(p) -> np.ndarray:
 
 
 def projector_onto_range(a) -> np.ndarray:
-    """Orthogonal projector A (A^T A)^-1 A^T onto range(A) for a matrix of
-    full column rank.
+    """Orthogonal projector onto range(A) for a matrix of full column rank:
+    Q1 Q1^T with Q1 the leading n columns of the pivoted QR's Q, which
+    equals A (A^T A)^-1 A^T without forming A^T A.
 
-    Rank deficiency (detected by pivoted QR) raises ``RankDeficiencyError``;
-    use the SVD subspace bases for the rank-deficient case.
+    Rank deficiency (detected by the same pivoted QR) raises
+    ``RankDeficiencyError``; use the SVD subspace bases for the
+    rank-deficient case.
     """
     a = as_matrix(a)
     m, n = a.shape
-    if qr_pivoted(a).rank < n:
+    f = qr_pivoted(a)
+    if f.rank < n:
         raise RankDeficiencyError(
             "matrix is not of full column rank; build the projector from SVD subspace bases instead"
         )
-    l = cholesky(a.T @ a)
-    # X solves (A^T A) X = A^T, column by column.
-    cols = [back_sub(l.T, forward_sub(l, a[i, :])) for i in range(m)]
-    p = a @ np.column_stack(cols)
-    return 0.5 * (p + p.T)
+    q1 = form_q(f.reflectors, m, n)
+    return q1 @ q1.T
 
 
 def projector_from_orthonormal(q1) -> np.ndarray:

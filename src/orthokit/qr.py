@@ -1,5 +1,6 @@
-"""QR factorizations: Householder, Givens, upper-Hessenberg fast path, and
-column-pivoted rank-revealing QR with incremental column-norm downdating.
+"""QR factorizations: Householder, Givens (also behind the upper-Hessenberg
+structure check), and column-pivoted rank-revealing QR with incremental
+column-norm downdating.
 
 The Householder routes record the k-th reflector unpadded, with offset k;
 ``form_q`` applies them through the rank-1 path that built R.
@@ -81,14 +82,18 @@ def qr_householder(a, mode=QrMode.Q_AND_R) -> QrFactorization:
     mode = QrMode.of(mode)
     a = as_matrix(a)
     m, n = a.shape
-    r = a.copy()
+    # Exact power-of-two prescaling: the sweep cannot overflow, and R
+    # overflows only if its true entries do.
+    scale = pow2_scale(float(np.abs(a).max()))
+    r = a / scale
     reflectors = []
     # Columns whose subdiagonal part is already zero get no reflector.
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        for k in range(min(m - 1, n)):
-            h = annihilate(r[k:, k:], k)
-            if h is not None:
-                reflectors.append(h)
+    for k in range(min(m - 1, n)):
+        h = annihilate(r[k:, k:], k)
+        if h is not None:
+            reflectors.append(h)
+    with np.errstate(over="ignore"):  # reported just below
+        r *= scale
     require_finite("qr_householder", r)
     if mode is QrMode.R_ONLY:
         return QrFactorization(r=r)
@@ -119,15 +124,14 @@ def qr_givens(a) -> QrFactorization:
     leading diagonal entries come out positive where the Householder route
     may produce negative ones; |R| agrees between the two routes.
     """
-    a = as_matrix(a)
-    m, n = a.shape
-    r = a.copy()
+    r = as_matrix(a)
+    m, n = r.shape
     rotations: list[GivensRotation] = []
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         for k in range(min(m - 1, n)):
-            for j in range(m - 1, k, -1):
-                if r[j, k] == 0.0:
-                    continue
+            # A rotation changes only rows k and j, so the nonzero entries
+            # below the diagonal of column k can be listed up front.
+            for j in (k + 1 + np.flatnonzero(r[k + 1 :, k])[::-1]).tolist():
                 c, s = givens_params(r[k, k], r[j, k])
                 rotate(r[k, k:], r[j, k:], c, s)
                 r[j, k] = 0.0
@@ -143,32 +147,18 @@ def qr_hessenberg(h) -> QrFactorization:
     """QR of an upper-Hessenberg matrix using at most n-1 rotations.
 
     Raises ``ShapeError`` if any entry below the first subdiagonal is
-    nonzero.  ``rotation_count`` on the result counts the non-identity
-    rotations actually applied.
+    nonzero; otherwise this is ``qr_givens``, which rotates only the
+    nonzero subdiagonal entries.  ``rotation_count`` on the result counts
+    the non-identity rotations actually applied.
     """
     a = as_matrix(h)
-    m, n = a.shape
-    if m != n:
+    if a.shape[0] != a.shape[1]:
         raise ShapeError(f"Hessenberg QR needs a square matrix, got {a.shape}")
-    for i in range(m):
-        for j in range(i - 1):
-            if a[i, j] != 0.0:
-                raise ShapeError(f"not upper Hessenberg: entry ({i}, {j}) = {a[i, j]!r} below subdiagonal")
-    r = a.copy()
-    rotations: list[GivensRotation] = []
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        for k in range(n - 1):
-            if r[k + 1, k] == 0.0:
-                continue
-            c, s = givens_params(r[k, k], r[k + 1, k])
-            rotate(r[k, k:], r[k + 1, k:], c, s)
-            r[k + 1, k] = 0.0
-            rotations.append(GivensRotation(c, s, k, k + 1))
-    require_finite("qr_hessenberg", r)
-    q = np.eye(n)
-    for g in rotations:
-        rotate(q[g.j], q[g.k], g.c, g.s)
-    return QrFactorization(r=r, q=np.ascontiguousarray(q.T), rotations=rotations)
+    below = np.argwhere(np.tril(a, -2))
+    if below.size:
+        i, j = below[0]
+        raise ShapeError(f"not upper Hessenberg: entry ({i}, {j}) = {a[i, j]!r} below subdiagonal")
+    return qr_givens(a)
 
 
 def qr_pivoted(a, t_digits: int = DEFAULT_T_DIGITS) -> QrFactorization:

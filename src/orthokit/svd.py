@@ -102,7 +102,10 @@ def bidiagonalize(a):
     m, n = a.shape
     if m < n:
         raise ShapeError(f"bidiagonalize needs m >= n, got {a.shape}; transpose first")
-    b = a.copy()
+    # Exact power-of-two prescaling: the sweep cannot overflow, and d, e
+    # overflow only if the singular values do.
+    scale = pow2_scale(float(np.abs(a).max()))
+    b = a / scale
     left: list[HouseholderReflector] = []
     right: list[HouseholderReflector] = []
     for k in range(n):
@@ -113,8 +116,9 @@ def bidiagonalize(a):
             h = annihilate(b[k:, k + 1 :].T, k + 1)
             if h is not None:
                 right.append(h)
-    d = np.diagonal(b).copy()
-    e = np.diagonal(b, 1)[: n - 1].copy()
+    with np.errstate(over="ignore"):  # reported just below
+        d = np.diagonal(b) * scale
+        e = np.diagonal(b, 1)[: n - 1] * scale
     require_finite("bidiagonalize", d, e)
     return left, Bidiagonal(d, e), right
 
@@ -337,10 +341,7 @@ def bidiag_svd(b: Bidiagonal, max_sweeps: int | None = None):
     sorted descending.  Raises ``ConvergenceError`` (carrying the partial
     spectrum) if the sweep budget is exhausted.
     """
-    d = b.d.copy()
-    e = np.asarray(b.e, dtype=float).copy()
-    u, s, v = _bidiag_svd_arrays(d, e, want_uv=True, max_sweeps=max_sweeps)
-    return u, s, v
+    return _bidiag_svd_arrays(b.d, b.e, want_uv=True, max_sweeps=max_sweeps)
 
 
 def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
@@ -379,11 +380,10 @@ def svd(a, shape: str = "reduced", max_sweeps: int | None = None) -> SvdFactoriz
         v = np.ascontiguousarray(f.u)
         _fix_signs(u, v)
         return SvdFactorization(u=u, sigma=f.sigma, vt=np.ascontiguousarray(v.T), shape=shape)
-    with np.errstate(over="ignore", invalid="ignore"):  # bidiagonalize raises on overflow
-        left, bid, right = bidiagonalize(a)
+    left, bid, right = bidiagonalize(a)
     ua = form_q(left, m, m if shape == "full" else n)
     va = form_q(right, n)
-    ub, sig, vb = _bidiag_svd_arrays(bid.d.copy(), bid.e.copy(), want_uv=True, max_sweeps=max_sweeps)
+    ub, sig, vb = _bidiag_svd_arrays(bid.d, bid.e, want_uv=True, max_sweeps=max_sweeps)
     u_main = ua[:, :n] @ ub
     if shape == "full" and m > n:
         u = np.hstack([u_main, ua[:, n:]])
@@ -400,9 +400,8 @@ def singular_values(a, max_sweeps: int | None = None) -> np.ndarray:
     m, n = a.shape
     if m < n:
         a = np.ascontiguousarray(a.T)
-    with np.errstate(over="ignore", invalid="ignore"):  # bidiagonalize raises on overflow
-        _, bid, _ = bidiagonalize(a)
-    _, sig, _ = _bidiag_svd_arrays(bid.d.copy(), bid.e.copy(), want_uv=False, max_sweeps=max_sweeps)
+    _, bid, _ = bidiagonalize(a)
+    _, sig, _ = _bidiag_svd_arrays(bid.d, bid.e, want_uv=False, max_sweeps=max_sweeps)
     return sig
 
 

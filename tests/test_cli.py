@@ -97,17 +97,28 @@ class TestQrCommand:
         assert code == 1
 
 
+# sigma and |R| entries are sqrt(2) * 1e308: representable.
 NEAR_OVERFLOW = np.array([[1e308, 1e308], [1e308, -1e308]])
+# sigma_1 = 1.5e308 * n and |R[0, 0]| = 1.5e308 * sqrt(n): past the float64 range.
+OVERFLOW_2 = np.full((2, 2), 1.5e308)
+OVERFLOW_3 = np.full((3, 3), 1.5e308)
+
+
+def _printed_row(line, prefix=""):
+    return np.array([float(x) for x in line.removeprefix(prefix).split(",")])
 
 
 class TestNearOverflowInput:
     @pytest.mark.parametrize(
         "argv, a",
         [
-            (["svd"], NEAR_OVERFLOW),
-            (["svd", "--values-only"], NEAR_OVERFLOW),
-            (["qr"], NEAR_OVERFLOW),
-            (["qr", "--method", "givens"], np.full((2, 2), 1.5e308)),
+            (["svd"], OVERFLOW_3),
+            (["svd", "--values-only"], OVERFLOW_3),
+            (["qr"], OVERFLOW_3),
+            (["qr", "--method", "givens"], OVERFLOW_2),
+            (["svd"], OVERFLOW_2),
+            (["svd", "--values-only"], OVERFLOW_2),
+            (["qr"], OVERFLOW_2),
         ],
     )
     def test_overflowing_factorization_exits_2(self, capsys, tmp_path, argv, a):
@@ -118,6 +129,24 @@ class TestNearOverflowInput:
         assert code == 2
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: NumericalError")
+
+    def test_representable_factors_are_printed(self, capsys, tmp_path):
+        path = tmp_path / "big.csv"
+        write_matrix_csv(NEAR_OVERFLOW, path, precision=17)
+        unit = np.ldexp(NEAR_OVERFLOW, -1000)
+        sigma = np.linalg.svd(unit, compute_uv=False)
+        abs_r = np.abs(np.linalg.qr(unit)[1])
+        tol = 4 * np.finfo(float).eps * sigma[0]
+        out, err = run_lines(capsys, ["svd", str(path)])
+        assert err == ""
+        assert np.abs(np.ldexp(_printed_row(out[0], "sigma = "), -1000) - sigma).max() <= tol
+        out, err = run_lines(capsys, ["svd", "--values-only", str(path)])
+        assert err == ""
+        assert np.abs(np.ldexp(_printed_row(out[0]), -1000) - sigma).max() <= tol
+        out, err = run_lines(capsys, ["qr", str(path)])
+        assert err == "" and out[0] == "R ="
+        r = np.vstack([_printed_row(line) for line in out[1:3]])
+        assert np.abs(np.ldexp(np.abs(r), -1000) - abs_r).max() <= tol
 
     def test_pivoted_qr_stays_finite_with_full_rank(self, capsys, tmp_path):
         path = tmp_path / "big.csv"

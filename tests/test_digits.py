@@ -160,6 +160,16 @@ class TestPersistence:
         assert x2.min() >= 0 and x2.max() <= 255
         assert np.array_equal(x2, np.rint(x2))  # integer pixels
 
+    def test_csv_fractional_label_rejected(self, tmp_path):
+        x, labels = synth_digit_data(1, classes=3, seed=5)
+        path = tmp_path / "digits.csv"
+        write_digits_csv(path, x, labels)
+        lines = path.read_text().splitlines()
+        lines[1] = "3.7" + lines[1][lines[1].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"digits\.csv: row 2: label 3\.7 is not an integer"):
+            read_digits_csv(path)
+
     def test_csv_classification_survives_quantization(self, tmp_path):
         x, labels = synth_digit_data(30, classes=10, seed=6)
         path = tmp_path / "digits.csv"

@@ -11,8 +11,10 @@ from orthokit import (
     projector_from_orthonormal,
     projector_onto_range,
     qr_householder,
+    qr_pivoted,
     split,
 )
+from orthokit import matrix, projectors
 from helpers import SURVEY_A, SURVEY_B, SURVEY_P, SURVEY_RESIDUAL, SURVEY_X, fro, random_rank_deficient
 
 
@@ -100,6 +102,34 @@ class TestProjectorOntoRange:
         assert fro(p @ p - p) <= 1e-11 * (1 + fro(p) ** 2)
         assert np.abs(p - p.T).max() <= 1e-12
         assert fro(p @ a - a) <= 1e-11 * fro(a)
+
+    def test_ill_conditioned_full_rank_matches_qr_oracle(self):
+        # cond 1e9 is full rank to the pivoted QR; a Gram route, with cond
+        # 1e18 for A^T A, loses every digit here.
+        rng = np.random.default_rng(64)
+        u = np.linalg.qr(rng.standard_normal((40, 8)))[0]
+        v = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+        a = (u * np.logspace(0, -9, 8)) @ v.T
+        q = np.linalg.qr(a)[0]
+        assert np.abs(projector_onto_range(a) - q @ q.T).max() <= 1e-6
+
+    def test_factors_once_through_pivoted_qr(self, monkeypatch):
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape)
+            return qr_pivoted(a)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("projector_onto_range must not solve with a Gram factor")
+
+        monkeypatch.setattr(projectors, "qr_pivoted", counted)
+        for name in ("cholesky", "forward_sub", "back_sub"):
+            monkeypatch.setattr(projectors, name, forbidden, raising=False)
+            monkeypatch.setattr(matrix, name, forbidden)
+        p = projector_onto_range(SURVEY_A)
+        assert calls == [SURVEY_A.shape]
+        assert np.abs(p - SURVEY_P).max() <= 1e-12
 
     def test_rank_deficient_recommends_svd(self):
         rng = np.random.default_rng(63)

@@ -9,17 +9,21 @@ bounded examples and no example database, so tier-1 stays deterministic.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from orthokit import (
     GivensRotation,
     QrMode,
+    RankDeficiencyError,
     form_q,
     givens_apply,
     givens_params,
     householder_matrix,
+    projector_onto_range,
     qr_givens,
+    qr_hessenberg,
     qr_householder,
     qr_pivoted,
     svd,
@@ -40,10 +44,10 @@ PROFILE = settings(
 
 
 @st.composite
-def scaled_matrices(draw, min_rows=1):
+def scaled_matrices(draw, min_rows=1, kinds=("dense", "rank", "graded")):
     """``(a, e)``: a matrix at scale 2^e."""
     m, n = draw(st.integers(min_rows, MAX_DIM)), draw(st.integers(1, MAX_DIM))
-    kind = draw(st.sampled_from(["dense", "rank", "graded"]))
+    kind = draw(st.sampled_from(list(kinds)))
     rank = draw(st.integers(1, min(m, n)))
     e = draw(st.one_of(st.sampled_from([-1000, 1000]), st.integers(-1000, 1000)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -140,3 +144,36 @@ def test_givens_apply_equals_dense_rotation(case, j, gap, x, y):
     assert np.array_equal(out[rest], a[rest])
     unit = np.ldexp(a, -e)
     assert np.abs(np.ldexp(out, -e) - g @ unit).max() <= 4 * EPS * np.abs(unit).max()
+
+
+@PROFILE
+@given(scaled_matrices(kinds=("dense", "graded")))
+def test_range_projector(case):
+    a, e = case
+    if a.shape[0] < a.shape[1]:
+        a = a.T
+    m, n = a.shape
+    if qr_pivoted(a).rank < n:
+        with pytest.raises(RankDeficiencyError):
+            projector_onto_range(a)
+        return
+    p = projector_onto_range(a)
+    tol = C * m * EPS
+    unit = np.ldexp(a, -e)
+    assert np.array_equal(p, p.T)
+    assert fro(p @ p - p) <= tol * np.sqrt(n)
+    assert fro(p @ unit - unit) <= tol * fro(unit)
+    assert abs(np.trace(p) - n) <= tol * n  # rank n: P fixes range(A) and nothing more
+
+
+@PROFILE
+@given(scaled_matrices(), st.floats(0.0, 0.5), st.integers(0, 2**32 - 1))
+def test_hessenberg_qr_is_givens_qr(case, zero_frac, seed):
+    a, _ = case
+    n = min(a.shape)
+    h = np.triu(a[:n, :n], -1)
+    h[np.random.default_rng(seed).random((n, n)) < zero_frac] = 0.0
+    f, g = qr_hessenberg(h), qr_givens(h)
+    assert np.array_equal(f.r, g.r) and np.array_equal(f.q, g.q)
+    assert f.rotations == g.rotations
+    assert f.rotation_count <= n - 1

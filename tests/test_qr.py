@@ -156,6 +156,12 @@ class TestHessenbergQr:
         with pytest.raises(ShapeError, match=r"\(3, 0\)"):
             qr_hessenberg(bad)
 
+    def test_first_violation_in_row_order_reported(self):
+        bad = np.zeros((5, 5))
+        bad[4, 0] = bad[3, 1] = bad[2, 0] = 1.0
+        with pytest.raises(ShapeError, match=r"entry \(2, 0\)"):
+            qr_hessenberg(bad)
+
     def test_non_square_rejected(self):
         with pytest.raises(ShapeError, match="square"):
             qr_hessenberg(np.ones((3, 4)))

@@ -21,6 +21,7 @@ from orthokit import (
     norm2,
     numerical_rank,
     pseudoinverse,
+    qr_householder,
     singular_values,
     subspace_bases,
     svd,
@@ -258,11 +259,24 @@ class TestSvd:
         assert fro(f.vt @ f.vt.T - np.eye(n)) <= 10 * n * EPS
 
     def test_overflowing_factors_raise_numerical_error(self):
-        a = np.array([[1e308, 1e308], [1e308, -1e308]])
-        with pytest.raises(NumericalError):
-            svd(a)
-        with pytest.raises(NumericalError):
-            singular_values(a)
+        # sigma_1 = 1.5e308 * n is past the float64 range.
+        for n in (2, 3):
+            a = np.full((n, n), 1.5e308)
+            with pytest.raises(NumericalError):
+                svd(a)
+            with pytest.raises(NumericalError):
+                singular_values(a)
+
+    def test_representable_factors_near_float64_max(self):
+        # sigma = sqrt(2) * 1e308 and sigma_1 = 1.618e308 are representable.
+        for a in (np.array([[1e308, 1e308], [1e308, -1e308]]), np.array([[1e308, 0.0], [1e308, 1e308]])):
+            unit = np.ldexp(a, -1000)
+            sigma = np.linalg.svd(unit, compute_uv=False)
+            abs_r = np.abs(np.linalg.qr(unit)[1])
+            tol = 4 * EPS * sigma[0]
+            assert np.abs(np.ldexp(singular_values(a), -1000) - sigma).max() <= tol
+            assert np.abs(np.ldexp(svd(a).sigma, -1000) - sigma).max() <= tol
+            assert np.abs(np.ldexp(np.abs(qr_householder(a).r), -1000) - abs_r).max() <= tol
 
 
 class TestJacobi:
