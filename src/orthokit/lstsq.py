@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NotPositiveDefiniteError, RankDeficiencyError, ShapeError
 from .matrix import as_matrix, as_vector, back_sub, cholesky, forward_sub, norm_tol
 from .qr import QrMode, qr_householder, qr_pivoted
-from .reflectors import reflect
+from .reflectors import reflect_all
 from .svd import cond2, default_rank_threshold, numerical_rank, svd
 
 __all__ = [
@@ -63,14 +63,6 @@ def _checked(a, b):
     return a, b
 
 
-def _qt(reflectors, b) -> np.ndarray:
-    """Q^T b for Q = H_1 H_2 ...: a fresh copy of b, reflected in order."""
-    qtb = b.copy()
-    for h in reflectors:
-        reflect(h, qtb[:, None])
-    return qtb
-
-
 def solve_normal(a, b) -> LeastSquaresSolution:
     """Solve A^T A x = A^T b by Cholesky plus two triangular solves.
 
@@ -109,7 +101,8 @@ def solve_qr(a, b) -> LeastSquaresSolution:
             f"R diagonal entry {i} is negligible ({diag[i]:.3e} <= {tol:.3e}); "
             "use solve_qr_pivoted or solve_svd"
         )
-    qtb = _qt(f.reflectors, b)
+    qtb = b.copy()
+    reflect_all(f.reflectors, qtb[:, None], transpose=True)
     x = back_sub(f.r[:n, :n], qtb[:n])
     residual = float(np.linalg.norm(qtb[n:])) if m > n else 0.0
     return LeastSquaresSolution(x=x, residual_norm=residual, method="qr", rank=n)
@@ -134,7 +127,8 @@ def solve_qr_pivoted(a, b, y_hat=None, t_digits: int = 12) -> LeastSquaresSoluti
             raise ShapeError(f"y_hat must have length n - rank = {n - r}, got {y_hat.size}")
         if y_hat.size and not np.isfinite(y_hat).all():
             raise ValueError("y_hat entries must be finite")
-    qtb = _qt(f.reflectors, b)
+    qtb = b.copy()
+    reflect_all(f.reflectors, qtb[:, None], transpose=True)
     if r > 0:
         rhs = qtb[:r] - f.r[:r, r:] @ y_hat
         y_tilde = back_sub(f.r[:r, :r], rhs)

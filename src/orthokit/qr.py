@@ -2,8 +2,11 @@
 structure check), and column-pivoted rank-revealing QR with incremental
 column-norm downdating.
 
-The Householder routes record the k-th reflector unpadded, with offset k;
-``form_q`` applies them through the rank-1 path that built R.
+The Householder routes record the k-th reflector unpadded, with offset k.
+``qr_householder`` sweeps panels of ``BLOCK`` columns (xGEQRF): each
+column of a panel is annihilated within the panel, and the trailing
+columns then take the panel's reflectors as one blocked product;
+``form_q`` applies the reflectors through the same blocked path.
 """
 
 from __future__ import annotations
@@ -16,12 +19,13 @@ import numpy as np
 from .errors import ShapeError
 from .matrix import as_matrix, norm, pow2_scale, require_finite
 from .reflectors import (
+    BLOCK,
     GivensRotation,
     HouseholderReflector,
     annihilate,
     check_length,
     givens_params,
-    reflect,
+    reflect_all,
     rotate,
 )
 
@@ -87,11 +91,18 @@ def qr_householder(a, mode=QrMode.Q_AND_R) -> QrFactorization:
     scale = pow2_scale(float(np.abs(a).max()))
     r = a / scale
     reflectors = []
-    # Columns whose subdiagonal part is already zero get no reflector.
-    for k in range(min(m - 1, n)):
-        h = annihilate(r[k:, k:], k)
-        if h is not None:
-            reflectors.append(h)
+    steps = min(m - 1, n)
+    for j0 in range(0, steps, BLOCK):
+        j1 = min(j0 + BLOCK, n)
+        panel = []
+        # Columns whose subdiagonal part is already zero get no reflector.
+        for k in range(j0, min(j1, steps)):
+            h = annihilate(r[k:, k:j1], k)
+            if h is not None:
+                panel.append(h)
+        if j1 < n:
+            reflect_all(panel, r[:, j1:], transpose=True)
+        reflectors += panel
     with np.errstate(over="ignore"):  # reported just below
         r *= scale
     require_finite("qr_householder", r)
@@ -108,12 +119,11 @@ def form_q(reflectors, m: int, cols: int | None = None) -> np.ndarray:
 
     ``cols`` restricts the result to the leading columns (thin Q).
     """
-    if cols is None:
-        cols = m
-    q = np.eye(m, cols)
-    for h in reversed(list(reflectors)):
+    reflectors = list(reflectors)
+    for h in reflectors:
         check_length(h, m, "rows")
-        reflect(h, q)
+    q = np.eye(m, cols)
+    reflect_all(reflectors, q)
     return q
 
 

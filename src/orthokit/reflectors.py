@@ -3,10 +3,14 @@
 A reflector ``H = I - beta * u u^T`` (beta = 2 / u^T u) is stored unpadded
 as (offset, u, beta): it acts on rows ``offset:`` of an operator of
 dimension ``offset + u.size`` (Golub & Van Loan, *Matrix Computations*,
-5.1.6).  ``reflect``, the rank-1 update ``a -= beta u (u^T a)`` on rows
-``offset:``, is the one apply path of every reflector product in the
-package; ``annihilate`` is the one elimination step of the sweeps, and
-``rotate`` the one plane-rotation update.
+5.1.6).  ``reflect_all`` is the one apply path of every reflector product
+in the package: below ``CROSSOVER`` reflectors it loops over ``reflect``,
+the rank-1 update ``a -= beta u (u^T a)`` on rows ``offset:``; from there
+on it applies groups of up to ``BLOCK`` reflectors in compact WY form
+``I - V T V^T`` as three matrix products (Schreiber & Van Loan, SIAM J.
+Sci. Stat. Comput. 1989; LAPACK xLARFT/xLARFB).  ``annihilate`` is the one
+elimination step of the sweeps, and ``rotate`` the one plane-rotation
+update.
 """
 
 from __future__ import annotations
@@ -29,6 +33,11 @@ __all__ = [
     "givens_params",
     "givens_apply",
 ]
+
+# Reflector products of at least CROSSOVER reflectors are applied in compact
+# WY groups of at most BLOCK reflectors; shorter ones take the rank-1 loop.
+BLOCK = 32
+CROSSOVER = 4
 
 
 @dataclass
@@ -74,6 +83,19 @@ def stable_norm(x) -> float:
     return float(s * np.sqrt(y @ y))
 
 
+def _reflector(x: np.ndarray) -> tuple[HouseholderReflector, float]:
+    """The reflector of ``householder_vector`` and ``||x||``, both from one
+    prescaled copy of ``x``."""
+    top = float(np.abs(x).max())
+    if top == 0.0:
+        raise ValueError("cannot build a Householder reflector from the zero vector")
+    s = pow2_scale(top)
+    u = x / s
+    nrm = float(np.sqrt(u @ u))
+    u[0] += _sign_nonneg(u[0]) * nrm
+    return HouseholderReflector(u, 2.0 / float(u @ u)), s * nrm
+
+
 def householder_vector(x) -> HouseholderReflector:
     """Reflector that maps ``x`` to ``-sign(x[0]) * ||x|| * e1``.
 
@@ -82,14 +104,7 @@ def householder_vector(x) -> HouseholderReflector:
     divided by a power of two near its largest entry (an exact operation)
     to keep the squared sums away from overflow and underflow.
     """
-    x = as_vector(x)
-    top = float(np.abs(x).max())
-    if top == 0.0:
-        raise ValueError("cannot build a Householder reflector from the zero vector")
-    u = x / pow2_scale(top)
-    nrm = float(np.sqrt(u @ u))
-    u[0] += _sign_nonneg(u[0]) * nrm
-    return HouseholderReflector(u, 2.0 / float(u @ u))
+    return _reflector(as_vector(x))[0]
 
 
 def reflect(h: HouseholderReflector, a: np.ndarray) -> None:
@@ -103,6 +118,43 @@ def reflect(h: HouseholderReflector, a: np.ndarray) -> None:
     rows -= update
 
 
+def _compact_wy(group: list[HouseholderReflector], m: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """``(k0, V, T)`` with ``H_1 H_2 ... H_b = I - V T V^T`` on rows ``k0:``
+    of an m-row operand: column j of V is the j-th u, placed at row
+    ``offset - k0``, and T is upper triangular, built column by column
+    (xLARFT, forward): ``T[i, i] = beta_i``,
+    ``T[:i, i] = -beta_i T[:i, :i] (V[:, :i]^T v_i)``."""
+    k0 = min(h.offset for h in group)
+    v = np.zeros((m - k0, len(group)))
+    for j, h in enumerate(group):
+        v[h.offset - k0 :, j] = h.u
+    gram = v.T @ v
+    t = np.zeros((len(group), len(group)))
+    for i, h in enumerate(group):
+        t[i, i] = h.beta
+        t[:i, i] = -h.beta * (t[:i, :i] @ gram[:i, i])
+    return k0, v, t
+
+
+def reflect_all(reflectors, a: np.ndarray, transpose: bool = False) -> None:
+    """Apply ``Q = H_1 H_2 ... H_s`` (``Q^T`` with ``transpose``) in place to
+    the rows of the 2-D array (or view) ``a``.
+
+    Fewer than ``CROSSOVER`` reflectors are applied one rank-1 update at a
+    time; longer lists in groups of at most ``BLOCK``, each as
+    ``rows -= V (T (V^T rows))`` (``T^T`` for the transpose)."""
+    hs = list(reflectors)
+    if len(hs) < CROSSOVER:
+        for h in hs if transpose else reversed(hs):
+            reflect(h, a)
+        return
+    starts = range(0, len(hs), BLOCK)
+    for i in starts if transpose else reversed(starts):
+        k0, v, t = _compact_wy(hs[i : i + BLOCK], a.shape[0])
+        rows = a[k0:]
+        rows -= v @ ((t.T if transpose else t) @ (v.T @ rows))
+
+
 def annihilate(block: np.ndarray, offset: int) -> HouseholderReflector | None:
     """Reflect ``block`` in place so its first column becomes ``alpha e1``
     (alpha = -sign(x0) ||x||, exact zeros below); returns the reflector with
@@ -111,8 +163,8 @@ def annihilate(block: np.ndarray, offset: int) -> HouseholderReflector | None:
     x = block[:, 0]
     if not np.any(x[1:]):
         return None
-    h = householder_vector(x)
-    alpha = -_sign_nonneg(x[0]) * stable_norm(x)
+    h, nrm = _reflector(x)
+    alpha = -_sign_nonneg(x[0]) * nrm
     reflect(h, block)
     block[0, 0] = alpha
     block[1:, 0] = 0.0

@@ -5,7 +5,9 @@ Every module under ``src/orthokit`` is parsed, and any use of a
 one ``numpy.linalg`` function the library may call.
 
 Rank-1 updates have one home: ``outer`` products appear only in
-``reflectors.py``, the one reflector kernel.
+``reflectors.py``, the one reflector kernel.  Its rank-1 ``reflect`` is
+called from nowhere else: the other modules reach reflectors through
+``annihilate`` and the blocked ``reflect_all``.
 """
 
 import ast
@@ -117,3 +119,40 @@ def test_outer_products_only_in_reflector_kernel():
         if outer_uses(path.read_text(encoding="utf-8"))
     }
     assert found == {"reflectors.py"}
+
+
+def reflect_uses(source: str) -> list[int]:
+    """Lines of ``source`` that import ``reflect`` or use a ``reflect``
+    attribute (``reflectors.reflect``)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "reflect":
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            found.extend(node.lineno for alias in node.names if alias.name == "reflect")
+    return found
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from .reflectors import annihilate, reflect\nreflect(h, a)",
+        "from orthokit.reflectors import reflect as apply",
+        "from . import reflectors\nreflectors.reflect(h, a)",
+    ],
+)
+def test_reflect_detector_flags_rank1_applies(source):
+    assert reflect_uses(source)
+
+
+def test_reflect_detector_allows_blocked_path():
+    assert not reflect_uses("from .reflectors import annihilate, reflect_all\nreflect_all(hs, a, transpose=True)")
+
+
+def test_rank1_reflect_only_in_reflector_kernel():
+    found = {
+        str(path.relative_to(PACKAGE))
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if reflect_uses(path.read_text(encoding="utf-8"))
+    }
+    assert found == set()

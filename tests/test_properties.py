@@ -2,7 +2,8 @@
 float64 exponent range.
 
 A matrix is drawn as a seed, a shape up to 40 x 40 (1 x n and m x 1
-included), a structure (dense, prescribed rank, graded columns) and a scale
+included; up to 160 x 100, with fewer examples, for the blocked Householder
+paths), a structure (dense, prescribed rank, graded columns) and a scale
 2^e with e in [-1000, 1000].  Every comparison is made in units of 2^e, so
 the oracle's own norms cannot overflow.  The profile is derandomized, with
 bounded examples and no example database, so tier-1 stays deterministic.
@@ -26,6 +27,7 @@ from orthokit import (
     qr_hessenberg,
     qr_householder,
     qr_pivoted,
+    solve_qr,
     svd,
 )
 from helpers import fro
@@ -41,12 +43,14 @@ PROFILE = settings(
     database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# Shapes that cross the reflector block size several times, and fewer of them.
+LARGE = settings(PROFILE, max_examples=30)
 
 
 @st.composite
-def scaled_matrices(draw, min_rows=1, kinds=("dense", "rank", "graded")):
+def scaled_matrices(draw, min_rows=1, kinds=("dense", "rank", "graded"), max_rows=MAX_DIM, max_cols=MAX_DIM):
     """``(a, e)``: a matrix at scale 2^e."""
-    m, n = draw(st.integers(min_rows, MAX_DIM)), draw(st.integers(1, MAX_DIM))
+    m, n = draw(st.integers(min_rows, max_rows)), draw(st.integers(1, max_cols))
     kind = draw(st.sampled_from(list(kinds)))
     rank = draw(st.integers(1, min(m, n)))
     e = draw(st.one_of(st.sampled_from([-1000, 1000]), st.integers(-1000, 1000)))
@@ -77,6 +81,33 @@ def test_householder_qr(case):
     a, e = case
     f = qr_householder(a, QrMode.Q_AND_R)
     _check_qr(a, e, f.q, f.r)
+
+
+@LARGE
+@given(scaled_matrices(max_rows=160, max_cols=100))
+def test_householder_qr_and_thin_q_past_one_block(case):
+    a, e = case
+    m, n = a.shape
+    f = qr_householder(a, QrMode.Q_AND_R)
+    _check_qr(a, e, f.q, f.r)
+    k = min(m, n)
+    _check_qr(a, e, form_q(f.reflectors, m, k), f.r[:k])
+
+
+@PROFILE
+@given(scaled_matrices(kinds=("dense",)), st.integers(0, 2**32 - 1))
+def test_solve_qr_residual_orthogonal_to_range(case, seed):
+    # Only x is checked, in units of 2^e: residual_norm is not scale-safe.
+    a, e = case
+    if a.shape[0] < a.shape[1]:
+        a = a.T
+    m, n = a.shape
+    unit = np.ldexp(a, -e)
+    b = np.random.default_rng(seed).standard_normal(m)
+    with np.errstate(over="ignore"):  # in residual_norm at 2^1000
+        x = solve_qr(a, np.ldexp(b, e)).x
+    size = fro(unit) * (2 * fro(b) + fro(unit) * fro(x))
+    assert fro(unit.T @ (b - unit @ x)) <= C * m * EPS * size
 
 
 @PROFILE

@@ -76,6 +76,36 @@ class TestHouseholderQr:
             QrMode.of("banana")
 
 
+class TestBlockedHouseholderQr:
+    """Shapes past one panel of BLOCK columns, ending in a partial panel;
+    zero columns inside a panel and on both sides of a panel edge."""
+
+    CASES = [(300, 100, []), (97, 97, []), (130, 65, [10, 31, 32]), (40, 90, [31, 32])]
+
+    @pytest.mark.parametrize("m, n, zero_cols", CASES)
+    def test_factors_against_numpy_oracle(self, m, n, zero_cols):
+        rng = np.random.default_rng(m + n)
+        a = rng.standard_normal((m, n))
+        a[:, zero_cols] = 0.0
+        f = qr_householder(a, QrMode.Q_AND_R)
+        eps = np.finfo(float).eps
+        tol = 20 * max(m, n) * eps
+        assert np.all(np.tril(f.r, -1) == 0.0)
+        assert np.all(f.r[:, zero_cols] == 0.0)
+        assert fro(f.q.T @ f.q - np.eye(m)) <= tol * np.sqrt(m)
+        assert fro(f.q @ f.r - a) <= tol * fro(a)
+        k = min(m, n)
+        r_np = np.linalg.qr(a, mode="r")
+        assert np.abs(np.abs(f.r[:k]) - np.abs(r_np[:k])).max() <= tol * np.abs(a).max()
+        assert [h.offset for h in f.reflectors] == [j for j in range(min(m - 1, n)) if j not in zero_cols]
+
+    def test_modes_share_r_and_reflectors(self):
+        a = np.random.default_rng(65).standard_normal((150, 70))
+        full = qr_householder(a, QrMode.Q_AND_R)
+        assert np.array_equal(qr_householder(a, QrMode.R_ONLY).r, full.r)
+        assert np.array_equal(form_q(full.reflectors, 150), full.q)
+
+
 class TestFormQ:
     def test_empty_reflector_list(self):
         assert np.array_equal(form_q([], 4), np.eye(4))

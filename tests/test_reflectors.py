@@ -3,14 +3,21 @@ import pytest
 
 from orthokit import (
     GivensRotation,
+    QrMode,
     ShapeError,
+    form_q,
     givens_apply,
     givens_params,
     householder_apply_left,
     householder_apply_right,
     householder_vector,
+    qr_householder,
 )
+from orthokit.reflectors import BLOCK, CROSSOVER, annihilate, reflect, reflect_all, stable_norm
+from orthokit.svd import bidiagonalize
 from helpers import ZEROING_A, ZEROING_GIVENS, ZEROING_HOUSEHOLDER, dense_reflector, fro
+
+EPS = np.finfo(float).eps
 
 
 class TestHouseholderVector:
@@ -153,6 +160,97 @@ class TestHouseholderProducts:
         h = householder_vector(rng.standard_normal(6))
         again = householder_apply_right(householder_apply_right(a, h), h)
         assert np.abs(again - a).max() <= 1e-12 * np.abs(a).max()
+
+
+def with_zero_columns(rng, m, n, cols):
+    a = rng.standard_normal((m, n))
+    a[:, cols] = 0.0
+    return a
+
+
+def reflector_lists():
+    """``(name, reflectors, m)``: lists that span several blocks and end in
+    a partial one; zero columns inside a panel (10) and on both sides of a
+    panel edge (31, 32) leave gaps in the offsets, and bidiagonalization's
+    right reflectors start at offset 1."""
+    rng = np.random.default_rng(60)
+    gaps = with_zero_columns(rng, 130, 65, [10, 31, 32])
+    left, _, right = bidiagonalize(rng.standard_normal((120, 90)))
+    return [
+        ("qr 300x100", qr_householder(rng.standard_normal((300, 100)), "r+u").reflectors, 300),
+        ("qr 97x97", qr_householder(rng.standard_normal((97, 97)), "r+u").reflectors, 97),
+        ("qr 130x65 with gaps", qr_householder(gaps, "r+u").reflectors, 130),
+        ("bidiag left 120x90", left, 120),
+        ("bidiag right 120x90", right, 90),
+    ]
+
+
+def dense_apply(reflectors, a, transpose=False):
+    """``H_1 H_2 ... H_s a`` (``H_s ... H_1 a`` with ``transpose``) from the
+    materialized reflectors."""
+    for h in reflectors if transpose else reversed(reflectors):
+        a = dense_reflector(h) @ a
+    return a
+
+
+class TestBlockedApply:
+    @pytest.fixture(scope="class")
+    def lists(self):
+        return reflector_lists()
+
+    def test_lists_cross_blocks_with_gaps(self, lists):
+        assert [len(hs) for _, hs, _ in lists] == [100, 96, 62, 90, 88]
+        assert min(len(hs) for _, hs, _ in lists) > BLOCK
+        offsets = [h.offset for h in lists[2][1]]
+        assert {10, 31, 32}.isdisjoint(offsets) and {9, 11, 30, 33} <= set(offsets)
+        assert lists[4][1][0].offset == 1
+
+    def test_product_and_transpose_match_dense_oracle(self, lists):
+        rng = np.random.default_rng(61)
+        for name, hs, m in lists:
+            a = rng.standard_normal((m, 7))
+            tol = 20 * m * EPS * np.abs(a).max()
+            for transpose in (False, True):
+                out = a.copy()
+                reflect_all(hs, out, transpose)
+                assert np.abs(out - dense_apply(hs, a, transpose)).max() <= tol, (name, transpose)
+
+    def test_form_q_full_and_thin_match_dense_oracle(self, lists):
+        # Q is compared through its action on random vectors, which mixes
+        # every column, so the oracle stays a product of m x m reflectors
+        # with m x 7 blocks.
+        rng = np.random.default_rng(64)
+        for name, hs, m in lists:
+            cols = len(hs)
+            a = rng.standard_normal((m, 7))
+            tol = 20 * m * EPS * np.abs(a).max()
+            assert np.abs(form_q(hs, m) @ a - dense_apply(hs, a)).max() <= tol, name
+            thin = np.vstack([a[:cols], np.zeros((m - cols, 7))])
+            assert np.abs(form_q(hs, m, cols) @ a[:cols] - dense_apply(hs, thin)).max() <= tol, name
+
+    def test_short_list_is_the_rank1_loop_bit_for_bit(self):
+        rng = np.random.default_rng(62)
+        hs = qr_householder(rng.standard_normal((50, CROSSOVER - 1)), "r+u").reflectors
+        assert len(hs) == CROSSOVER - 1
+        q = np.eye(50)
+        for h in reversed(hs):
+            reflect(h, q)
+        assert np.array_equal(form_q(hs, 50), q)
+        b = rng.standard_normal((50, 1))
+        qtb = b.copy()
+        for h in hs:
+            reflect(h, qtb)
+        reflect_all(hs, b, transpose=True)
+        assert np.array_equal(b, qtb)
+
+    def test_annihilate_alpha_is_the_stable_norm(self):
+        rng = np.random.default_rng(63)
+        for scale in (1.0, 2.0 ** -900, 2.0 ** 900):
+            block = rng.standard_normal((9, 4)) * scale
+            x = block[:, 0].copy()
+            annihilate(block, 0)
+            assert block[0, 0] == -np.sign(x[0]) * stable_norm(x)
+            assert np.all(block[1:, 0] == 0.0)
 
 
 class TestGivens:
