@@ -2,22 +2,26 @@
 structure check), and column-pivoted rank-revealing QR with incremental
 column-norm downdating.
 
-The Householder routes record the k-th reflector unpadded, with offset k.
-``qr_householder`` sweeps panels of ``BLOCK`` columns (xGEQRF): each
-column of a panel is annihilated within the panel, and the trailing
+The Householder routes record the k-th reflector unpadded, with offset k,
+and both sweep panels of ``BLOCK`` columns.  ``qr_householder`` (xGEQRF)
+annihilates each column of a panel within the panel, and the trailing
 columns then take the panel's reflectors as one blocked product;
 ``form_q`` applies the reflectors through the same blocked path.
+``qr_pivoted`` (xGEQP3/xLAQPS) cannot annihilate a panel ahead of time,
+since each pivot depends on the norms the previous columns leave, so it
+delays only the trailing update (see its docstring).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import ShapeError
-from .matrix import as_matrix, norm, pow2_scale, require_finite
+from .matrix import as_matrix, pow2_scale, require_finite
 from .reflectors import (
     BLOCK,
     GivensRotation,
@@ -136,6 +140,7 @@ def qr_givens(a) -> QrFactorization:
     """
     r = as_matrix(a)
     m, n = r.shape
+    qt = np.eye(m)  # accumulates Q^T, one rotation of rows at a time
     rotations: list[GivensRotation] = []
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         for k in range(min(m - 1, n)):
@@ -144,13 +149,11 @@ def qr_givens(a) -> QrFactorization:
             for j in (k + 1 + np.flatnonzero(r[k + 1 :, k])[::-1]).tolist():
                 c, s = givens_params(r[k, k], r[j, k])
                 rotate(r[k, k:], r[j, k:], c, s)
+                rotate(qt[k], qt[j], c, s)
                 r[j, k] = 0.0
                 rotations.append(GivensRotation(c, s, k, j))
     require_finite("qr_givens", r)
-    q = np.eye(m)
-    for g in rotations:
-        rotate(q[g.j], q[g.k], g.c, g.s)
-    return QrFactorization(r=r, q=np.ascontiguousarray(q.T), rotations=rotations)
+    return QrFactorization(r=r, q=np.ascontiguousarray(qt.T), rotations=rotations)
 
 
 def qr_hessenberg(h) -> QrFactorization:
@@ -179,47 +182,77 @@ def qr_pivoted(a, t_digits: int = DEFAULT_T_DIGITS) -> QrFactorization:
     downdating kappa_j -= r_kj^2, with an exact recompute whenever the
     downdated square falls below 1e-8 of its reference value.  The rank is
     the number of pivot norms exceeding delta = 10^-t_digits * norm(a, inf).
+
+    The sweep runs over panels of up to ``BLOCK`` columns (xGEQP3/xLAQPS:
+    Quintana-Orti, Sun & Bischof, SIAM J. Sci. Comput. 1998).  Within a
+    panel only the pivot column and the pivot row are brought up to date,
+    through the auxiliary matrix F of the panel's update ``A <- A - V F^T``
+    (V holds the panel's reflector vectors); the rest of the trailing
+    matrix takes that update as one matrix product when the panel ends.
+    A norm that needs the exact recompute ends the panel early, since the
+    recompute reads the updated trailing columns.
     """
     a = as_matrix(a)
     if t_digits < 1:
         raise ValueError(f"t_digits must be >= 1, got {t_digits}")
     m, n = a.shape
     # Exact power-of-two prescaling so the squared column norms stay in range.
-    scale = pow2_scale(float(np.abs(a).max()))
-    r = a / scale
+    mag = np.abs(a)
+    scale = pow2_scale(float(mag.max()))
+    mag /= scale
+    delta = 10.0 ** (-t_digits) * float(mag.sum(axis=1).max())
+    mag *= mag
+    kappa = mag.sum(axis=0)
+    floor = NORM_DOWNDATE_GUARD * kappa
+    r = np.divide(a, scale, out=a)  # as_matrix returned a fresh copy
     perm = np.arange(n)
-    delta = 10.0 ** (-t_digits) * norm(r, "inf")
-    kappa = (r * r).sum(axis=0)
-    kappa_ref = kappa.copy()
     reflectors: list[HouseholderReflector] = []
     rank = None
     steps = min(m, n)
-    for k in range(steps):
-        j = k + int(np.argmax(kappa[k:]))
-        if j != k:
-            r[:, [k, j]] = r[:, [j, k]]
-            perm[[k, j]] = perm[[j, k]]
-            kappa[[k, j]] = kappa[[j, k]]
-            kappa_ref[[k, j]] = kappa_ref[[j, k]]
-        pivot_norm = float(np.sqrt(max(kappa[k], 0.0)))
-        if rank is None and pivot_norm <= delta:
-            rank = k
-        h = annihilate(r[k:, k:], k)
-        if h is not None:
-            reflectors.append(h)
-        if k + 1 < n:
+    j0 = 0
+    while j0 < steps:
+        # ft holds F^T.  Row k of v and column k of ft belong to row and
+        # column k of r, column i of v and row i of ft to step j0 + i; rows
+        # of v above a reflector's offset stay zero.
+        v = np.zeros((m, min(BLOCK, steps - j0)))
+        ft = np.zeros((v.shape[1], n))
+        for i in range(v.shape[1]):
+            k = j0 + i
+            j = k + int(np.argmax(kappa[k:]))
+            if j != k:
+                for x in (r.T, ft.T, perm, kappa, floor):
+                    _swap(x, k, j)
+            pivot_norm = math.sqrt(max(kappa[k], 0.0))
+            if rank is None and pivot_norm <= delta:
+                rank = k
+            r[k:, k] -= v[k:, :i] @ ft[:i, k]
+            h = annihilate(r[k:, k : k + 1], k)
+            if h is not None:
+                reflectors.append(h)
+                v[k:, i] = h.u
+                ft[i, k + 1 :] = h.beta * (h.u @ r[k:, k + 1 :] - (h.u @ v[k:, :i]) @ ft[:i, k + 1 :])
+            r[k, k + 1 :] -= v[k, : i + 1] @ ft[: i + 1, k + 1 :]
             kappa[k + 1 :] -= r[k, k + 1 :] ** 2
-            stale = kappa[k + 1 :] < NORM_DOWNDATE_GUARD * kappa_ref[k + 1 :]
-            if stale.any() and k + 1 < m:
-                idx = k + 1 + np.flatnonzero(stale)
-                fresh = (r[k + 1 :, idx] ** 2).sum(axis=0)
-                kappa[idx] = fresh
-                kappa_ref[idx] = fresh
-            elif k + 1 >= m:
-                kappa[k + 1 :] = 0.0
+            stale = kappa[k + 1 :] < floor[k + 1 :]
+            if stale.any():
+                break
+        j1 = k + 1
+        r[j1:, j1:] -= v[j1:, : i + 1] @ ft[: i + 1, j1:]
+        if stale.any():
+            idx = j1 + np.flatnonzero(stale)
+            kappa[idx] = (r[j1:, idx] ** 2).sum(axis=0)
+            floor[idx] = NORM_DOWNDATE_GUARD * kappa[idx]
+        j0 = j1
     if rank is None:
         rank = steps
     with np.errstate(over="ignore"):  # reported just below
         r *= scale
     require_finite("qr_pivoted", r)
     return QrFactorization(r=r, reflectors=reflectors, perm=perm, rank=rank)
+
+
+def _swap(x: np.ndarray, k: int, j: int) -> None:
+    """Exchange ``x[k]`` and ``x[j]`` in place."""
+    t = x[k].copy()
+    x[k] = x[j]
+    x[j] = t

@@ -4,13 +4,13 @@ A reflector ``H = I - beta * u u^T`` (beta = 2 / u^T u) is stored unpadded
 as (offset, u, beta): it acts on rows ``offset:`` of an operator of
 dimension ``offset + u.size`` (Golub & Van Loan, *Matrix Computations*,
 5.1.6).  ``reflect_all`` is the one apply path of every reflector product
-in the package: below ``CROSSOVER`` reflectors it loops over ``reflect``,
-the rank-1 update ``a -= beta u (u^T a)`` on rows ``offset:``; from there
-on it applies groups of up to ``BLOCK`` reflectors in compact WY form
-``I - V T V^T`` as three matrix products (Schreiber & Van Loan, SIAM J.
-Sci. Stat. Comput. 1989; LAPACK xLARFT/xLARFB).  ``annihilate`` is the one
-elimination step of the sweeps, and ``rotate`` the one plane-rotation
-update.
+in the package: below ``CROSSOVER`` reflectors, or on a single column, it
+loops over ``reflect``, the rank-1 update ``a -= beta u (u^T a)`` on rows
+``offset:``; otherwise it applies groups of up to ``BLOCK`` reflectors in
+compact WY form ``I - V T V^T`` as three matrix products (Schreiber & Van
+Loan, SIAM J. Sci. Stat. Comput. 1989; LAPACK xLARFT/xLARFB).
+``annihilate`` is the one elimination step of the sweeps, and ``rotate``
+the one plane-rotation update.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ __all__ = [
 
 # Reflector products of at least CROSSOVER reflectors are applied in compact
 # WY groups of at most BLOCK reflectors; shorter ones take the rank-1 loop.
+# So does a one-column operand (Q^T b): for it, the Gram product V^T V
+# behind T costs as much as the rank-1 updates, or more on tall inputs.
 BLOCK = 32
 CROSSOVER = 4
 
@@ -140,11 +142,12 @@ def reflect_all(reflectors, a: np.ndarray, transpose: bool = False) -> None:
     """Apply ``Q = H_1 H_2 ... H_s`` (``Q^T`` with ``transpose``) in place to
     the rows of the 2-D array (or view) ``a``.
 
-    Fewer than ``CROSSOVER`` reflectors are applied one rank-1 update at a
-    time; longer lists in groups of at most ``BLOCK``, each as
-    ``rows -= V (T (V^T rows))`` (``T^T`` for the transpose)."""
+    Fewer than ``CROSSOVER`` reflectors, or any list applied to a single
+    column, are applied one rank-1 update at a time; otherwise in groups
+    of at most ``BLOCK``, each as ``rows -= V (T (V^T rows))`` (``T^T``
+    for the transpose)."""
     hs = list(reflectors)
-    if len(hs) < CROSSOVER:
+    if len(hs) < CROSSOVER or a.shape[1] == 1:
         for h in hs if transpose else reversed(hs):
             reflect(h, a)
         return
@@ -165,7 +168,8 @@ def annihilate(block: np.ndarray, offset: int) -> HouseholderReflector | None:
         return None
     h, nrm = _reflector(x)
     alpha = -_sign_nonneg(x[0]) * nrm
-    reflect(h, block)
+    if block.shape[1] > 1:  # the first column is overwritten just below
+        reflect(h, block)
     block[0, 0] = alpha
     block[1:, 0] = 0.0
     h.offset = offset

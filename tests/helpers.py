@@ -2,6 +2,10 @@
 
 import numpy as np
 
+from orthokit.matrix import norm, pow2_scale
+from orthokit.qr import NORM_DOWNDATE_GUARD, QrFactorization
+from orthokit.reflectors import annihilate
+
 # Surveyor network: three hill heights measured directly and pairwise.
 SURVEY_A = np.array(
     [
@@ -183,3 +187,44 @@ def spectral_norm_oracle(a):
     """Reference 2-norm used only to judge results (independent of the
     package's own factorizations)."""
     return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def pivoted_qr_reference(a, t_digits=12):
+    """Sequential column-pivoted QR: one rank-1 update of the whole trailing
+    matrix per column, and the exact norm recompute at the step where the
+    downdate guard trips.  Returns the factorization and those steps."""
+    a = np.array(a, dtype=float)
+    m, n = a.shape
+    scale = pow2_scale(float(np.abs(a).max()))
+    r = a / scale
+    perm = np.arange(n)
+    delta = 10.0 ** (-t_digits) * norm(r, "inf")
+    kappa = (r * r).sum(axis=0)
+    kappa_ref = kappa.copy()
+    reflectors, trips = [], []
+    rank = None
+    steps = min(m, n)
+    for k in range(steps):
+        j = k + int(np.argmax(kappa[k:]))
+        if j != k:
+            r[:, [k, j]] = r[:, [j, k]]
+            perm[[k, j]] = perm[[j, k]]
+            kappa[[k, j]] = kappa[[j, k]]
+            kappa_ref[[k, j]] = kappa_ref[[j, k]]
+        if rank is None and np.sqrt(max(kappa[k], 0.0)) <= delta:
+            rank = k
+        h = annihilate(r[k:, k:], k)
+        if h is not None:
+            reflectors.append(h)
+        if k + 1 < n:
+            kappa[k + 1 :] -= r[k, k + 1 :] ** 2
+            stale = kappa[k + 1 :] < NORM_DOWNDATE_GUARD * kappa_ref[k + 1 :]
+            if stale.any() and k + 1 < m:
+                trips.append(k)
+                idx = k + 1 + np.flatnonzero(stale)
+                fresh = (r[k + 1 :, idx] ** 2).sum(axis=0)
+                kappa[idx] = fresh
+                kappa_ref[idx] = fresh
+    r *= scale
+    rank = steps if rank is None else rank
+    return QrFactorization(r=r, reflectors=reflectors, perm=perm, rank=rank), trips

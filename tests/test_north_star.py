@@ -7,7 +7,9 @@ one ``numpy.linalg`` function the library may call.
 Rank-1 updates have one home: ``outer`` products appear only in
 ``reflectors.py``, the one reflector kernel.  Its rank-1 ``reflect`` is
 called from nowhere else: the other modules reach reflectors through
-``annihilate`` and the blocked ``reflect_all``.
+``annihilate`` and the blocked ``reflect_all``.  Nor does any other module
+build a reflector itself from the private ``_reflector`` or
+``_sign_nonneg``: every sweep eliminates through ``annihilate``.
 """
 
 import ast
@@ -154,5 +156,46 @@ def test_rank1_reflect_only_in_reflector_kernel():
         str(path.relative_to(PACKAGE))
         for path in sorted(PACKAGE.rglob("*.py"))
         if reflect_uses(path.read_text(encoding="utf-8"))
+    }
+    assert found == set()
+
+
+PRIVATE_KERNELS = {"_reflector", "_sign_nonneg"}
+
+
+def private_kernel_uses(source: str) -> list[int]:
+    """Lines of ``source`` that import, reference or call ``_reflector`` or
+    ``_sign_nonneg`` (by name or as an attribute)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found.extend(node.lineno for alias in node.names if alias.name in PRIVATE_KERNELS)
+        elif isinstance(node, ast.Attribute) and node.attr in PRIVATE_KERNELS:
+            found.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id in PRIVATE_KERNELS:
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from .reflectors import _reflector\nh, nrm = _reflector(x)",
+        "from . import reflectors\nsign = reflectors._sign_nonneg(x[0])",
+    ],
+)
+def test_private_kernel_detector_flags_uses(source):
+    assert private_kernel_uses(source)
+
+
+def test_private_kernel_detector_allows_annihilate():
+    assert not private_kernel_uses("from .reflectors import annihilate\nh = annihilate(r[k:, k:], k)")
+
+
+def test_reflectors_built_only_in_reflector_kernel():
+    found = {
+        str(path.relative_to(PACKAGE))
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "reflectors.py" and private_kernel_uses(path.read_text(encoding="utf-8"))
     }
     assert found == set()

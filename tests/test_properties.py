@@ -3,15 +3,15 @@ float64 exponent range.
 
 A matrix is drawn as a seed, a shape up to 40 x 40 (1 x n and m x 1
 included; up to 160 x 100, with fewer examples, for the blocked Householder
-paths), a structure (dense, prescribed rank, graded columns) and a scale
-2^e with e in [-1000, 1000].  Every comparison is made in units of 2^e, so
+and pivoted QR paths), a structure (dense, prescribed rank, graded
+columns) and a scale 2^e with e in [-1000, 1000].  Every comparison is made in units of 2^e, so
 the oracle's own norms cannot overflow.  The profile is derandomized, with
 bounded examples and no example database, so tier-1 stays deterministic.
 """
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from orthokit import (
@@ -22,12 +22,14 @@ from orthokit import (
     givens_apply,
     givens_params,
     householder_matrix,
+    matrix_rank,
     projector_onto_range,
     qr_givens,
     qr_hessenberg,
     qr_householder,
     qr_pivoted,
     solve_qr,
+    solve_qr_pivoted,
     svd,
 )
 from helpers import fro
@@ -110,13 +112,54 @@ def test_solve_qr_residual_orthogonal_to_range(case, seed):
     assert fro(unit.T @ (b - unit @ x)) <= C * m * EPS * size
 
 
-@PROFILE
-@given(scaled_matrices())
-def test_pivoted_qr(case):
-    a, e = case
+def _check_pivoted_qr(a, e):
     f = qr_pivoted(a)
     _check_qr(a, e, form_q(f.reflectors, a.shape[0]), f.r, f.perm)
     assert sorted(f.perm.tolist()) == list(range(a.shape[1]))
+    # Pivot dominance: the residual column norms at step k are those of
+    # the final R's rows k:, and the pivot is the largest of them.
+    r = np.ldexp(f.r, -e)
+    for k in range(min(a.shape)):
+        fresh = np.sqrt((r[k:, k:] ** 2).sum(axis=0))
+        assert abs(r[k, k]) >= fresh.max() * (1 - 1e-6)
+
+
+@PROFILE
+@given(scaled_matrices())
+def test_pivoted_qr(case):
+    _check_pivoted_qr(*case)
+
+
+@LARGE
+@given(scaled_matrices(max_rows=160, max_cols=100))
+def test_pivoted_qr_past_one_block(case):
+    _check_pivoted_qr(*case)
+
+
+@PROFILE
+@given(scaled_matrices())
+def test_pivoted_qr_rank_is_the_svd_rank_away_from_the_threshold(case):
+    a, e = case
+    unit = np.ldexp(a, -e)
+    sigma = np.linalg.svd(unit, compute_uv=False)
+    delta = 1e-12 * np.abs(unit).sum(axis=1).max()
+    r = int((sigma > delta).sum())
+    assume((r == 0 or sigma[r - 1] >= 10 * delta) and (r == sigma.size or sigma[r] <= delta / 10))
+    assert qr_pivoted(a).rank == matrix_rank(a) == r
+
+
+@PROFILE
+@given(scaled_matrices(kinds=("dense", "rank")), st.integers(0, 2**32 - 1))
+def test_solve_qr_pivoted_residual_orthogonal_to_range(case, seed):
+    # Only x is checked, in units of 2^e: residual_norm is not scale-safe.
+    a, e = case
+    m, n = a.shape
+    unit = np.ldexp(a, -e)
+    b = np.random.default_rng(seed).standard_normal(m)
+    with np.errstate(over="ignore"):  # in residual_norm at 2^1000
+        x = solve_qr_pivoted(a, np.ldexp(b, e)).x
+    size = fro(unit) * (2 * fro(b) + fro(unit) * fro(x))
+    assert fro(unit.T @ (b - unit @ x)) <= C * max(m, n) * EPS * size
 
 
 @PROFILE

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from orthokit import (
     qr_householder,
     qr_pivoted,
 )
+from orthokit.matrix import pow2_scale
+from orthokit.reflectors import BLOCK, annihilate, rotate
 from helpers import (
     SURVEY_A,
     SURVEY_Q_PRINTED,
@@ -19,8 +23,11 @@ from helpers import (
     ZEROING_A,
     ZEROING_GIVENS,
     fro,
+    pivoted_qr_reference,
     random_rank_deficient,
 )
+
+EPS = np.finfo(float).eps
 
 
 def reconstruction_checks(a, q, r, rtol_recon=1e-11, rtol_orth=1e-12):
@@ -143,6 +150,20 @@ class TestGivensQr:
         f = qr_givens(np.array([[5.0]]))
         assert np.array_equal(f.q, [[1.0]])
         assert np.array_equal(f.r, [[5.0]])
+
+    def test_q_is_the_replay_of_the_rotations(self):
+        # Q is accumulated during the sweep; replaying the recorded rotations
+        # onto the identity afterwards gives the same bits.
+        rng = np.random.default_rng(53)
+        for shape in [(9, 6), (6, 9), (12, 12)]:
+            a = rng.standard_normal(shape)
+            a[rng.random(shape) < 0.3] = 0.0
+            f = qr_givens(a)
+            qt = np.eye(shape[0])
+            for g in f.rotations:
+                rotate(qt[g.j], qt[g.k], g.c, g.s)
+            assert np.array_equal(f.q, qt.T)
+            assert np.array_equal(np.signbit(f.q), np.signbit(qt.T))
 
     def test_abs_r_matches_householder(self):
         rng = np.random.default_rng(45)
@@ -280,6 +301,95 @@ class TestPivotedQr:
         for factor in (qr_householder, qr_pivoted, qr_givens, qr_hessenberg):
             with pytest.raises(NumericalError):
                 factor(a)
+
+
+def _pivoted_cases() -> dict:
+    rng = np.random.default_rng(70)
+    dense = rng.standard_normal
+    graded = dense((100, 80)) * np.logspace(0, -12, 80)
+    zero_cols = dense((120, 70))
+    zero_cols[:, [5, 31, 32]] = 0.0
+    # Columns 3 and 50 are equal and the longest: the step-0 tie goes to 3.
+    duplicate = dense((100, 70))
+    duplicate[:, 50] = duplicate[:, 3] = 4.0 * dense(100)
+    # Equal-norm orthogonal columns: every step is an exact tie.
+    ties = np.eye(100)[:, rng.permutation(100)[:70]]
+    return {
+        "one panel": dense((40, 20)),
+        "wide, m < 32": dense((20, 45)),
+        "two panels": dense((90, 50)),
+        "three panels": dense((150, 100)),
+        "wide, three panels": dense((70, 110)),
+        "zero columns": zero_cols,
+        "rank-deficient": random_rank_deficient(rng, 120, 90, 40),
+        "graded": graded,
+        "duplicate columns": duplicate,
+        "exact ties": ties,
+        "two panels at 2^900": np.ldexp(dense((90, 50)), 900),
+        "rank-deficient at 2^-900": np.ldexp(random_rank_deficient(rng, 110, 70, 50), -900),
+    }
+
+
+PIVOTED_CASES = _pivoted_cases()
+
+
+class TestBlockedPivotedQr:
+    """The panel sweep against the sequential rank-1 reference, on shapes of
+    one, two and three or more panels of BLOCK columns."""
+
+    @pytest.mark.parametrize("name", PIVOTED_CASES)
+    def test_matches_sequential_reference(self, name):
+        a = PIVOTED_CASES[name]
+        ref, _ = pivoted_qr_reference(a)
+        f = qr_pivoted(a)
+        assert f.rank == ref.rank
+        assert np.array_equal(f.perm[: f.rank], ref.perm[: ref.rank])
+        assert sorted(f.perm.tolist()) == list(range(a.shape[1]))
+        assert np.all(np.tril(f.r, -1) == 0.0)
+        assert [h.offset for h in f.reflectors] == [h.offset for h in ref.reflectors]
+        # Columns past the rank may be taken in another order; compared in
+        # the original column order, R still agrees entry by entry.
+        tol = 20 * max(a.shape) * EPS * np.abs(a).max()
+        assert np.abs(f.r[:, np.argsort(f.perm)] - ref.r[:, np.argsort(ref.perm)]).max() <= tol
+
+    def test_duplicate_and_tied_columns_take_the_lowest_index(self):
+        f = qr_pivoted(PIVOTED_CASES["duplicate columns"])
+        assert f.perm[0] == 3 and f.perm[-1] == 50 and f.rank == 69
+        assert np.array_equal(qr_pivoted(PIVOTED_CASES["exact ties"]).perm, np.arange(70))
+
+    def test_guard_trip_ends_the_panel(self, monkeypatch):
+        # Column 41 nearly repeats column 40, and the columns are graded so
+        # that column 40 is pivoted at step 40, inside the second panel:
+        # column 41's downdated norm then collapses.
+        rng = np.random.default_rng(80)
+        a = rng.standard_normal((200, 80)) * np.logspace(0, -3, 80)
+        a[:, 41] = a[:, 40] + 1e-7 * np.abs(a[:, 40]).max() * rng.standard_normal(200) / np.sqrt(200)
+        ref, trips = pivoted_qr_reference(a)
+        assert trips == [40] and BLOCK < 40 < 2 * BLOCK - 1
+        # A panel starts where the trailing columns are up to date: only
+        # then do their norms over rows k: equal those of the final R (the
+        # later reflectors act orthogonally on those rows).
+        seen = {}
+
+        def spy(block, offset):
+            r = block.base  # the sweep's working matrix
+            seen[offset] = np.sort(np.sqrt((r[offset:, offset + 1 :] ** 2).sum(axis=0)))
+            return annihilate(block, offset)
+
+        monkeypatch.setattr(importlib.import_module("orthokit.qr"), "annihilate", spy)
+        f = qr_pivoted(a)
+        r = f.r / pow2_scale(float(np.abs(a).max()))
+        n = a.shape[1]
+        starts = [
+            k
+            for k in range(n - 1)
+            if np.allclose(seen[k], np.sort(np.sqrt((r[k:, k + 1 :] ** 2).sum(axis=0))), rtol=1e-9, atol=0.0)
+        ]
+        assert starts == [0, BLOCK, 41, 41 + BLOCK]
+        assert f.rank == ref.rank and np.array_equal(f.perm, ref.perm)
+        for k in range(n):
+            fresh = np.sqrt((f.r[k:, k:] ** 2).sum(axis=0))
+            assert abs(f.r[k, k]) >= fresh.max() * (1 - 1e-6)
 
 
 class TestFactorizationInvariants:

@@ -243,6 +243,19 @@ class TestBlockedApply:
         reflect_all(hs, b, transpose=True)
         assert np.array_equal(b, qtb)
 
+    def test_one_column_is_the_rank1_loop_bit_for_bit(self, lists):
+        # Q^T b for one right-hand side skips the compact WY groups.
+        rng = np.random.default_rng(66)
+        for name, hs, m in lists:
+            b = rng.standard_normal((m, 1))
+            for transpose in (False, True):
+                loop = b.copy()
+                for h in hs if transpose else reversed(hs):
+                    reflect(h, loop)
+                out = b.copy()
+                reflect_all(hs, out, transpose)
+                assert np.array_equal(out, loop), (name, transpose)
+
     def test_annihilate_alpha_is_the_stable_norm(self):
         rng = np.random.default_rng(63)
         for scale in (1.0, 2.0 ** -900, 2.0 ** 900):
