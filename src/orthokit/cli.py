@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CsvFormatError, NumericalError, ShapeError
 from .lstsq import conditioning_report, solve, solve_normal, solve_qr, solve_qr_pivoted, solve_svd
-from .matrix import read_matrix_csv, read_vector_csv
+from .matrix import DEFAULT_T_DIGITS, read_matrix_csv, read_vector_csv
 from .qr import QrMode, form_q, qr_givens, qr_householder, qr_pivoted
 from .svd import svd
 from .apps.digits import (
@@ -75,7 +75,7 @@ def _build_parser() -> _Parser:
     q.add_argument("matrix")
     q.add_argument("--method", choices=["householder", "givens", "pivoted"], default="householder")
     q.add_argument("--mode", choices=["r", "qr"], default="qr")
-    q.add_argument("--t-digits", type=int, default=12)
+    q.add_argument("--t-digits", type=int, default=DEFAULT_T_DIGITS)
 
     s = sub.add_parser("svd", help="singular value decomposition of a CSV matrix")
     s.add_argument("matrix")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefiniteError, RankDeficiencyError, ShapeError
-from .matrix import as_matrix, as_vector, back_sub, cholesky, forward_sub, norm_tol
+from .matrix import DEFAULT_T_DIGITS, as_matrix, as_vector, back_sub, cholesky, forward_sub, norm_tol
 from .qr import QrMode, qr_householder, qr_pivoted
 from .reflectors import reflect_all
 from .svd import cond2, default_rank_threshold, numerical_rank, svd
@@ -108,7 +108,7 @@ def solve_qr(a, b) -> LeastSquaresSolution:
     return LeastSquaresSolution(x=x, residual_norm=residual, method="qr", rank=n)
 
 
-def solve_qr_pivoted(a, b, y_hat=None, t_digits: int = 12) -> LeastSquaresSolution:
+def solve_qr_pivoted(a, b, y_hat=None, t_digits: int = DEFAULT_T_DIGITS) -> LeastSquaresSolution:
     """Solve min ||Ax - b|| for any rank via column-pivoted QR.
 
     With rank r < n the solution family has n - r free parameters ``y_hat``

@@ -67,6 +67,11 @@ def pow2_scale(top: float) -> float:
     return math.ldexp(1.0, min(exp, 1023))
 
 
+# Decimal digits of data accuracy behind the default rank threshold
+# 10^-t * ||A||_inf of the pivoted QR and the SVD.
+DEFAULT_T_DIGITS = 12
+
+
 def norm_tol(a: np.ndarray, rtol: float) -> float:
     """``rtol * norm(a, "inf")`` taken on ``a / s``, s = pow2_scale(max|a|),
     so a row sum past the float64 maximum cannot overflow it; on
@@ -112,10 +117,13 @@ def transpose(a) -> np.ndarray:
 
 def norm(a, kind: str = "frobenius") -> float:
     """Matrix norm: ``frobenius``, ``inf`` (max abs row sum) or ``one``
-    (max abs column sum)."""
+    (max abs column sum).  The Frobenius sum of squares is taken on
+    ``a / pow2_scale(max|a|)``, so it cannot overflow or underflow."""
     a = as_matrix(a)
     if kind == "frobenius":
-        return float(np.sqrt((a * a).sum()))
+        s = pow2_scale(float(np.abs(a).max()))
+        a /= s
+        return float(np.sqrt((a * a).sum())) * s
     if kind == "inf":
         return float(np.abs(a).sum(axis=1).max())
     if kind == "one":

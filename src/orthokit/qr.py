@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ShapeError
-from .matrix import as_matrix, pow2_scale, require_finite
+from .matrix import DEFAULT_T_DIGITS, as_matrix, pow2_scale, require_finite
 from .reflectors import (
     BLOCK,
     GivensRotation,
@@ -38,8 +38,6 @@ __all__ = ["QrMode", "QrFactorization", "qr_householder", "form_q", "qr_givens",
 # Downdated squared column norms are recomputed once they fall below this
 # fraction of their reference value (cancellation guard).
 NORM_DOWNDATE_GUARD = 1e-8
-
-DEFAULT_T_DIGITS = 12
 
 
 class QrMode(Enum):
@@ -93,7 +91,7 @@ def qr_householder(a, mode=QrMode.Q_AND_R) -> QrFactorization:
     # Exact power-of-two prescaling: the sweep cannot overflow, and R
     # overflows only if its true entries do.
     scale = pow2_scale(float(np.abs(a).max()))
-    r = a / scale
+    r = np.divide(a, scale, out=a)  # as_matrix returned a fresh copy
     reflectors = []
     steps = min(m - 1, n)
     for j0 in range(0, steps, BLOCK):
@@ -178,7 +176,9 @@ def qr_pivoted(a, t_digits: int = DEFAULT_T_DIGITS) -> QrFactorization:
     """Column-pivoted QR with numerical rank detection.
 
     Pivoting greedily brings the remaining column of largest 2-norm to the
-    front (ties broken by lowest index).  Remaining norms are maintained by
+    front.  Only an exact tie (equal downdated norms) goes to the lowest
+    index: columns tied mathematically, such as two equal columns, can be
+    ordered by rounding in their norms.  Remaining norms are maintained by
     downdating kappa_j -= r_kj^2, with an exact recompute whenever the
     downdated square falls below 1e-8 of its reference value.  The rank is
     the number of pivot norms exceeding delta = 10^-t_digits * norm(a, inf).

@@ -1,10 +1,12 @@
 """Two-phase singular value decomposition and everything derived from it.
 
-Phase one reduces A to upper-bidiagonal form with alternating left/right
-Householder reflectors; phase two drives the superdiagonal to zero with
-implicit-shift QR steps (Wilkinson shift on the trailing 2x2 of B^T B),
-deflating whenever a superdiagonal entry passes the convergence test
-|e_i| <= eps * (|d_i| + |d_i+1|).
+Phase one reduces A (A^T if A is wide) to upper-bidiagonal form with
+alternating left/right Householder reflectors; phase two drives the
+superdiagonal to zero with implicit-shift QR steps (Wilkinson shift on the
+trailing 2x2 of B^T B), deflating whenever a superdiagonal entry passes the
+convergence test |e_i| <= eps * (|d_i| + |d_i+1|).  The singular vectors
+of B are then taken back through the stored reflectors in place, one
+``reflect_all`` per side (LAPACK xORMBR), with no Q formed.
 
 Phase two chases the bulge on Python floats and records each sweep's right
 and left rotations as chains of (c, s) pairs.  A chain is applied to its
@@ -29,9 +31,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, ShapeError, SingularMatrixError
-from .matrix import as_matrix, as_vector, norm, norm_tol, pow2_scale, require_finite
-from .qr import form_q
-from .reflectors import HouseholderReflector, annihilate, givens_params, rotate
+from .matrix import DEFAULT_T_DIGITS, as_matrix, as_vector, norm, norm_tol, pow2_scale, require_finite
+from .reflectors import HouseholderReflector, annihilate, givens_params, reflect_all, rotate
 
 __all__ = [
     "SvdFactorization",
@@ -54,8 +55,6 @@ __all__ = [
     "distance_to_singular",
     "SingularDistance",
 ]
-
-DEFAULT_T_DIGITS = 12
 
 # Phase 2 applies each sweep's rotation chain to the singular-vector
 # accumulators in one go.  Chains shorter than CHAIN_CROSSOVER go rotation
@@ -105,7 +104,7 @@ def bidiagonalize(a):
     # Exact power-of-two prescaling: the sweep cannot overflow, and d, e
     # overflow only if the singular values do.
     scale = pow2_scale(float(np.abs(a).max()))
-    b = a / scale
+    b = np.divide(a, scale, out=a)  # as_matrix returned a fresh copy
     left: list[HouseholderReflector] = []
     right: list[HouseholderReflector] = []
     for k in range(n):
@@ -344,22 +343,22 @@ def bidiag_svd(b: Bidiagonal, max_sweeps: int | None = None):
     return _bidiag_svd_arrays(b.d, b.e, want_uv=True, max_sweeps=max_sweeps)
 
 
+def _peak_sign(x: np.ndarray) -> np.ndarray:
+    """-1.0 where a column's largest-magnitude entry (the first of ties) is negative, else 1.0."""
+    peak = np.argmax(np.abs(x), axis=0)
+    return np.where(x[peak, np.arange(x.shape[1])] < 0.0, -1.0, 1.0)
+
+
 def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
     # Largest-magnitude entry of each right singular vector made positive;
-    # the paired left vector flips with it.  Ties resolve to the first index.
-    nsig = min(u.shape[1], v.shape[1])
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        i = int(np.argmax(np.abs(col)))
-        if col[i] < 0.0:
-            v[:, j] = -col
-            if j < nsig:
-                u[:, j] = -u[:, j]
-    for j in range(v.shape[1], u.shape[1]):
-        col = u[:, j]
-        i = int(np.argmax(np.abs(col)))
-        if col[i] < 0.0:
-            u[:, j] = -col
+    # the paired left vector flips with it, and a left vector without a
+    # pair follows its own largest entry.  Multiplying by -1.0 is exact.
+    k = min(u.shape[1], v.shape[1])
+    sign = _peak_sign(v)
+    v *= sign
+    u[:, :k] *= sign[:k]
+    if u.shape[1] > k:
+        u[:, k:] *= _peak_sign(u[:, k:])
 
 
 def svd(a, shape: str = "reduced", max_sweeps: int | None = None) -> SvdFactorization:
@@ -373,23 +372,17 @@ def svd(a, shape: str = "reduced", max_sweeps: int | None = None) -> SvdFactoriz
     a = as_matrix(a)
     if shape not in ("full", "reduced"):
         raise ValueError(f"shape must be 'full' or 'reduced', got {shape!r}")
-    m, n = a.shape
-    if m < n:
-        f = svd(np.ascontiguousarray(a.T), shape, max_sweeps)
-        u = np.ascontiguousarray(f.vt.T)
-        v = np.ascontiguousarray(f.u)
-        _fix_signs(u, v)
-        return SvdFactorization(u=u, sigma=f.sigma, vt=np.ascontiguousarray(v.T), shape=shape)
-    left, bid, right = bidiagonalize(a)
-    ua = form_q(left, m, m if shape == "full" else n)
-    va = form_q(right, n)
-    ub, sig, vb = _bidiag_svd_arrays(bid.d, bid.e, want_uv=True, max_sweeps=max_sweeps)
-    u_main = ua[:, :n] @ ub
-    if shape == "full" and m > n:
-        u = np.hstack([u_main, ua[:, n:]])
-    else:
-        u = u_main
-    v = va @ vb
+    wide = a.shape[0] < a.shape[1]
+    left, bid, right = bidiagonalize(a.T if wide else a)
+    ub, sig, v = _bidiag_svd_arrays(bid.d, bid.e, want_uv=True, max_sweeps=max_sweeps)
+    m, n = max(a.shape), min(a.shape)
+    # U = Q_L [U_B 0; 0 I] and V = Q_R V_B, for A^T if A is wide.
+    u = np.eye(m, m if shape == "full" else n)
+    u[:n, :n] = ub
+    reflect_all(left, u)
+    reflect_all(right, v)
+    if wide:
+        u, v = v, u
     _fix_signs(u, v)
     return SvdFactorization(u=u, sigma=sig, vt=np.ascontiguousarray(v.T), shape=shape)
 
@@ -397,10 +390,7 @@ def svd(a, shape: str = "reduced", max_sweeps: int | None = None) -> SvdFactoriz
 def singular_values(a, max_sweeps: int | None = None) -> np.ndarray:
     """Singular values only (no factor accumulation)."""
     a = as_matrix(a)
-    m, n = a.shape
-    if m < n:
-        a = np.ascontiguousarray(a.T)
-    _, bid, _ = bidiagonalize(a)
+    _, bid, _ = bidiagonalize(a.T if a.shape[0] < a.shape[1] else a)
     _, sig, _ = _bidiag_svd_arrays(bid.d, bid.e, want_uv=False, max_sweeps=max_sweeps)
     return sig
 

@@ -228,3 +228,23 @@ def pivoted_qr_reference(a, t_digits=12):
     r *= scale
     rank = steps if rank is None else rank
     return QrFactorization(r=r, reflectors=reflectors, perm=perm, rank=rank), trips
+
+
+def fix_signs_reference(u, v):
+    """Column by column: the largest-magnitude entry of each column of v
+    (the first of equal magnitudes) made positive, the paired column of u
+    flipping with it; columns of u past v's follow their own largest
+    entry.  In place."""
+    nsig = min(u.shape[1], v.shape[1])
+    for j in range(v.shape[1]):
+        col = v[:, j]
+        i = int(np.argmax(np.abs(col)))
+        if col[i] < 0.0:
+            v[:, j] = -col
+            if j < nsig:
+                u[:, j] = -u[:, j]
+    for j in range(v.shape[1], u.shape[1]):
+        col = u[:, j]
+        i = int(np.argmax(np.abs(col)))
+        if col[i] < 0.0:
+            u[:, j] = -col

@@ -85,6 +85,22 @@ class TestNorm:
         with pytest.raises(ValueError, match="norm kind"):
             norm(np.eye(2), "two")
 
+    def test_frobenius_matches_unscaled_sum_in_range(self):
+        rng = np.random.default_rng(5)
+        for shape in [(1, 1), (3, 7), (40, 25)]:
+            a = rng.standard_normal(shape) * 10.0 ** rng.integers(-100, 100)
+            assert norm(a) == float(np.sqrt((a * a).sum()))
+
+    @pytest.mark.parametrize("e", [-600, 600])
+    def test_frobenius_at_extreme_scales(self, e):
+        # The squares of 2^±600 overflow or underflow; the scaled sum does not.
+        assert norm(np.ldexp(np.ones((2, 2)), e)) == np.ldexp(2.0, e)
+        a = np.random.default_rng(6).standard_normal((5, 3))
+        assert norm(np.ldexp(a, e)) == np.ldexp(norm(a), e)
+
+    def test_frobenius_of_tiny_entries_is_not_zero(self):
+        assert norm(np.full((2, 2), 1e-200)) == 2e-200
+
 
 class TestTriangularSolves:
     def test_back_sub_identity(self):

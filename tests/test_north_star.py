@@ -10,6 +10,9 @@ called from nowhere else: the other modules reach reflectors through
 ``annihilate`` and the blocked ``reflect_all``.  Nor does any other module
 build a reflector itself from the private ``_reflector`` or
 ``_sign_nonneg``: every sweep eliminates through ``annihilate``.
+
+The SVD back-transforms its singular vectors by applying the stored
+reflectors to them, so ``svd.py`` imports nothing from ``orthokit.qr``.
 """
 
 import ast
@@ -199,3 +202,40 @@ def test_reflectors_built_only_in_reflector_kernel():
         if path.name != "reflectors.py" and private_kernel_uses(path.read_text(encoding="utf-8"))
     }
     assert found == set()
+
+
+def qr_imports(source: str) -> list[int]:
+    """Lines of ``source`` that import ``orthokit.qr`` or a name from it,
+    by relative or absolute path."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = ("." * node.level) + (node.module or "")
+            if module in (".qr", "orthokit.qr") or (
+                module in (".", "orthokit") and any(alias.name == "qr" for alias in node.names)
+            ):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            found.extend(node.lineno for alias in node.names if alias.name == "orthokit.qr")
+    return found
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from .qr import form_q\nq = form_q(left, m)",
+        "from orthokit.qr import form_q as build",
+        "from . import qr\nqr.form_q(left, m)",
+        "import orthokit.qr",
+    ],
+)
+def test_qr_import_detector_flags_imports(source):
+    assert qr_imports(source)
+
+
+def test_qr_import_detector_allows_reflectors():
+    assert not qr_imports("from .reflectors import reflect_all\nfrom .matrix import as_matrix\nqr = 1")
+
+
+def test_svd_does_not_import_qr():
+    assert qr_imports((PACKAGE / "svd.py").read_text(encoding="utf-8")) == []

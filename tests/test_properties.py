@@ -2,11 +2,13 @@
 float64 exponent range.
 
 A matrix is drawn as a seed, a shape up to 40 x 40 (1 x n and m x 1
-included; up to 160 x 100, with fewer examples, for the blocked Householder
-and pivoted QR paths), a structure (dense, prescribed rank, graded
-columns) and a scale 2^e with e in [-1000, 1000].  Every comparison is made in units of 2^e, so
-the oracle's own norms cannot overflow.  The profile is derandomized, with
-bounded examples and no example database, so tier-1 stays deterministic.
+included; with fewer examples, up to 160 x 100 for the blocked Householder
+and pivoted QR paths and up to 120 x 120 for the SVD), a structure (dense,
+prescribed rank, graded columns) and a scale 2^e with e in [-1000, 1000]
+(the Jacobi cross-check, which squares A, stays in [-250, 250]).  Every
+comparison is made in units of 2^e, so the oracle's own norms cannot
+overflow.  The profile is derandomized, with bounded examples and no
+example database, so tier-1 stays deterministic.
 """
 
 import numpy as np
@@ -22,16 +24,19 @@ from orthokit import (
     givens_apply,
     givens_params,
     householder_matrix,
+    jacobi_eig,
     matrix_rank,
     projector_onto_range,
     qr_givens,
     qr_hessenberg,
     qr_householder,
     qr_pivoted,
+    singular_values,
     solve_qr,
     solve_qr_pivoted,
     svd,
 )
+from orthokit.reflectors import BLOCK
 from helpers import fro
 
 EPS = np.finfo(float).eps
@@ -50,12 +55,13 @@ LARGE = settings(PROFILE, max_examples=30)
 
 
 @st.composite
-def scaled_matrices(draw, min_rows=1, kinds=("dense", "rank", "graded"), max_rows=MAX_DIM, max_cols=MAX_DIM):
-    """``(a, e)``: a matrix at scale 2^e."""
-    m, n = draw(st.integers(min_rows, max_rows)), draw(st.integers(1, max_cols))
+def scaled_matrices(draw, min_rows=1, min_cols=1, kinds=("dense", "rank", "graded"), max_rows=MAX_DIM,
+                    max_cols=MAX_DIM, max_exp=1000):
+    """``(a, e)``: a matrix at scale 2^e, |e| <= max_exp."""
+    m, n = draw(st.integers(min_rows, max_rows)), draw(st.integers(min_cols, max_cols))
     kind = draw(st.sampled_from(list(kinds)))
     rank = draw(st.integers(1, min(m, n)))
-    e = draw(st.one_of(st.sampled_from([-1000, 1000]), st.integers(-1000, 1000)))
+    e = draw(st.one_of(st.sampled_from([-max_exp, max_exp]), st.integers(-max_exp, max_exp)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "dense":
         a = rng.standard_normal((m, n))
@@ -170,10 +176,7 @@ def test_givens_qr(case):
     _check_qr(a, e, f.q, f.r)
 
 
-@PROFILE
-@given(scaled_matrices(), st.sampled_from(["reduced", "full"]))
-def test_svd_backward_error_and_orthogonality(case, shape):
-    a, e = case
+def _check_svd(a, e, shape):
     m, n = a.shape
     f = svd(a, shape)
     k = min(m, n)
@@ -184,6 +187,39 @@ def test_svd_backward_error_and_orthogonality(case, shape):
     assert fro((f.u[:, :k] * sigma) @ f.vt[:k, :] - unit) <= tol * fro(unit)
     assert fro(f.u.T @ f.u - np.eye(f.u.shape[1])) <= tol * np.sqrt(m)
     assert fro(f.vt @ f.vt.T - np.eye(f.vt.shape[0])) <= tol * np.sqrt(n)
+
+
+@PROFILE
+@given(scaled_matrices(), st.sampled_from(["reduced", "full"]))
+def test_svd_backward_error_and_orthogonality(case, shape):
+    _check_svd(*case, shape)
+
+
+@LARGE
+@given(scaled_matrices(min_rows=BLOCK + 3, max_rows=120, min_cols=BLOCK + 3, max_cols=120),
+       st.sampled_from(["reduced", "full"]))
+def test_svd_past_one_reflector_block(case, shape):
+    # More than BLOCK reflectors on each side.  Full U (tall) and full
+    # V (wide) include the columns without a partner.
+    _check_svd(*case, shape)
+
+
+@LARGE
+@given(scaled_matrices(max_rows=24, max_cols=12, max_exp=250))
+def test_jacobi_and_two_phase_agree(case):
+    # sigma(A)^2 against the eigenvalues of A^T A, in units of sigma_1^2.
+    a, e = case
+    m, n = a.shape
+    s = a.T @ a
+    w, _ = jacobi_eig(s)
+    w = np.ldexp(w, -2 * e)
+    sigma = np.ldexp(singular_values(a), -e)
+    sq = np.zeros(n)
+    sq[: sigma.size] = sigma**2
+    # Rounding in A^T A and both solvers, plus the off-diagonal entries
+    # below 1e-14 ||S||_F that Jacobi leaves in place.
+    tol = C * max(m, n) * EPS * sigma[0] ** 2 + n * 1e-14 * fro(np.ldexp(s, -2 * e))
+    assert np.abs(w - sq).max() <= tol
 
 
 @PROFILE

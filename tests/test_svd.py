@@ -36,6 +36,7 @@ from helpers import (
     SVD_5X3,
     SVD_5X3_SIGMA,
     dense_reflector,
+    fix_signs_reference,
     fro,
     random_rank_deficient,
     rank2_factors,
@@ -279,6 +280,43 @@ class TestSvd:
             assert np.abs(np.ldexp(np.abs(qr_householder(a).r), -1000) - abs_r).max() <= tol
 
 
+def _tie_matrices():
+    """Square matrices whose columns have exactly equal largest magnitudes:
+    a signed permutation, +-1/sqrt(2) pairs and a 4 x 4 Hadamard."""
+    r = 1 / np.sqrt(2.0)
+    h2 = np.array([[1.0, 1.0], [1.0, -1.0]])
+    return {
+        "permutation": np.eye(5)[[3, 0, 4, 1, 2]] * [1.0, -1.0, -1.0, 1.0, -1.0],
+        "sqrt2": np.kron(np.eye(2), np.array([[-r, r], [r, r]])),
+        "hadamard": np.kron(h2, h2) / 2.0,
+    }
+
+
+# (rows of u, columns of u, size of v): reduced and full tall (the full U
+# has columns without a V partner), square, and full wide (V has columns
+# without a U partner).
+SIGN_SHAPES = [(4, 2, 2), (4, 4, 2), (4, 4, 4), (2, 2, 4), (5, 3, 3), (5, 5, 3), (3, 3, 5)]
+
+
+class TestSignConvention:
+    @pytest.mark.parametrize(
+        "name, rows, cols, size",
+        [(name, *shape) for name, tie in _tie_matrices().items() for shape in SIGN_SHAPES
+         if max(shape) <= tie.shape[0]],
+    )
+    def test_vectorized_pass_is_the_column_loop_on_exact_ties(self, name, rows, cols, size):
+        tie = _tie_matrices()[name]
+        rng = np.random.default_rng(81)
+        for _ in range(8):
+            # Random column signs and row orders keep every tie exact.
+            u = tie[rng.permutation(tie.shape[0])[:rows], :cols] * rng.choice([-1.0, 1.0], cols)
+            v = tie[rng.permutation(tie.shape[0])[:size], :size] * rng.choice([-1.0, 1.0], size)
+            u_ref, v_ref = u.copy(), v.copy()
+            fix_signs_reference(u_ref, v_ref)
+            svd_mod._fix_signs(u, v)
+            assert u.tobytes() == u_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+
+
 class TestJacobi:
     def test_2x2_demo(self):
         lam, v = jacobi_eig(np.array([[17.0, 8.0], [8.0, 17.0]]))
@@ -295,6 +333,19 @@ class TestJacobi:
         lam, v = jacobi_eig(s)
         assert fro(v @ np.diag(lam) @ v.T - s) <= 1e-9 * fro(s)
         assert fro(s @ v - v @ np.diag(lam)) <= 1e-9 * fro(s)
+
+    @pytest.mark.parametrize("e", [-600, 600])
+    def test_extreme_scales(self, e):
+        # The threshold comes from ||S||_F: at 2^600 an unscaled sum of
+        # squares is inf and no rotation would run.
+        lam, _ = jacobi_eig(np.ldexp(np.ones((2, 2)), e))
+        assert np.array_equal(lam, np.ldexp([2.0, 0.0], e))
+        b = np.random.default_rng(80).standard_normal((5, 5))
+        s = b + b.T
+        lam, v = jacobi_eig(np.ldexp(s, e))
+        ref = np.sort(np.linalg.eigvalsh(s))[::-1]
+        assert np.abs(np.ldexp(lam, -e) - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert fro(v.T @ v - np.eye(5)) <= 1e-13
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ShapeError, match="symmetric"):
