@@ -12,6 +12,7 @@ ingestion (label, 784 pixels per row) covers users who bring real data.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -172,14 +173,15 @@ def load_digit_model(path) -> DigitModel:
         magic = f.read(4)
         if magic != MODEL_MAGIC:
             raise ValueError(f"{path}: not a digit model file (bad magic {magic!r})")
-        version, k = struct.unpack("<II", f.read(8))
+        header = f.read(8)
+        if len(header) != 8:
+            raise ValueError(f"{path}: truncated model file")
+        version, k = struct.unpack("<II", header)
         if version != MODEL_VERSION:
             raise ValueError(f"{path}: unsupported model version {version}")
-        bases = []
-        block = MODEL_DIM * k * 8
-        for _ in range(NUM_CLASSES):
-            buf = f.read(block)
-            if len(buf) != block:
-                raise ValueError(f"{path}: truncated model file")
-            bases.append(np.frombuffer(buf, dtype="<f8").reshape(MODEL_DIM, k).copy())
-    return DigitModel(bases=bases, k=k)
+        # k comes from the file: check the size before allocating any block.
+        count = NUM_CLASSES * MODEL_DIM * k
+        if os.fstat(f.fileno()).st_size < 12 + 8 * count:
+            raise ValueError(f"{path}: truncated model file")
+        data = np.fromfile(f, dtype="<f8", count=count)
+    return DigitModel(bases=list(data.reshape(NUM_CLASSES, MODEL_DIM, k)), k=k)

@@ -16,10 +16,12 @@ rotations, each block multiplied in as one upper-Hessenberg GEMM (B. Lang,
 "Using Level 3 BLAS in Rotation-Based Algorithms", SIAM J. Sci. Comput.
 1998).  The rare deflation sweeps rotate the accumulators directly.
 
-``jacobi_eig`` is a self-contained cyclic Jacobi eigensolver for symmetric
-matrices.  It shares no code with the two-phase route and exists as an
-independent cross-check (singular values of A are the square roots of the
-eigenvalues of A^T A).
+``jacobi_eig`` is a cyclic Jacobi eigensolver for symmetric matrices and
+an independent cross-check of the two-phase route (singular values of A
+are the square roots of the eigenvalues of A^T A).  Its rotation angles,
+order and skip threshold are its own; it shares only the plane-rotation
+kernel ``rotate``, which the property suite checks against a dense
+rotation.
 """
 
 from __future__ import annotations
@@ -404,26 +406,23 @@ def jacobi_eig(s, max_sweeps: int = 30):
     rotations.
 
     Returns ``(w, v)`` with eigenvalues ``w`` sorted descending and
-    eigenvector columns in ``v`` (S v = v diag(w)).  Off-diagonal entries
-    below ``1e-14 * ||S||_F`` are left untouched; the sweep stops when none
-    remain above that threshold.
+    eigenvector columns in ``v`` (S v = v diag(w)).  S counts as symmetric
+    when max|S - S^T| <= 1e-10 * ||S||_inf, a tolerance relative to the
+    entries at every scale.  Off-diagonal entries below ``1e-14 * ||S||_F``
+    are left untouched; the sweep stops when none remain above that
+    threshold.
     """
     s = as_matrix(s)
     n = s.shape[0]
     if n != s.shape[1]:
         raise ShapeError(f"jacobi_eig needs a square matrix, got {s.shape}")
-    if np.abs(s - s.T).max() > 1e-10 * max(1.0, norm(s, "frobenius")):
+    if np.abs(s - s.T).max() > norm_tol(s, 1e-10):
         raise ShapeError("jacobi_eig needs a symmetric matrix")
     a = 0.5 * (s + s.T)
     v = np.eye(n)
     thresh = 1e-14 * norm(s, "frobenius")
     for sweep in range(max_sweeps + 1):
-        off = 0.0
-        for p in range(n - 1):
-            row = np.abs(a[p, p + 1 :])
-            if row.size:
-                off = max(off, float(row.max()))
-        if off <= thresh:
+        if np.abs(np.triu(a, 1)).max() <= thresh:
             break
         if sweep == max_sweeps:
             raise ConvergenceError(
@@ -441,18 +440,15 @@ def jacobi_eig(s, max_sweeps: int = 30):
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 sn = t * c
                 app, aqq = a[p, p], a[q, q]
+                # Rows p and q, then columns p and q copied from them, so A
+                # stays exactly symmetric; the 2x2 block is set last.
+                rotate(a[p], a[q], c, -sn)
+                a[:, p] = a[p]
+                a[:, q] = a[q]
                 a[p, p] = app - t * apq
                 a[q, q] = aqq + t * apq
                 a[p, q] = a[q, p] = 0.0
-                mask = np.ones(n, dtype=bool)
-                mask[[p, q]] = False
-                aip = a[mask, p].copy()
-                aiq = a[mask, q].copy()
-                a[mask, p] = a[p, mask] = c * aip - sn * aiq
-                a[mask, q] = a[q, mask] = sn * aip + c * aiq
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - sn * v[:, q]
-                v[:, q] = sn * vp + c * v[:, q]
+                rotate(v[:, p], v[:, q], c, -sn)
     w = np.diagonal(a).copy()
     order = np.argsort(-w, kind="stable")
     return w[order], v[:, order]

@@ -1,7 +1,10 @@
 """Shared fixtures: golden matrices and independent oracle helpers."""
 
+import math
+
 import numpy as np
 
+from orthokit.errors import ConvergenceError
 from orthokit.matrix import norm, pow2_scale
 from orthokit.qr import NORM_DOWNDATE_GUARD, QrFactorization
 from orthokit.reflectors import annihilate
@@ -248,3 +251,54 @@ def fix_signs_reference(u, v):
         i = int(np.argmax(np.abs(col)))
         if col[i] < 0.0:
             u[:, j] = -col
+
+
+def jacobi_reference(s, max_sweeps=30):
+    """Cyclic-by-row Jacobi on a symmetric ``s`` with the rotation written
+    out inline: the columns off the (p, q) block gathered and scattered
+    through a boolean mask, the row scan one row at a time.  Same angles,
+    order, threshold and sweep limit as ``jacobi_eig``; no input checks."""
+    s = np.array(s, dtype=float)
+    n = s.shape[0]
+    a = 0.5 * (s + s.T)
+    v = np.eye(n)
+    thresh = 1e-14 * norm(s, "frobenius")
+    for sweep in range(max_sweeps + 1):
+        off = 0.0
+        for p in range(n - 1):
+            row = np.abs(a[p, p + 1 :])
+            if row.size:
+                off = max(off, float(row.max()))
+        if off <= thresh:
+            break
+        if sweep == max_sweeps:
+            raise ConvergenceError(
+                f"Jacobi sweep limit ({max_sweeps}) exceeded", partial=np.diagonal(a).copy()
+            )
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= thresh:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                sn = t * c
+                app, aqq = a[p, p], a[q, q]
+                a[p, p] = app - t * apq
+                a[q, q] = aqq + t * apq
+                a[p, q] = a[q, p] = 0.0
+                mask = np.ones(n, dtype=bool)
+                mask[[p, q]] = False
+                aip = a[mask, p].copy()
+                aiq = a[mask, q].copy()
+                a[mask, p] = a[p, mask] = c * aip - sn * aiq
+                a[mask, q] = a[q, mask] = sn * aip + c * aiq
+                vp = v[:, p].copy()
+                v[:, p] = c * vp - sn * v[:, q]
+                v[:, q] = sn * vp + c * v[:, q]
+    w = np.diagonal(a).copy()
+    order = np.argsort(-w, kind="stable")
+    return w[order], v[:, order]

@@ -277,3 +277,12 @@ class TestDigitsWorkflow:
         )
         assert "classes = 10" in out
         assert model.exists()
+
+    def test_model_shorter_than_its_header_is_an_input_error(self, capsys, tmp_path):
+        model = tmp_path / "bad.okdm"
+        model.write_bytes(b"OKDM\x01")
+        test = tmp_path / "t.csv"
+        test.write_text("1," + ",".join(["0"] * 784) + "\n")
+        out, err = run_lines(capsys, ["digits", "classify", str(test), "--model", str(model)], expect=1)
+        assert out == []
+        assert err.count("\n") == 1 and err.startswith("input error: ") and "truncated model file" in err

@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -144,6 +147,19 @@ class TestPersistence:
         path.write_bytes(b"NOPE" + b"\x00" * 100)
         with pytest.raises(ValueError, match="magic"):
             load_digit_model(path)
+
+    def test_header_k_past_the_file_size_allocates_nothing(self, tmp_path):
+        # k = 2^14 would be ten 100 MiB blocks; the file holds 8 bytes of data.
+        path = tmp_path / "huge_k.okdm"
+        path.write_bytes(b"OKDM" + struct.pack("<II", 1, 2**14) + b"\x00" * 8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated model file"):
+                load_digit_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_wrong_dimension_rejected(self, tmp_path):
         model = DigitModel(bases=[np.eye(8)[:, :2] for _ in range(10)], k=2)

@@ -20,6 +20,7 @@ from orthokit import (
     GivensRotation,
     QrMode,
     RankDeficiencyError,
+    default_rank_threshold,
     form_q,
     givens_apply,
     givens_params,
@@ -32,8 +33,10 @@ from orthokit import (
     qr_householder,
     qr_pivoted,
     singular_values,
+    solve_normal,
     solve_qr,
     solve_qr_pivoted,
+    solve_svd,
     svd,
 )
 from orthokit.reflectors import BLOCK
@@ -166,6 +169,56 @@ def test_solve_qr_pivoted_residual_orthogonal_to_range(case, seed):
         x = solve_qr_pivoted(a, np.ldexp(b, e)).x
     size = fro(unit) * (2 * fro(b) + fro(unit) * fro(x))
     assert fro(unit.T @ (b - unit @ x)) <= C * max(m, n) * EPS * size
+
+
+@PROFILE
+@given(scaled_matrices(kinds=("dense", "rank")), st.integers(0, 2**32 - 1))
+def test_solve_svd_residual_orthogonal_to_range(case, seed):
+    """The computed SVD is exact for A + E with ||E|| <= c eps ||A||, and x
+    is the pseudoinverse solution of its truncation A_r.  The truncated
+    part T = A + E - A_r has ||T|| <= delta, T x = 0 and A_r^T T = 0, so
+    A^T r = T^T b + O(||E||) and
+    ||A^T r|| <= C max(m, n) eps ||A|| (2 ||b|| + ||A|| ||x||) + delta ||b||,
+    the first term as for the QR routes (rounding in x and in r included),
+    delta = default_rank_threshold(A).  Only x is checked, in units of 2^e:
+    residual_norm is not scale-safe."""
+    a, e = case
+    m, n = a.shape
+    unit = np.ldexp(a, -e)
+    b = np.random.default_rng(seed).standard_normal(m)
+    with np.errstate(over="ignore"):  # in residual_norm at 2^1000
+        x = solve_svd(a, np.ldexp(b, e)).x
+    delta = np.ldexp(default_rank_threshold(a), -e)
+    size = fro(unit) * (2 * fro(b) + fro(unit) * fro(x))
+    assert fro(unit.T @ (b - unit @ x)) <= C * max(m, n) * EPS * size + delta * fro(b)
+
+
+@PROFILE
+@given(scaled_matrices(kinds=("dense",), max_exp=250), st.integers(0, 2**32 - 1))
+def test_solve_normal_residual_orthogonal_to_range(case, seed):
+    """Forming G = A^T A and c = A^T b errs by |dG| <= gamma_m |A|^T |A| and
+    |dc| <= gamma_m |A|^T |b|; Cholesky and the two triangular solves give
+    (fl(G) + H) x = fl(c) with |H| <= gamma_{3n+1} |L| |L^T| (Higham,
+    Accuracy and Stability of Numerical Algorithms, Thm 10.4).  In the
+    2-norm, |A|^T |A| and |L| |L^T| are both at most ||A||_F^2 (the trace
+    of G), so A^T r = c - G x = (dG + H) x - dc gives
+    ||A^T r|| <= (gamma_m + gamma_{3n+1}) ||A||_F^2 ||x|| + gamma_m ||A||_F ||b||.
+    For m >= n that is inside C m eps ||A||_F (2 ||b|| + ||A||_F ||x||),
+    which also covers the rounding of r in the check.  |e| <= 250 keeps
+    A^T A representable; draws rejected as numerically rank deficient are
+    skipped."""
+    a, e = case
+    if a.shape[0] < a.shape[1]:
+        a = a.T
+    m, n = a.shape
+    unit = np.ldexp(a, -e)
+    b = np.random.default_rng(seed).standard_normal(m)
+    try:
+        x = solve_normal(a, np.ldexp(b, e)).x
+    except RankDeficiencyError:
+        return
+    size = fro(unit) * (2 * fro(b) + fro(unit) * fro(x))
+    assert fro(unit.T @ (b - unit @ x)) <= C * m * EPS * size
 
 
 @PROFILE

@@ -38,6 +38,7 @@ from helpers import (
     dense_reflector,
     fix_signs_reference,
     fro,
+    jacobi_reference,
     random_rank_deficient,
     rank2_factors,
     spectral_norm_oracle,
@@ -350,6 +351,56 @@ class TestJacobi:
     def test_asymmetric_rejected(self):
         with pytest.raises(ShapeError, match="symmetric"):
             jacobi_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_asymmetry_is_judged_relative_to_the_entries(self):
+        # An off-diagonal pair 1e-12 apart is 1e8 times the entries here.
+        with pytest.raises(ShapeError, match="symmetric"):
+            jacobi_eig(np.array([[1e-20, 1e-12], [0.0, 1e-20]]))
+
+    @pytest.mark.parametrize("e", [0, -300, 300, -600, 600, -1000, 1000])
+    @pytest.mark.parametrize("kind", ["dense", "psd", "low-rank", "coupled"])
+    def test_bit_identical_to_the_inline_rotation(self, kind, e):
+        # Eigenvalues, eigenvectors and the partial spectrum of a sweep-limit
+        # error all match the reference loop bit for bit.
+        rng = np.random.default_rng([83, e + 1000, len(kind)])
+        for sweeps in (1, 2, 30):
+            n = int(rng.integers(1, 25))
+            b = rng.standard_normal((n, n))
+            if kind == "dense":
+                s = b + b.T
+            elif kind == "psd":
+                s = b.T @ b
+            elif kind == "low-rank":
+                s = b[:, : max(1, n // 3)] @ b[:, : max(1, n // 3)].T
+            else:
+                s = np.diag(b[0])
+                s[0, -1] = s[-1, 0] = b[-1, 0]
+            s = np.ldexp(s, e)
+            try:
+                w_ref, v_ref = jacobi_reference(s, sweeps)
+            except ConvergenceError as exc:
+                with pytest.raises(ConvergenceError) as got:
+                    jacobi_eig(s, sweeps)
+                assert got.value.partial.tobytes() == exc.partial.tobytes()
+                continue
+            w, v = jacobi_eig(s, sweeps)
+            assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+
+    def test_rotations_go_through_rotate(self, monkeypatch):
+        # Each rotation turns rows p, q of A and columns p, q of V.
+        calls = []
+
+        def spy(x, y, c, s):
+            calls.append((x.shape, c, s))
+            rotate(x, y, c, s)
+
+        s = np.random.default_rng(84).standard_normal((5, 5))
+        s = s + s.T
+        w_ref, v_ref = jacobi_eig(s)
+        monkeypatch.setattr(svd_mod, "rotate", spy)
+        w, v = jacobi_eig(s)
+        assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+        assert calls and len(calls) % 2 == 0 and calls[::2] == calls[1::2]
 
 
 class TestNormsAndRank:
