@@ -1,0 +1,106 @@
+"""Layer timings of the SVD, written to ``BENCH_svd.json``.
+
+    python3 scripts/bench_layers.py [--out BENCH_svd.json] [--repeats 5]
+
+Run from the repository root; ``src`` is put on ``sys.path``.  BLAS runs on
+one thread (the thread variables are set before numpy is imported).  Each
+square size n in 44, 81, 118, 156 and 400 gets one standard-normal matrix
+from the fixed seed 4242 + n, and each row times one layer on it:
+
+- ``bidiagonalize``: phase one, Householder bidiagonalization of A
+- ``phase2_values``: phase two on A's bidiagonal, singular values only
+- ``phase2_vectors``: phase two with the singular vectors of B
+  (``bidiag_svd``)
+- ``svd``: the reduced ``svd`` of A, end to end
+- ``numpy_svd``: ``numpy.linalg.svd`` of A, the ceiling
+
+A row gives the minimum and the median wall time over ``--repeats`` calls
+(a third as many, at least two, at n = 400).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+import orthokit  # noqa: E402
+from orthokit.bidiagonal import bidiagonal_svd  # noqa: E402
+
+SIZES = (44, 81, 118, 156, 400)
+SEED = 4242
+
+
+def _time(fn, repeats):
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return min(times), statistics.median(times)
+
+
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def rows(repeats):
+    for n in SIZES:
+        a = np.random.default_rng(SEED + n).standard_normal((n, n))
+        _, bid, _ = orthokit.bidiagonalize(a)
+        layers = {
+            "bidiagonalize": lambda: orthokit.bidiagonalize(a),
+            "phase2_values": lambda: bidiagonal_svd(bid.d, bid.e, False, None),
+            "phase2_vectors": lambda: orthokit.bidiag_svd(bid),
+            "svd": lambda: orthokit.svd(a, "reduced"),
+            "numpy_svd": lambda: np.linalg.svd(a, full_matrices=False),
+        }
+        reps = repeats if n < 400 else max(2, repeats // 3)
+        for layer, fn in layers.items():
+            fn()  # warm-up
+            best, median = _time(fn, reps)
+            yield {"layer": layer, "n": n, "min_s": best, "median_s": median, "repeats": reps}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default=str(ROOT / "BENCH_svd.json"))
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args()
+    table = []
+    for row in rows(args.repeats):
+        table.append(row)
+        print(f"{row['layer']:15s} n={row['n']:4d}  min {row['min_s'] * 1e3:9.2f} ms  "
+              f"median {row['median_s'] * 1e3:9.2f} ms", flush=True)
+    report = {
+        "host": {"machine": platform.machine(), "cpu": _cpu_model(), "cpus": os.cpu_count(),
+                 "python": platform.python_version(), "numpy": np.__version__, "blas_threads": 1},
+        "seed": SEED,
+        "rows": table,
+    }
+    Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -1,0 +1,529 @@
+"""Phase two of the SVD: the singular values and vectors of an
+upper-bidiagonal matrix B.
+
+``bidiagonal_svd`` is the one entry point.  Singular values alone, and the
+vectors of a bidiagonal of at most LEAF rows, come from implicit-shift QR
+steps (Wilkinson shift on the trailing 2x2 of B^T B), deflating whenever a
+superdiagonal entry passes the convergence test
+|e_i| <= eps * (|d_i| + |d_i+1|).  The chase runs on Python floats and
+records each sweep's right and left rotations as chains of (c, s) pairs.  A
+chain is applied to its singular-vector accumulator after the sweep:
+rotation by rotation below CHAIN_CROSSOVER rotations, otherwise in blocks
+of up to CHAIN_BLOCK rotations, each block multiplied in as one
+upper-Hessenberg GEMM (B. Lang, "Using Level 3 BLAS in Rotation-Based
+Algorithms", SIAM J. Sci. Comput. 1998).  The rare deflation sweeps rotate
+the accumulators directly.
+
+The vectors of a bidiagonal of more than LEAF rows come from divide and
+conquer (M. Gu & S. C. Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995;
+LAPACK xBDSDC, xLASD0-xLASD4).  B is split at its middle row into an upper
+k x (k+1) block and a lower block, both solved recursively, and the row
+between them couples the halves into an arrow matrix.  Its deflation
+follows xLASD2; the secular equation of each merge is solved for all roots
+at once by R.-C. Li's middle-way iteration (LAPACK Working Note 89, 1994);
+the vectors are built from the z-hat of the Loewner formula, so they are
+orthogonal however close the roots lie, and two GEMMs take them back to
+B's bases.  The leaves, of at most LEAF rows, run the implicit QR.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .errors import ConvergenceError
+from .matrix import pow2_scale, require_finite
+from .reflectors import givens_params, rotate
+
+# The implicit QR applies each sweep's rotation chain to the singular-vector
+# accumulators in one go.  Chains shorter than CHAIN_CROSSOVER go rotation
+# by rotation; longer ones in blocks of at most CHAIN_BLOCK rotations, each
+# block one GEMM with its (b+1) x (b+1) Hessenberg product.  Both values
+# were chosen by timing svd from n = 3 to 400.
+CHAIN_CROSSOVER = 8
+CHAIN_BLOCK = 32
+
+# Singular vectors of a bidiagonal with more than LEAF rows come from divide
+# and conquer, whose leaves of at most LEAF rows run the implicit QR.
+# Chosen by timing bidiag_svd from n = 30 to 400: leaves of 20 to 40 rows
+# were within the noise of each other, 16 and fewer slower.
+LEAF = 25
+
+EPS = float(np.finfo(float).eps)
+
+
+def _chain_matrix(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Upper-Hessenberg product G_0 G_1 ... G_{b-1} of the rotations G_k in
+    planes (k, k+1), built with vectorized ops.
+
+    Column k < b is c_k times the carried column w_k, plus s_k on the
+    subdiagonal; column b is w_b.  Row i of the carries is the running
+    product c_{i-1} (-s_i) (-s_{i+1}) ..., taken left to right as a row-wise
+    cumprod, so every entry equals the one sequential ``rotate`` of column pairs
+    on the identity would give.
+    """
+    b = c.size
+    i = np.arange(b + 1)
+    below = i[:, None] > i
+    t = np.where(below, 1.0, np.concatenate(([1.0], -s)))
+    t.flat[:: b + 2] = np.concatenate(([1.0], c))
+    h = np.cumprod(t, axis=1)
+    h[:, :b] *= c
+    h[below] = 0.0
+    h.flat[b + 1 :: b + 2] = s
+    return h
+
+
+def _apply_chain(m: np.ndarray, lo: int, c, s) -> None:
+    """m <- m G_lo G_lo+1 ... for the chain of rotations (c[k], s[k]) in
+    column planes (lo+k, lo+k+1).  Short chains go rotation by rotation;
+    longer ones in blocks of CHAIN_BLOCK rotations, one GEMM per block."""
+    n = len(c)
+    if n < CHAIN_CROSSOVER:
+        for k in range(n):
+            rotate(m[:, lo + k], m[:, lo + k + 1], c[k], s[k])
+        return
+    c = np.asarray(c, dtype=float)
+    s = np.asarray(s, dtype=float)
+    for a in range(0, n, CHAIN_BLOCK):
+        b = min(CHAIN_BLOCK, n - a)
+        cols = slice(lo + a, lo + a + b + 1)
+        m[:, cols] = m[:, cols] @ _chain_matrix(c[a : a + b], s[a : a + b])
+
+
+def _wilkinson_mu(d, e, lo, hi):
+    dm, dn = d[hi - 1], d[hi]
+    em = e[hi - 1]
+    em1 = e[hi - 2] if hi - 1 > lo else 0.0
+    t11 = dm * dm + em1 * em1
+    t12 = dm * em
+    t22 = dn * dn + em * em
+    if t12 == 0.0:
+        return t22
+    half = 0.5 * (t11 - t22)
+    root = math.hypot(half, t12)
+    denom = half + (root if half >= 0.0 else -root)
+    if denom == 0.0:
+        return t22
+    # associated as t12 * (t12 / denom): t12^2 alone could underflow
+    return t22 - t12 * (t12 / denom)
+
+
+def _implicit_step(d: list, e: list, lo: int, hi: int):
+    """One shifted QR step on the unreduced block [lo, hi]; chases the bulge
+    down the superdiagonal with alternating right/left rotations.
+
+    ``d`` and ``e`` are Python lists, updated in place.  Returns the chains
+    ``(right_c, right_s, left_c, left_s)`` for the caller to apply to the
+    singular-vector accumulators.
+    """
+    mu = _wilkinson_mu(d, e, lo, hi)
+    y = d[lo] * d[lo] - mu
+    z = d[lo] * e[lo]
+    rc, rs, lc, ls = [], [], [], []
+    for k in range(lo, hi):
+        # A zero second entry needs no rotation, a zero first one a swap;
+        # givens_params rejects the (0, 0) pair.
+        if z == 0.0:
+            c, s = 1.0, 0.0
+        elif y == 0.0:
+            c, s = 0.0, 1.0
+        else:
+            c, s = givens_params(y, z)
+        if k > lo:
+            e[k - 1] = c * y + s * z
+        d0, e0, d1 = d[k], e[k], d[k + 1]
+        dk = c * d0 + s * e0
+        ek = -s * d0 + c * e0
+        bulge = s * d1
+        dk1 = c * d1
+        if bulge == 0.0:
+            c2, s2 = 1.0, 0.0
+        elif dk == 0.0:
+            c2, s2 = 0.0, 1.0
+        else:
+            c2, s2 = givens_params(dk, bulge)
+        d[k] = c2 * dk + s2 * bulge
+        e[k] = y = c2 * ek + s2 * dk1
+        d[k + 1] = -s2 * ek + c2 * dk1
+        if k < hi - 1:
+            e1 = e[k + 1]
+            z = s2 * e1
+            e[k + 1] = c2 * e1
+        rc.append(c)
+        rs.append(s)
+        lc.append(c2)
+        ls.append(s2)
+    return rc, rs, lc, ls
+
+
+def _deflate_zero_diagonal(d, e, i, hi, u):
+    """d[i] = 0 with i < hi: row rotations (i, j) sweep e[i] off to the
+    right, zeroing row i entirely."""
+    bulge = e[i]
+    e[i] = 0.0
+    for j in range(i + 1, hi + 1):
+        r = math.hypot(d[j], bulge)
+        if r == 0.0:
+            break
+        c = d[j] / r
+        s = -bulge / r
+        d[j] = r
+        if u is not None:
+            rotate(u[:, i], u[:, j], c, s)
+        if j < hi:
+            bulge = s * e[j]
+            e[j] = c * e[j]
+
+
+def _deflate_zero_tail(d, e, lo, hi, v):
+    """d[hi] = 0: column rotations (j, hi) sweep e[hi-1] up and out,
+    zeroing column hi entirely."""
+    bulge = e[hi - 1]
+    e[hi - 1] = 0.0
+    for j in range(hi - 1, lo - 1, -1):
+        r = math.hypot(d[j], bulge)
+        if r == 0.0:
+            break
+        c = d[j] / r
+        s = bulge / r
+        d[j] = r
+        if v is not None:
+            rotate(v[:, j], v[:, hi], c, s)
+        if j > lo:
+            bulge = -s * e[j - 1]
+            e[j - 1] = c * e[j - 1]
+
+
+def _qr_svd(d: list, e: list, u, v, max_sweeps: int | None) -> np.ndarray:
+    """Implicit-shift QR on the bidiagonal (d, e), Python lists updated in
+    place until e is zero; returns |d| with the signs moved into ``u``.  The
+    rotations go into the columns of ``u`` and ``v`` unless they are None.
+    Raises ``ConvergenceError`` with ``partial`` = |d| (unsorted, in the
+    lists' units) once ``max_sweeps`` sweeps (default 30 per row) are used
+    up."""
+    n = len(d)
+    if max_sweeps is None:
+        max_sweeps = 30 * max(n, 1)
+    eps = EPS  # a local: the scans below read it once per entry
+    sweeps = 0
+    lo, hi = 0, n - 1
+    while True:
+        # Only e[lo:hi] can have changed since the last scan (all of it on
+        # the first pass); entries above hi stay zero once zeroed.
+        for i in range(lo, hi):
+            if abs(e[i]) <= eps * (abs(d[i]) + abs(d[i + 1])):
+                e[i] = 0.0
+        while hi > 0 and e[hi - 1] == 0.0:
+            hi -= 1
+        if hi == 0:
+            break
+        lo = hi - 1
+        while lo > 0 and e[lo - 1] != 0.0:
+            lo -= 1
+        scale = max(max(map(abs, d[lo : hi + 1])), max(map(abs, e[lo:hi])))
+        if abs(d[hi]) <= eps * scale:
+            d[hi] = 0.0
+            _deflate_zero_tail(d, e, lo, hi, v)
+            continue
+        zero_i = next((i for i in range(lo, hi) if abs(d[i]) <= eps * scale), -1)
+        if zero_i >= 0:
+            d[zero_i] = 0.0
+            _deflate_zero_diagonal(d, e, zero_i, hi, u)
+            continue
+        sweeps += 1
+        if sweeps > max_sweeps:
+            raise ConvergenceError(
+                f"bidiagonal SVD did not converge within {max_sweeps} sweeps", partial=np.abs(np.array(d))
+            )
+        rc, rs, lc, ls = _implicit_step(d, e, lo, hi)
+        if u is not None:
+            _apply_chain(v, lo, rc, rs)
+            _apply_chain(u, lo, lc, ls)
+    d = np.array(d)
+    if u is not None:
+        neg = d < 0.0
+        u[:, neg] = -u[:, neg]
+    return np.abs(d)
+
+
+# ---------------------------------------------------------------------------
+# Divide and conquer (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995;
+# LAPACK xBDSDC/xLASD0-xLASD4).  A block is rows lo:hi of the bidiagonal
+# (d, e): m = hi - lo rows and m + sqre columns, its last row holding
+# e[hi-1] too when sqre = 1.  Each call returns (u, sigma, v) with
+# block = u [diag(sigma) 0] v^T, sigma >= 0 in no particular order, and with
+# sqre = 1 the last column of v spanning the block's null space.
+
+
+def _dc(d, e, lo, hi, sqre, max_sweeps):
+    m = hi - lo
+    if m <= LEAF:
+        return _dc_leaf(d, e, lo, hi, sqre, max_sweeps)
+    # Rows lo:k form a k x (k+1) block (sqre = 1); row k couples it to the
+    # lower block through alpha = d[k] and beta = e[k].
+    k = lo + m // 2
+    upper = _dc(d, e, lo, k, 1, max_sweeps)
+    lower = _dc(d, e, k + 1, hi, sqre, max_sweeps)
+    return _dc_merge(upper, float(d[k]), float(e[k]), lower, sqre)
+
+
+def _dc_leaf(d, e, lo, hi, sqre, max_sweeps):
+    m = hi - lo
+    u, v = np.eye(m), np.eye(m + sqre)
+    dl, el = d[lo:hi].tolist(), e[lo : hi - 1 + sqre].tolist()
+    if sqre:
+        # m column rotations chase e[hi-1] out: column m becomes zero.
+        _deflate_zero_tail(dl, el, 0, m, v)
+        el.pop()
+    try:
+        sigma = _qr_svd(dl, el, u, v[:, :m], max_sweeps)
+    except ConvergenceError as err:
+        # The rest of B has not been iterated: its diagonal stands in.
+        full = np.abs(d)
+        full[lo:hi] = err.partial
+        err.partial = full
+        raise
+    return u, sigma, v
+
+
+def _dc_merge(upper, alpha, beta, lower, sqre):
+    u1, s1, v1 = upper
+    u2, s2, v2 = lower
+    k, m2 = s1.size, s2.size
+    n = k + 1 + m2
+    # Exact power-of-two scaling keeps the squares below in range.
+    scale = pow2_scale(max(float(s1.max()), float(s2.max()), abs(alpha), abs(beta)))
+    alpha /= scale
+    beta /= scale
+    # B = ub [M 0] vb^T with M the arrow matrix: first row z, diagonal
+    # (0, s1, s2) with s1 and s2 merged in ascending order.  Row k of B is
+    # the first row; column 0 is the upper block's null vector, turned by
+    # (c0, s0) into the lower block's when sqre = 1, and the other column
+    # of that pair is the merged null vector.
+    d = np.concatenate(([0.0], s1, s2)) / scale
+    z = np.concatenate(([alpha * v1[k, k]], alpha * v1[k, :k], beta * v2[0, :m2]))
+    c0, s0 = 1.0, 0.0
+    phi = beta * v2[0, m2] if sqre else 0.0
+    if z[0] != 0.0 or phi != 0.0:
+        c0, s0 = givens_params(z[0], phi)
+        z[0] = c0 * z[0] + s0 * phi
+    order = np.concatenate(([0], 1 + np.argsort(d[1:], kind="stable")))
+    d, z = d[order], z[order]
+    # Deflation (xLASD2): a negligible z_j leaves d_j and its vectors as they
+    # are; two poles within tol are rotated so one of them has z_j = 0.
+    tol = 8.0 * EPS * max(float(d[-1]), abs(alpha), abs(beta))
+    dl, zl = d.tolist(), z.tolist()
+    kept, deflated, turns, prev = [0], [], [], 0
+    for j in range(1, n):
+        if abs(zl[j]) <= tol:
+            deflated.append(j)
+            continue
+        if prev and dl[j] - dl[prev] <= tol:
+            c, s = givens_params(zl[j], -zl[prev])
+            turns.append((prev, j, c, s))
+            zl[j] = c * zl[j] - s * zl[prev]
+            deflated.append(prev)
+        elif prev:
+            kept.append(prev)
+        prev = j
+    if prev:
+        kept.append(prev)
+    # Poles at least tol from d_0 = 0, and z_0 at least tol: the secular
+    # equation then has distinct poles and no root at a pole.
+    dk = np.maximum(d[kept], tol)
+    dk[0] = 0.0
+    zk = np.array(zl)[kept]
+    if abs(zk[0]) <= tol:
+        zk[0] = tol
+    sig, um, vm = _arrow_svd(dk, zk)
+    # Each basis is built only now, one at a time, to keep the peak memory
+    # down: the deflation turns, then the kept columns first, turned by the
+    # arrow's vectors.
+    col = np.empty_like(order)  # where column j of (0, s1, s2) went
+    col[order] = np.arange(n)
+    nk, cols = len(kept), kept + deflated
+    ub = np.zeros((n, n))
+    ub[k, 0] = 1.0
+    ub[:k, col[1 : k + 1]] = u1
+    ub[k + 1 :, col[k + 1 :]] = u2
+    for a, b, c, s in turns:
+        rotate(ub[:, a], ub[:, b], c, s)
+    ub = ub[:, cols]
+    ub[:, :nk] = ub[:, :nk] @ um
+    del um
+    vb = np.zeros((n + sqre, n + sqre))
+    vb[: k + 1, 0] = v1[:, k]
+    vb[: k + 1, col[1 : k + 1]] = v1[:, :k]
+    vb[k + 1 :, col[k + 1 :]] = v2[:, :m2]
+    if sqre:
+        vb[k + 1 :, n] = v2[:, m2]
+        rotate(vb[:, 0], vb[:, n], c0, s0)
+    for a, b, c, s in turns:
+        rotate(vb[:, a], vb[:, b], c, s)
+    vb = vb[:, cols + list(range(n, n + sqre))]
+    vb[:, :nk] = vb[:, :nk] @ vm
+    return ub, np.concatenate((sig, d[deflated])) * scale, vb
+
+
+def _sq_gaps(d, o, t):
+    """d_j^2 - sigma_r^2 for sigma_r = o_r + t_r, row r and column j: from
+    (d_j - o_r) - t_r, so the gap to the pole at the origin o_r is exact."""
+    g = d - o[:, None]
+    g -= t[:, None]
+    g *= d + (o + t)[:, None]
+    return g
+
+
+def _split_sums(x, p):
+    """Sums of each row r of x over columns 0..p[r] and over the rest,
+    p[r] < x.shape[1] - 1, without a temporary the size of x."""
+    rows, cols = x.shape
+    idx = np.repeat(np.arange(rows) * cols, 2)
+    idx[1::2] += p + 1
+    sums = np.add.reduceat(x.ravel(), idx)
+    return sums[0::2], sums[1::2]
+
+
+def _arrow_svd(d, z):
+    """SVD of the arrow matrix M with first row z and diagonal d (d[0] = 0,
+    d ascending with distinct entries, z[0] != 0): M = um diag(sigma) vm^T.
+
+    The vectors are built from the z-hat that makes the computed sigma the
+    exact singular values (Loewner formula, as paired ratios), so they are
+    orthogonal to working precision however close the roots lie."""
+    n = d.size
+    if n == 1:
+        return np.abs(z), np.ones((1, 1)), np.where(z < 0.0, -1.0, 1.0)[None]
+    org, tau = _secular_roots(d, z)
+    o = d[org]
+    p = _sq_gaps(d, o, tau).T  # p[j, r] = d_j^2 - sigma_r^2
+    # zhat_j^2 = p[j, n-1] times the ratios p[j, r] / (d_j^2 - d_k^2) that
+    # pair root r with pole k = r below the diagonal, k = r + 1 from it on:
+    # the poles k != j in order.
+    gaps = d[:, None] - d
+    gaps *= d[:, None] + d
+    ratios = gaps[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    del gaps
+    np.divide(p[:, :-1], ratios, out=ratios)
+    zhat = np.sqrt(np.abs(p[:, -1] * ratios.prod(axis=1)))
+    zhat[z < 0.0] *= -1.0
+    del ratios
+    vm = np.divide(zhat[:, None], p, out=p)
+    um = d[:, None] * vm
+    um[0] = -1.0
+    vm /= np.sqrt(np.einsum("ij,ij->j", vm, vm))
+    um /= np.sqrt(np.einsum("ij,ij->j", um, um))
+    return o + tau, um, vm
+
+
+def _secular_roots(d, z):
+    """Roots of f(s) = 1 + sum_j z_j^2 / (d_j^2 - s^2), d ascending from
+    d[0] = 0: one root in each (d_i, d_i+1) and one above d[-1].
+
+    Each root is sigma_i = d[org_i] + tau_i with its origin at the nearer
+    pole, so the distances to the poles keep their relative accuracy.  The
+    iteration is R.-C. Li's middle way (LAPACK Working Note 89, 1994): f is
+    modelled by c + s/(d_p^2 - s^2) + S/(d_p+1^2 - s^2), matching the sums
+    over the poles up to p and after p in value and derivative, and the
+    step is the model's root; a step that leaves the bracket is replaced by
+    bisection.  All roots iterate together."""
+    n = d.size
+    z2 = z * z
+    i = np.arange(n)
+    org = i.copy()
+    lo = np.zeros(n)
+    hi = np.empty(n)
+    # Root i < n-1: f at the midpoint of (d_i^2, d_i+1^2) tells which half
+    # holds it, and so which pole is nearer.
+    dl, du = d[:-1], d[1:]
+    half = 0.5 * (du - dl) * (du + dl)
+    smid = np.sqrt(dl * dl + half)
+    tmid = half / (dl + smid)
+    g = _sq_gaps(d, dl, tmid)
+    up = 1.0 + np.divide(z2, g, out=g).sum(axis=1) < 0.0
+    del g
+    org[:-1] += up
+    lo[:-1] = np.where(up, -half / (du + smid), 0.0)
+    hi[:-1] = np.where(up, 0.0, tmid)
+    # The last root lies below sqrt(d[-1]^2 + ||z||^2).
+    rho = float(z2.sum())
+    hi[-1] = rho / (d[-1] + math.sqrt(d[-1] * d[-1] + rho))
+    tau = np.append(np.where(up, lo[:-1], hi[:-1]), 0.5 * hi[-1])
+    pole = np.minimum(i, n - 2)  # the model's poles are pole and pole + 1
+    act = i
+    for _ in range(100):  # middle-way steps converge in about 10
+        t = tau[act]
+        o = d[org[act]]
+        g = _sq_gaps(d, o, t)
+        p = pole[act]
+        rows = np.arange(act.size)
+        dp, dq = g[rows, p], g[rows, p + 1]
+        term = np.divide(z2, g)
+        psi, phi = _split_sums(term, p)
+        dpsi, dphi = _split_sums(np.divide(term, g, out=g), p)
+        del g, term  # before the next iteration allocates its own
+        w = 1.0 + psi + phi
+        dw = dpsi + dphi
+        # Rounding error of w: of the sums (each of one sign), and of
+        # sigma = o + tau itself.
+        done = np.abs(w) <= EPS * (8.0 * (1.0 + np.abs(psi) + np.abs(phi)) + 2.0 * (o + t) * np.abs(t) * dw)
+        la = lo[act] = np.where(w < 0.0, t, lo[act])
+        ha = hi[act] = np.where(w > 0.0, t, hi[act])
+        c = w - dp * dpsi - dq * dphi
+        a = (dp + dq) * w - dp * dq * dw
+        b = dp * dq * w
+        root = np.sqrt(np.abs(a * a - 4.0 * b * c))
+        q = a + np.where(a < 0.0, -root, root)
+        sig = o + t
+        new = 0.5 * (la + ha)
+        for eta in (np.divide(2.0 * b, q, out=np.full_like(q, np.nan), where=q != 0.0),
+                    np.divide(q, 2.0 * c, out=np.full_like(q, np.nan), where=c != 0.0)):
+            s2 = sig * sig + eta
+            cand = t + eta / (sig + np.sqrt(np.where(s2 > 0.0, s2, 0.0)))
+            ok = (s2 > 0.0) & (cand > la) & (cand < ha)
+            new = np.where(ok, cand, new)
+        done |= (new <= la) | (new >= ha)  # the bracket is two adjacent floats
+        tau[act] = np.where(done, t, new)
+        act = act[~done]
+        if act.size == 0:
+            break
+    return org, tau
+
+
+def bidiagonal_svd(d, e, want_uv: bool, max_sweeps: int | None):
+    """Singular values of the bidiagonal (d, e), sorted descending, and with
+    ``want_uv`` the orthogonal (u, v) of B = u diag(sigma) v^T (None
+    otherwise).  ``max_sweeps`` is the sweep budget of each implicit-QR run
+    (default 30 per row of that run)."""
+    n = d.size
+    if max_sweeps is not None and max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
+    require_finite("bidiagonal SVD", d, e)
+    top = max(float(np.abs(d).max()), float(np.abs(e).max()) if e.size else 0.0)
+    # Exact power-of-two prescaling keeps the squared quantities of the
+    # shift computation inside the normal floating-point range.  The chase
+    # runs on Python floats: per-element numpy indexing would dominate it.
+    rescale = pow2_scale(top)
+    d = d / rescale
+    e = e / rescale
+    try:
+        if want_uv and n > LEAF:
+            u, d, v = _dc(d, e, 0, n, 0, max_sweeps)
+        else:
+            u = np.eye(n) if want_uv else None
+            v = np.eye(n) if want_uv else None
+            d = _qr_svd(d.tolist(), e.tolist(), u, v, max_sweeps)
+    except ConvergenceError as err:
+        err.partial = np.sort(err.partial * rescale)[::-1].copy()
+        raise
+    with np.errstate(over="ignore"):  # reported just below
+        d = d * rescale
+    require_finite("bidiagonal SVD", d)
+    order = np.argsort(-d, kind="stable")
+    d = d[order]
+    if want_uv:
+        u = u[:, order]
+        v = v[:, order]
+    return u, d, v

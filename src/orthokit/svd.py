@@ -1,20 +1,12 @@
 """Two-phase singular value decomposition and everything derived from it.
 
 Phase one reduces A (A^T if A is wide) to upper-bidiagonal form with
-alternating left/right Householder reflectors; phase two drives the
-superdiagonal to zero with implicit-shift QR steps (Wilkinson shift on the
-trailing 2x2 of B^T B), deflating whenever a superdiagonal entry passes the
-convergence test |e_i| <= eps * (|d_i| + |d_i+1|).  The singular vectors
-of B are then taken back through the stored reflectors in place, one
+alternating left/right Householder reflectors; phase two finds the
+singular values, and vectors when wanted, of the bidiagonal B
+(``orthokit.bidiagonal``: implicit-shift QR, and divide and conquer for the
+vectors of a bidiagonal of more than LEAF rows).  The singular vectors of B
+are then taken back through the stored reflectors in place, one
 ``reflect_all`` per side (LAPACK xORMBR), with no Q formed.
-
-Phase two chases the bulge on Python floats and records each sweep's right
-and left rotations as chains of (c, s) pairs.  A chain is applied to its
-singular-vector accumulator after the sweep: rotation by rotation below
-CHAIN_CROSSOVER rotations, otherwise in blocks of up to CHAIN_BLOCK
-rotations, each block multiplied in as one upper-Hessenberg GEMM (B. Lang,
-"Using Level 3 BLAS in Rotation-Based Algorithms", SIAM J. Sci. Comput.
-1998).  The rare deflation sweeps rotate the accumulators directly.
 
 ``jacobi_eig`` is a cyclic Jacobi eigensolver for symmetric matrices and
 an independent cross-check of the two-phase route (singular values of A
@@ -32,9 +24,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .bidiagonal import bidiagonal_svd
 from .errors import ConvergenceError, ShapeError, SingularMatrixError
 from .matrix import DEFAULT_T_DIGITS, as_matrix, as_vector, norm, norm_tol, pow2_scale, require_finite
-from .reflectors import HouseholderReflector, annihilate, givens_params, reflect_all, rotate
+from .reflectors import HouseholderReflector, annihilate, reflect_all, rotate
 
 __all__ = [
     "SvdFactorization",
@@ -57,15 +50,6 @@ __all__ = [
     "distance_to_singular",
     "SingularDistance",
 ]
-
-# Phase 2 applies each sweep's rotation chain to the singular-vector
-# accumulators in one go.  Chains shorter than CHAIN_CROSSOVER go rotation
-# by rotation; longer ones in blocks of at most CHAIN_BLOCK rotations, each
-# block one GEMM with its (b+1) x (b+1) Hessenberg product.  Both values
-# were chosen by timing svd from n = 3 to 400.
-CHAIN_CROSSOVER = 8
-CHAIN_BLOCK = 32
-
 
 @dataclass
 class SvdFactorization:
@@ -124,225 +108,19 @@ def bidiagonalize(a):
     return left, Bidiagonal(d, e), right
 
 
-def _chain_matrix(c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Upper-Hessenberg product G_0 G_1 ... G_{b-1} of the rotations G_k in
-    planes (k, k+1), built with vectorized ops.
-
-    Column k < b is c_k times the carried column w_k, plus s_k on the
-    subdiagonal; column b is w_b.  Row i of the carries is the running
-    product c_{i-1} (-s_i) (-s_{i+1}) ..., taken left to right as a row-wise
-    cumprod, so every entry equals the one sequential ``rotate`` of column pairs
-    on the identity would give.
-    """
-    b = c.size
-    i = np.arange(b + 1)
-    below = i[:, None] > i
-    t = np.where(below, 1.0, np.concatenate(([1.0], -s)))
-    t.flat[:: b + 2] = np.concatenate(([1.0], c))
-    h = np.cumprod(t, axis=1)
-    h[:, :b] *= c
-    h[below] = 0.0
-    h.flat[b + 1 :: b + 2] = s
-    return h
-
-
-def _apply_chain(m: np.ndarray, lo: int, c, s) -> None:
-    """m <- m G_lo G_lo+1 ... for the chain of rotations (c[k], s[k]) in
-    column planes (lo+k, lo+k+1).  Short chains go rotation by rotation;
-    longer ones in blocks of CHAIN_BLOCK rotations, one GEMM per block."""
-    n = len(c)
-    if n < CHAIN_CROSSOVER:
-        for k in range(n):
-            rotate(m[:, lo + k], m[:, lo + k + 1], c[k], s[k])
-        return
-    c = np.asarray(c, dtype=float)
-    s = np.asarray(s, dtype=float)
-    for a in range(0, n, CHAIN_BLOCK):
-        b = min(CHAIN_BLOCK, n - a)
-        cols = slice(lo + a, lo + a + b + 1)
-        m[:, cols] = m[:, cols] @ _chain_matrix(c[a : a + b], s[a : a + b])
-
-
-def _wilkinson_mu(d, e, lo, hi):
-    dm, dn = d[hi - 1], d[hi]
-    em = e[hi - 1]
-    em1 = e[hi - 2] if hi - 1 > lo else 0.0
-    t11 = dm * dm + em1 * em1
-    t12 = dm * em
-    t22 = dn * dn + em * em
-    if t12 == 0.0:
-        return t22
-    half = 0.5 * (t11 - t22)
-    root = math.hypot(half, t12)
-    denom = half + (root if half >= 0.0 else -root)
-    if denom == 0.0:
-        return t22
-    # associated as t12 * (t12 / denom): t12^2 alone could underflow
-    return t22 - t12 * (t12 / denom)
-
-
-def _implicit_step(d: list, e: list, lo: int, hi: int):
-    """One shifted QR step on the unreduced block [lo, hi]; chases the bulge
-    down the superdiagonal with alternating right/left rotations.
-
-    ``d`` and ``e`` are Python lists, updated in place.  Returns the chains
-    ``(right_c, right_s, left_c, left_s)`` for the caller to apply to the
-    singular-vector accumulators.
-    """
-    mu = _wilkinson_mu(d, e, lo, hi)
-    y = d[lo] * d[lo] - mu
-    z = d[lo] * e[lo]
-    rc, rs, lc, ls = [], [], [], []
-    for k in range(lo, hi):
-        # A zero second entry needs no rotation, a zero first one a swap;
-        # givens_params rejects the (0, 0) pair.
-        if z == 0.0:
-            c, s = 1.0, 0.0
-        elif y == 0.0:
-            c, s = 0.0, 1.0
-        else:
-            c, s = givens_params(y, z)
-        if k > lo:
-            e[k - 1] = c * y + s * z
-        d0, e0, d1 = d[k], e[k], d[k + 1]
-        dk = c * d0 + s * e0
-        ek = -s * d0 + c * e0
-        bulge = s * d1
-        dk1 = c * d1
-        if bulge == 0.0:
-            c2, s2 = 1.0, 0.0
-        elif dk == 0.0:
-            c2, s2 = 0.0, 1.0
-        else:
-            c2, s2 = givens_params(dk, bulge)
-        d[k] = c2 * dk + s2 * bulge
-        e[k] = y = c2 * ek + s2 * dk1
-        d[k + 1] = -s2 * ek + c2 * dk1
-        if k < hi - 1:
-            e1 = e[k + 1]
-            z = s2 * e1
-            e[k + 1] = c2 * e1
-        rc.append(c)
-        rs.append(s)
-        lc.append(c2)
-        ls.append(s2)
-    return rc, rs, lc, ls
-
-
-def _deflate_zero_diagonal(d, e, i, hi, u):
-    """d[i] = 0 with i < hi: row rotations (i, j) sweep e[i] off to the
-    right, zeroing row i entirely."""
-    bulge = e[i]
-    e[i] = 0.0
-    for j in range(i + 1, hi + 1):
-        r = math.hypot(d[j], bulge)
-        if r == 0.0:
-            break
-        c = d[j] / r
-        s = -bulge / r
-        d[j] = r
-        if u is not None:
-            rotate(u[:, i], u[:, j], c, s)
-        if j < hi:
-            bulge = s * e[j]
-            e[j] = c * e[j]
-
-
-def _deflate_zero_tail(d, e, lo, hi, v):
-    """d[hi] = 0: column rotations (j, hi) sweep e[hi-1] up and out,
-    zeroing column hi entirely."""
-    bulge = e[hi - 1]
-    e[hi - 1] = 0.0
-    for j in range(hi - 1, lo - 1, -1):
-        r = math.hypot(d[j], bulge)
-        if r == 0.0:
-            break
-        c = d[j] / r
-        s = bulge / r
-        d[j] = r
-        if v is not None:
-            rotate(v[:, j], v[:, hi], c, s)
-        if j > lo:
-            bulge = -s * e[j - 1]
-            e[j - 1] = c * e[j - 1]
-
-
-def _bidiag_svd_arrays(d, e, want_uv: bool, max_sweeps: int | None):
-    n = d.size
-    if max_sweeps is None:
-        max_sweeps = 30 * max(n, 1)
-    if max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
-    require_finite("bidiagonal SVD", d, e)
-    top = max(float(np.abs(d).max()), float(np.abs(e).max()) if e.size else 0.0)
-    u = np.eye(n) if want_uv else None
-    v = np.eye(n) if want_uv else None
-    eps = float(np.finfo(float).eps)
-    # Exact power-of-two prescaling keeps the squared quantities of the
-    # shift computation inside the normal floating-point range.  The chase
-    # runs on Python floats: per-element numpy indexing would dominate it.
-    rescale = pow2_scale(top)
-    d = (d / rescale).tolist()
-    e = (e / rescale).tolist()
-    sweeps = 0
-    lo, hi = 0, n - 1
-    while True:
-        # Only e[lo:hi] can have changed since the last scan (all of it on
-        # the first pass); entries above hi stay zero once zeroed.
-        for i in range(lo, hi):
-            if abs(e[i]) <= eps * (abs(d[i]) + abs(d[i + 1])):
-                e[i] = 0.0
-        while hi > 0 and e[hi - 1] == 0.0:
-            hi -= 1
-        if hi == 0:
-            break
-        lo = hi - 1
-        while lo > 0 and e[lo - 1] != 0.0:
-            lo -= 1
-        scale = max(max(map(abs, d[lo : hi + 1])), max(map(abs, e[lo:hi])))
-        if abs(d[hi]) <= eps * scale:
-            d[hi] = 0.0
-            _deflate_zero_tail(d, e, lo, hi, v)
-            continue
-        zero_i = next((i for i in range(lo, hi) if abs(d[i]) <= eps * scale), -1)
-        if zero_i >= 0:
-            d[zero_i] = 0.0
-            _deflate_zero_diagonal(d, e, zero_i, hi, u)
-            continue
-        sweeps += 1
-        if sweeps > max_sweeps:
-            raise ConvergenceError(
-                f"bidiagonal SVD did not converge within {max_sweeps} sweeps",
-                partial=np.sort(np.abs(np.array(d)) * rescale)[::-1].copy(),
-            )
-        rc, rs, lc, ls = _implicit_step(d, e, lo, hi)
-        if want_uv:
-            _apply_chain(v, lo, rc, rs)
-            _apply_chain(u, lo, lc, ls)
-    d = np.array(d)
-    neg = d < 0.0
-    if want_uv:
-        u[:, neg] = -u[:, neg]
-    with np.errstate(over="ignore"):  # reported just below
-        d = np.abs(d) * rescale
-    require_finite("bidiagonal SVD", d)
-    order = np.argsort(-d, kind="stable")
-    d = d[order]
-    if want_uv:
-        u = u[:, order]
-        v = v[:, order]
-    return u, d, v
-
-
 def bidiag_svd(b: Bidiagonal, max_sweeps: int | None = None):
     """Singular values and rotation accumulations of a bidiagonal matrix.
 
     Returns ``(left, sigma, right)`` with orthogonal n x n ``left``/``right``
     such that B = left @ diag(sigma) @ right.T; sigma is nonnegative and
-    sorted descending.  Raises ``ConvergenceError`` (carrying the partial
-    spectrum) if the sweep budget is exhausted.
+    sorted descending.  Above ``bidiagonal.LEAF`` rows the factors come from
+    divide and conquer, whose leaves of at most LEAF rows run the implicit
+    QR.  ``max_sweeps`` is the sweep budget of each implicit-QR run (default
+    30 per row of that run); when a run exhausts it, ``ConvergenceError``
+    carries a partial spectrum of all n values, sorted descending: that
+    run's current diagonal on its rows and |B|'s diagonal on the others.
     """
-    return _bidiag_svd_arrays(b.d, b.e, want_uv=True, max_sweeps=max_sweeps)
+    return bidiagonal_svd(b.d, b.e, want_uv=True, max_sweeps=max_sweeps)
 
 
 def _peak_sign(x: np.ndarray) -> np.ndarray:
@@ -376,7 +154,7 @@ def svd(a, shape: str = "reduced", max_sweeps: int | None = None) -> SvdFactoriz
         raise ValueError(f"shape must be 'full' or 'reduced', got {shape!r}")
     wide = a.shape[0] < a.shape[1]
     left, bid, right = bidiagonalize(a.T if wide else a)
-    ub, sig, v = _bidiag_svd_arrays(bid.d, bid.e, want_uv=True, max_sweeps=max_sweeps)
+    ub, sig, v = bidiagonal_svd(bid.d, bid.e, want_uv=True, max_sweeps=max_sweeps)
     m, n = max(a.shape), min(a.shape)
     # U = Q_L [U_B 0; 0 I] and V = Q_R V_B, for A^T if A is wide.
     u = np.eye(m, m if shape == "full" else n)
@@ -393,7 +171,7 @@ def singular_values(a, max_sweeps: int | None = None) -> np.ndarray:
     """Singular values only (no factor accumulation)."""
     a = as_matrix(a)
     _, bid, _ = bidiagonalize(a.T if a.shape[0] < a.shape[1] else a)
-    _, sig, _ = _bidiag_svd_arrays(bid.d, bid.e, want_uv=False, max_sweeps=max_sweeps)
+    _, sig, _ = bidiagonal_svd(bid.d, bid.e, want_uv=False, max_sweeps=max_sweeps)
     return sig
 
 
@@ -410,12 +188,20 @@ def jacobi_eig(s, max_sweeps: int = 30):
     when max|S - S^T| <= 1e-10 * ||S||_inf, a tolerance relative to the
     entries at every scale.  Off-diagonal entries below ``1e-14 * ||S||_F``
     are left untouched; the sweep stops when none remain above that
-    threshold.
+    threshold.  Entries within a factor 4n of the float64 maximum are
+    divided by an exact power of two first, so S + S^T and the differences
+    of diagonal entries stay finite; eigenvalues past the float64 range
+    raise ``NumericalError``.
     """
     s = as_matrix(s)
     n = s.shape[0]
     if n != s.shape[1]:
         raise ShapeError(f"jacobi_eig needs a square matrix, got {s.shape}")
+    # |a_ij| <= ||S||_2 <= n max|S| throughout, so below the factor 4n
+    # nothing can overflow and the sweep runs on S itself.
+    top = float(np.abs(s).max())
+    scale = pow2_scale(top) if top > np.finfo(float).max / (4 * n) else 1.0
+    s /= scale  # as_matrix returned a fresh copy
     if np.abs(s - s.T).max() > norm_tol(s, 1e-10):
         raise ShapeError("jacobi_eig needs a symmetric matrix")
     a = 0.5 * (s + s.T)
@@ -425,9 +211,9 @@ def jacobi_eig(s, max_sweeps: int = 30):
         if np.abs(np.triu(a, 1)).max() <= thresh:
             break
         if sweep == max_sweeps:
-            raise ConvergenceError(
-                f"Jacobi sweep limit ({max_sweeps}) exceeded", partial=np.diagonal(a).copy()
-            )
+            with np.errstate(over="ignore"):
+                partial = np.diagonal(a) * scale
+            raise ConvergenceError(f"Jacobi sweep limit ({max_sweeps}) exceeded", partial=partial)
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p, q]
@@ -449,7 +235,9 @@ def jacobi_eig(s, max_sweeps: int = 30):
                 a[q, q] = aqq + t * apq
                 a[p, q] = a[q, p] = 0.0
                 rotate(v[:, p], v[:, q], c, -sn)
-    w = np.diagonal(a).copy()
+    with np.errstate(over="ignore"):  # reported just below
+        w = np.diagonal(a) * scale
+    require_finite("jacobi_eig", w)
     order = np.argsort(-w, kind="stable")
     return w[order], v[:, order]
 

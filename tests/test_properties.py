@@ -5,7 +5,10 @@ A matrix is drawn as a seed, a shape up to 40 x 40 (1 x n and m x 1
 included; with fewer examples, up to 160 x 100 for the blocked Householder
 and pivoted QR paths and up to 120 x 120 for the SVD), a structure (dense,
 prescribed rank, graded columns) and a scale 2^e with e in [-1000, 1000]
-(the Jacobi cross-check, which squares A, stays in [-250, 250]).  Every
+(the Jacobi cross-check, which squares A, stays in [-250, 250]).  The SVD
+is also drawn with min(m, n) on either side of the divide-and-conquer leaf
+size, with graded, clustered, repeated or exactly zero singular values, and
+already bidiagonal.  Every
 comparison is made in units of 2^e, so the oracle's own norms cannot
 overflow.  The profile is derandomized, with bounded examples and no
 example database, so tier-1 stays deterministic.
@@ -17,9 +20,11 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from orthokit import (
+    Bidiagonal,
     GivensRotation,
     QrMode,
     RankDeficiencyError,
+    bidiag_svd,
     default_rank_threshold,
     form_q,
     givens_apply,
@@ -40,6 +45,7 @@ from orthokit import (
     svd,
 )
 from orthokit.reflectors import BLOCK
+from orthokit.bidiagonal import LEAF
 from helpers import fro
 
 EPS = np.finfo(float).eps
@@ -255,6 +261,90 @@ def test_svd_past_one_reflector_block(case, shape):
     # More than BLOCK reflectors on each side.  Full U (tall) and full
     # V (wide) include the columns without a partner.
     _check_svd(*case, shape)
+
+
+# Divide and conquer takes over above LEAF rows of the bidiagonal: sizes
+# around LEAF and 2 LEAF put one or two merge levels on either side of it.
+NEAR_LEAF = dict(min_rows=LEAF - 3, max_rows=2 * LEAF + 3, min_cols=LEAF - 3, max_cols=2 * LEAF + 3)
+
+
+@LARGE
+@given(scaled_matrices(**NEAR_LEAF), st.sampled_from(["reduced", "full"]))
+def test_svd_around_the_leaf_size(case, shape):
+    _check_svd(*case, shape)
+
+
+@st.composite
+def structured_spectra(draw):
+    """``(a, e)``: an m x n matrix at scale 2^e, min(m, n) in
+    [LEAF - 3, 2 LEAF + 3], whose singular values are graded, clustered,
+    repeated or exactly zero, or which is already upper bidiagonal with
+    zero and repeated entries."""
+    m = draw(st.integers(LEAF - 3, 2 * LEAF + 3))
+    n = draw(st.integers(LEAF - 3, 2 * LEAF + 3))
+    kind = draw(st.sampled_from(["graded", "clustered", "repeated", "zero", "bidiagonal"]))
+    e = draw(st.one_of(st.sampled_from([-1000, 1000]), st.integers(-1000, 1000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = min(m, n)
+    if kind == "bidiagonal":
+        d = rng.choice([0.0, 1.0, -1.0, 0.5], k) * rng.choice([1.0, rng.standard_normal()], k)
+        off = rng.choice([0.0, 1.0, rng.standard_normal()], k - 1)
+        a = np.zeros((m, n))
+        a[np.arange(k), np.arange(k)] = d
+        a[np.arange(k - 1), np.arange(1, k)] = off
+        return np.ldexp(a.T if m < n else a, e), e
+    if kind == "zero":
+        # Exact low rank: zero and duplicated columns.
+        a = rng.standard_normal((m, n))
+        a[:, rng.random(n) < 0.3] = 0.0
+        dup = rng.integers(0, n, n // 3)
+        a[:, dup] = a[:, rng.integers(0, n)][:, None]
+        return np.ldexp(a, e), e
+    if kind == "graded":
+        sigma = np.logspace(0, -15, k)
+    elif kind == "clustered":
+        sigma = 1.0 + 1e-13 * rng.random(k)
+    else:
+        sigma = rng.choice([1.0, 2.0, 3.0], k)
+    q1 = np.linalg.qr(rng.standard_normal((m, m)))[0][:, :k]
+    q2 = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :k]
+    return np.ldexp((q1 * sigma) @ q2.T, e), e
+
+
+@PROFILE
+@given(structured_spectra(), st.sampled_from(["reduced", "full"]))
+def test_svd_with_structured_spectra(case, shape):
+    _check_svd(*case, shape)
+    a, e = case
+    unit = np.ldexp(a, -e)
+    ref = np.linalg.svd(unit, compute_uv=False)
+    tol = C * max(a.shape) * EPS * max(ref[0], np.finfo(float).tiny)
+    assert np.abs(np.ldexp(svd(a, shape).sigma, -e) - ref).max() <= tol
+
+
+@LARGE
+@given(st.integers(LEAF + 1, 3 * LEAF), st.sampled_from(["dense", "zero-d", "zero-e", "repeated"]),
+       st.integers(-1000, 1000), st.integers(0, 2**32 - 1))
+def test_bidiag_svd_by_divide_and_conquer(n, kind, e, seed):
+    # B = L diag(sigma) R^T with orthogonal L and R, and the values of the
+    # implicit QR run alone.
+    rng = np.random.default_rng(seed)
+    d, off = rng.standard_normal(n), rng.standard_normal(n - 1)
+    if kind == "zero-d":
+        d[rng.random(n) < 0.3] = 0.0
+    elif kind == "zero-e":
+        off[rng.random(n - 1) < 0.3] = 0.0
+    elif kind == "repeated":
+        d, off = rng.choice([1.0, 2.0], n), rng.choice([0.0, 1e-9], n - 1)
+    left, sigma, right = bidiag_svd(Bidiagonal(np.ldexp(d, e), np.ldexp(off, e)))
+    b = np.diag(d) + np.diag(off, 1)
+    unit = np.ldexp(sigma, -e)
+    tol = C * n * EPS
+    assert np.all(unit >= 0.0) and np.all(np.diff(unit) <= 0.0)
+    assert fro((left * unit) @ right.T - b) <= tol * fro(b)
+    assert fro(left.T @ left - np.eye(n)) <= tol * np.sqrt(n)
+    assert fro(right.T @ right - np.eye(n)) <= tol * np.sqrt(n)
+    assert np.abs(unit - np.ldexp(singular_values(np.ldexp(b, e)), -e)).max() <= tol * unit[0]
 
 
 @LARGE

@@ -26,6 +26,7 @@ from orthokit import (
     subspace_bases,
     svd,
 )
+from orthokit import bidiagonal as bd_mod
 from orthokit.reflectors import rotate
 from helpers import (
     RANK2_A,
@@ -123,6 +124,102 @@ class TestBidiagSvd:
         with pytest.raises(ValueError, match="max_sweeps"):
             bidiag_svd(Bidiagonal(np.ones(2), np.ones(1)), max_sweeps=0)
 
+    def test_sweep_budget_is_per_leaf_above_the_leaf_size(self):
+        # n = 60 goes through divide and conquer; one sweep per leaf is too
+        # few, and the partial spectrum still covers all 60 values.
+        n = 60
+        assert n > bd_mod.LEAF
+        rng = np.random.default_rng(95)
+        bid = Bidiagonal(rng.standard_normal(n), rng.standard_normal(n - 1))
+        with pytest.raises(ConvergenceError) as err:
+            bidiag_svd(bid, max_sweeps=1)
+        partial = err.value.partial
+        assert isinstance(partial, np.ndarray) and len(partial) == n
+        assert (np.diff(partial) <= 0.0).all() and (partial >= 0.0).all()
+        with pytest.raises(ConvergenceError):
+            svd(np.diag(bid.d) + np.diag(bid.e, 1), max_sweeps=1)
+        left, sigma, right = bidiag_svd(bid, max_sweeps=30 * bd_mod.LEAF)
+        assert np.array_equal(sigma, bidiag_svd(bid)[1])
+
+
+def _dense_block(d, e, sqre):
+    """The m x (m + sqre) upper-bidiagonal block with diagonal d and
+    superdiagonal e (its last entry in column m when sqre = 1)."""
+    m = d.size
+    b = np.zeros((m, m + sqre))
+    b[np.arange(m), np.arange(m)] = d
+    b[np.arange(e.size), np.arange(1, e.size + 1)] = e
+    return b
+
+
+class TestDivideAndConquer:
+    L = bd_mod.LEAF
+
+    @pytest.mark.parametrize("sqre", [0, 1])
+    @pytest.mark.parametrize("kind", ["random", "repeated", "zero-d", "clustered", "graded", "small-z0"])
+    def test_one_merge_against_a_dense_oracle(self, kind, sqre):
+        # 2 LEAF rows split into two leaves: exactly one merge.
+        m = 2 * self.L
+        rng = np.random.default_rng([96, sqre, len(kind)])
+        d, e = rng.standard_normal(m), rng.standard_normal(m - 1 + sqre)
+        if kind == "repeated":
+            # Identity halves: every pole repeats, so the merge rotates pairs.
+            d, e = np.ones(m), np.zeros(m - 1 + sqre)
+            e[m // 2] = 0.5
+        elif kind == "zero-d":
+            d[::3] = 0.0
+        elif kind == "clustered":
+            d, e = 1.0 + 1e-15 * d, 1e-9 * e
+        elif kind == "graded":
+            d *= np.logspace(0, -14, m)
+            e *= np.logspace(0, -14, e.size)
+        elif kind == "small-z0":
+            # |e_i| >> |d_i| above the split: the upper null vector is ~10^-2m
+            # in its last entry, so z_0 falls below the deflation tolerance.
+            d[: m // 2] *= 1e-4
+        u, sigma, v = bd_mod._dc(d, e, 0, m, sqre, None)
+        b = _dense_block(d, e, sqre)
+        assert sigma.shape == (m,) and u.shape == (m, m) and v.shape == (m + sqre, m + sqre)
+        assert (sigma >= 0.0).all()
+        tol = 10 * m * EPS
+        assert fro(u * sigma @ v[:, :m].T - b) <= tol * fro(b)
+        assert fro(u.T @ u - np.eye(m)) <= tol
+        assert fro(v.T @ v - np.eye(m + sqre)) <= tol
+        if sqre:
+            assert np.abs(b @ v[:, m]).max() <= tol * fro(b)
+        ref = np.linalg.svd(b, compute_uv=False)
+        assert np.abs(np.sort(sigma)[::-1] - ref).max() <= tol * ref[0]
+
+    def test_a_leaf_chases_its_extra_column_out(self):
+        rng = np.random.default_rng(97)
+        m = self.L
+        d, e = rng.standard_normal(m), rng.standard_normal(m)
+        u, sigma, v = bd_mod._dc(d, e, 0, m, 1, None)
+        b = _dense_block(d, e, 1)
+        assert fro(u * sigma @ v[:, :m].T - b) <= 10 * m * EPS * fro(b)
+        assert np.abs(b @ v[:, m]).max() <= 10 * m * EPS * fro(b)
+
+    def test_secular_roots_interlace_and_solve_the_equation(self):
+        rng = np.random.default_rng(98)
+        for k in (2, 3, 10, 60):
+            d = np.concatenate(([0.0], np.sort(rng.uniform(0.01, 1.0, k - 1))))
+            z = rng.standard_normal(k)
+            sigma, um, vm = bd_mod._arrow_svd(d, z)
+            assert (sigma > d).all() and (sigma[:-1] < d[1:]).all()
+            arrow = np.diag(d)
+            arrow[0] = z
+            assert fro(um * sigma @ vm.T - arrow) <= 10 * k * EPS * fro(arrow)
+            assert fro(um.T @ um - np.eye(k)) <= 10 * k * EPS
+            assert fro(vm.T @ vm - np.eye(k)) <= 10 * k * EPS
+
+    @pytest.mark.parametrize("n", [L + 1, 2 * L, 2 * L + 1, 4 * L + 3])
+    def test_values_agree_with_the_implicit_qr(self, n):
+        rng = np.random.default_rng(n)
+        d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+        _, sigma, _ = bidiag_svd(Bidiagonal(d, e))
+        _, values, _ = bd_mod.bidiagonal_svd(d, e, False, None)
+        assert np.abs(sigma - values).max() <= 10 * n * EPS * values[0]
+
 
 def _sequential_chain(m, lo, c, s):
     for k in range(len(c)):
@@ -139,8 +236,8 @@ def _random_chain(rng, length):
 
 
 class TestRotationChains:
-    B = svd_mod.CHAIN_BLOCK
-    X = svd_mod.CHAIN_CROSSOVER
+    B = bd_mod.CHAIN_BLOCK
+    X = bd_mod.CHAIN_CROSSOVER
 
     @pytest.mark.parametrize("length", [1, X - 1, X, B, B + 1, 3 * B + 5])
     def test_chain_matrix_equals_sequential_rotations(self, length):
@@ -149,7 +246,7 @@ class TestRotationChains:
             c, s = _random_chain(rng, length)
             expected = np.eye(length + 1)
             _sequential_chain(expected, 0, c, s)
-            assert np.array_equal(svd_mod._chain_matrix(c, s), expected)
+            assert np.array_equal(bd_mod._chain_matrix(c, s), expected)
 
     @pytest.mark.parametrize("length", [1, X - 1, X, B, B + 1, 3 * B + 5])
     def test_apply_chain_matches_sequential_rotations(self, length):
@@ -158,7 +255,7 @@ class TestRotationChains:
         c, s = _random_chain(rng, length)
         expected = m.copy()
         _sequential_chain(expected, 3, c, s)
-        svd_mod._apply_chain(m, 3, list(c), list(s))
+        bd_mod._apply_chain(m, 3, list(c), list(s))
         if length < self.X:
             assert np.array_equal(m, expected)
         else:
@@ -347,6 +444,23 @@ class TestJacobi:
         ref = np.sort(np.linalg.eigvalsh(s))[::-1]
         assert np.abs(np.ldexp(lam, -e) - ref).max() <= 1e-13 * np.abs(ref).max()
         assert fro(v.T @ v - np.eye(5)) <= 1e-13
+
+    def test_entries_near_the_float64_maximum(self):
+        # S + S^T and a_qq - a_pp pass the float64 maximum here; the
+        # eigenvalues do not.
+        lam, _ = jacobi_eig(np.array([[1.7e308, 0.0], [0.0, 1.0]]))
+        assert np.array_equal(lam, [1.7e308, 1.0])
+        s = np.array([[1e308, 1e308], [1e308, -1e308]])
+        lam, v = jacobi_eig(s)
+        ref = np.sort(np.linalg.eigvalsh(np.ldexp(s, -1000)))[::-1]
+        assert np.abs(np.ldexp(lam, -1000) - ref).max() <= 4 * EPS * np.abs(ref).max()
+        assert fro(v.T @ v - np.eye(2)) <= 4 * EPS
+        with pytest.raises(ShapeError, match="symmetric"):
+            jacobi_eig(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+
+    def test_eigenvalues_past_the_float64_range_raise(self):
+        with pytest.raises(NumericalError):
+            jacobi_eig(np.full((3, 3), 1.5e308))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ShapeError, match="symmetric"):
