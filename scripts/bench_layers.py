@@ -14,6 +14,11 @@ from the fixed seed 4242 + n, and each row times one layer on it:
 - ``svd``: the reduced ``svd`` of A, end to end
 - ``numpy_svd``: ``numpy.linalg.svd`` of A, the ceiling
 
+Each tall shape m x n in 600 x 60, 1000 x 100 and 1500 x 120 gets one
+standard-normal matrix from the seed 4242 + m + n, timed in the rows
+``bidiagonalize``, ``singular_values`` and ``numpy_svdvals``
+(``numpy.linalg.svd`` without vectors, the ceiling).
+
 A row gives the minimum and the median wall time over ``--repeats`` calls
 (a third as many, at least two, at n = 400).
 """
@@ -41,6 +46,7 @@ import orthokit  # noqa: E402
 from orthokit.bidiagonal import bidiagonal_svd  # noqa: E402
 
 SIZES = (44, 81, 118, 156, 400)
+TALL = ((600, 60), (1000, 100), (1500, 120))
 SEED = 4242
 
 
@@ -64,6 +70,13 @@ def _cpu_model() -> str:
     return platform.processor()
 
 
+def _rows(m, n, layers, reps):
+    for layer, fn in layers.items():
+        fn()  # warm-up
+        best, median = _time(fn, reps)
+        yield {"layer": layer, "m": m, "n": n, "min_s": best, "median_s": median, "repeats": reps}
+
+
 def rows(repeats):
     for n in SIZES:
         a = np.random.default_rng(SEED + n).standard_normal((n, n))
@@ -75,11 +88,15 @@ def rows(repeats):
             "svd": lambda: orthokit.svd(a, "reduced"),
             "numpy_svd": lambda: np.linalg.svd(a, full_matrices=False),
         }
-        reps = repeats if n < 400 else max(2, repeats // 3)
-        for layer, fn in layers.items():
-            fn()  # warm-up
-            best, median = _time(fn, reps)
-            yield {"layer": layer, "n": n, "min_s": best, "median_s": median, "repeats": reps}
+        yield from _rows(n, n, layers, repeats if n < 400 else max(2, repeats // 3))
+    for m, n in TALL:
+        a = np.random.default_rng(SEED + m + n).standard_normal((m, n))
+        layers = {
+            "bidiagonalize": lambda: orthokit.bidiagonalize(a),
+            "singular_values": lambda: orthokit.singular_values(a),
+            "numpy_svdvals": lambda: np.linalg.svd(a, compute_uv=False),
+        }
+        yield from _rows(m, n, layers, repeats)
 
 
 def main() -> int:
@@ -90,7 +107,7 @@ def main() -> int:
     table = []
     for row in rows(args.repeats):
         table.append(row)
-        print(f"{row['layer']:15s} n={row['n']:4d}  min {row['min_s'] * 1e3:9.2f} ms  "
+        print(f"{row['layer']:15s} {row['m']:4d}x{row['n']:<4d}  min {row['min_s'] * 1e3:9.2f} ms  "
               f"median {row['median_s'] * 1e3:9.2f} ms", flush=True)
     report = {
         "host": {"machine": platform.machine(), "cpu": _cpu_model(), "cpus": os.cpu_count(),

@@ -1,7 +1,10 @@
 """Two-phase singular value decomposition and everything derived from it.
 
 Phase one reduces A (A^T if A is wide) to upper-bidiagonal form with
-alternating left/right Householder reflectors; phase two finds the
+alternating left/right Householder reflectors: in panels of ``BLOCK``
+columns whose updates are delayed and applied as one matrix product while
+the trailing matrix has at least ``PANEL_CROSSOVER`` entries (LAPACK
+xGEBRD/xLABRD), then one rank-1 update per reflector; phase two finds the
 singular values, and vectors when wanted, of the bidiagonal B
 (``orthokit.bidiagonal``: implicit-shift QR, and divide and conquer for the
 vectors of a bidiagonal of more than LEAF rows).  The singular vectors of B
@@ -27,7 +30,7 @@ import numpy as np
 from .bidiagonal import bidiagonal_svd
 from .errors import ConvergenceError, ShapeError, SingularMatrixError
 from .matrix import DEFAULT_T_DIGITS, as_matrix, as_vector, norm, norm_tol, pow2_scale, require_finite
-from .reflectors import HouseholderReflector, annihilate, reflect_all, rotate
+from .reflectors import BLOCK, HouseholderReflector, annihilate, reflect_all, rotate
 
 __all__ = [
     "SvdFactorization",
@@ -51,6 +54,13 @@ __all__ = [
     "SingularDistance",
 ]
 
+# ``bidiagonalize`` sweeps panels of BLOCK columns while the trailing matrix
+# has at least this many entries, and one rank-1 update per reflector below.
+# Chosen by timing with one BLAS thread: from about 4000 entries on, the
+# panel is faster; below that, its extra products cost what they save.
+PANEL_CROSSOVER = 5000
+
+
 @dataclass
 class SvdFactorization:
     """A = u @ diag(sigma) @ vt with orthonormal u/vt columns and sigma
@@ -70,9 +80,13 @@ class Bidiagonal:
 
     def __post_init__(self):
         self.d = as_vector(self.d)
-        self.e = np.asarray(self.e, dtype=float)
+        self.e = np.array(self.e, dtype=float)
+        if self.e.ndim != 1:
+            raise ShapeError(f"superdiagonal must be a 1-D vector, got array of ndim {self.e.ndim}")
         if self.e.size != self.d.size - 1:
             raise ShapeError(f"superdiagonal length {self.e.size} != diagonal length {self.d.size} - 1")
+        if not np.isfinite(self.e).all():
+            raise ValueError("superdiagonal entries must be finite (no NaN/Inf)")
 
 
 def bidiagonalize(a):
@@ -82,6 +96,11 @@ def bidiagonalize(a):
     A = (H_0 H_1 ...) * B * (P_0 P_1 ...)^T with B the m x n bidiagonal
     embedding.  Columns/rows that are already in the required form are
     skipped, so an already-bidiagonal input comes back untouched.
+
+    While the trailing matrix has at least ``PANEL_CROSSOVER`` entries, the
+    sweep runs over panels of ``BLOCK`` columns (``_panel``, LAPACK
+    xGEBRD/xLABRD); the rest of the matrix, and every matrix below the
+    crossover, takes one rank-1 update per reflector (xGEBD2).
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -93,7 +112,11 @@ def bidiagonalize(a):
     b = np.divide(a, scale, out=a)  # as_matrix returned a fresh copy
     left: list[HouseholderReflector] = []
     right: list[HouseholderReflector] = []
-    for k in range(n):
+    j0 = 0
+    while j0 < n and (m - j0) * (n - j0) >= PANEL_CROSSOVER:
+        _panel(b[j0:, j0:], j0, min(BLOCK, n - j0), left, right)
+        j0 += BLOCK
+    for k in range(j0, n):
         h = annihilate(b[k:, k:], k)
         if h is not None:
             left.append(h)
@@ -106,6 +129,43 @@ def bidiagonalize(a):
         e = np.diagonal(b, 1)[: n - 1] * scale
     require_finite("bidiagonalize", d, e)
     return left, Bidiagonal(d, e), right
+
+
+def _panel(t: np.ndarray, j0: int, nb: int, left: list, right: list) -> None:
+    """Bidiagonalize the first ``nb`` columns and rows of the trailing
+    matrix ``t`` (the view ``b[j0:, j0:]``) in place, appending the
+    reflectors to ``left`` and ``right``, then update the rest of ``t``.
+
+    Until the panel ends, its reflectors act on ``t`` only through
+    ``t <- t - U Y^T - X V^T`` (LAPACK xLABRD): column i of U (of V) is the
+    i-th left (right) u, and Y and X carry the rest of each update.  Column
+    i and row i are brought up to date just before they are eliminated;
+    the other columns wait for one product at the end.  A skipped
+    reflector leaves zero columns.
+    """
+    mt, nt = t.shape
+    # Stored side by side, so [U X] [Y V]^T is one product; the columns
+    # not yet formed are zero and add nothing.
+    ux = np.zeros((mt, 2 * nb))
+    yv = np.zeros((nt, 2 * nb))
+    for i in range(nb):
+        t[i:, i] -= ux[i:] @ yv[i]
+        h = annihilate(t[i:, i : i + 1], j0 + i)
+        if h is not None:
+            left.append(h)
+            ux[i:, i] = h.u
+            yv[i + 1 :, i] = h.beta * (h.u @ t[i:, i + 1 :] - yv[i + 1 :] @ (h.u @ ux[i:]))
+        if i + 1 == nt:
+            break
+        t[i, i + 1 :] -= yv[i + 1 :] @ ux[i]
+        if i + 2 == nt:
+            continue  # one entry right of the diagonal: nothing to eliminate
+        g = annihilate(t[i : i + 1, i + 1 :].T, j0 + i + 1)
+        if g is not None:
+            right.append(g)
+            yv[i + 1 :, nb + i] = g.u
+            ux[i + 1 :, nb + i] = g.beta * (t[i + 1 :, i + 1 :] @ g.u - ux[i + 1 :] @ (g.u @ yv[i + 1 :]))
+    t[nb:, nb:] -= ux[nb:] @ yv[nb:].T
 
 
 def bidiag_svd(b: Bidiagonal, max_sweeps: int | None = None):

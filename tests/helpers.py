@@ -233,6 +233,27 @@ def pivoted_qr_reference(a, t_digits=12):
     return QrFactorization(r=r, reflectors=reflectors, perm=perm, rank=rank), trips
 
 
+def bidiagonalize_reference(a):
+    """Householder bidiagonalization with one rank-1 update per reflector:
+    the left reflector of column k and then the right reflector of row k,
+    each applied to the whole trailing matrix at once.  Same prescaling and
+    skip rule as ``bidiagonalize``; returns ``(left, d, e, right)``."""
+    b = np.array(a, dtype=float)
+    m, n = b.shape
+    scale = pow2_scale(float(np.abs(b).max()))
+    b /= scale
+    left, right = [], []
+    for k in range(n):
+        h = annihilate(b[k:, k:], k)
+        if h is not None:
+            left.append(h)
+        if k < n - 2:
+            h = annihilate(b[k:, k + 1 :].T, k + 1)
+            if h is not None:
+                right.append(h)
+    return left, np.diagonal(b) * scale, np.diagonal(b, 1)[: n - 1] * scale, right
+
+
 def fix_signs_reference(u, v):
     """Column by column: the largest-magnitude entry of each column of v
     (the first of equal magnitudes) made positive, the paired column of u

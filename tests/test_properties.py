@@ -3,7 +3,8 @@ float64 exponent range.
 
 A matrix is drawn as a seed, a shape up to 40 x 40 (1 x n and m x 1
 included; with fewer examples, up to 160 x 100 for the blocked Householder
-and pivoted QR paths and up to 120 x 120 for the SVD), a structure (dense,
+and pivoted QR paths, up to 120 x 120 for the SVD, and up to 300 x 80 and
+140 x 140 past the bidiagonalization's panel crossover), a structure (dense,
 prescribed rank, graded columns) and a scale 2^e with e in [-1000, 1000]
 (the Jacobi cross-check, which squares A, stays in [-250, 250]).  The SVD
 is also drawn with min(m, n) on either side of the divide-and-conquer leaf
@@ -13,6 +14,8 @@ comparison is made in units of 2^e, so the oracle's own norms cannot
 overflow.  The profile is derandomized, with bounded examples and no
 example database, so tier-1 stays deterministic.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -46,6 +49,7 @@ from orthokit import (
 )
 from orthokit.reflectors import BLOCK
 from orthokit.bidiagonal import LEAF
+from orthokit.svd import PANEL_CROSSOVER
 from helpers import fro
 
 EPS = np.finfo(float).eps
@@ -260,6 +264,21 @@ def test_svd_backward_error_and_orthogonality(case, shape):
 def test_svd_past_one_reflector_block(case, shape):
     # More than BLOCK reflectors on each side.  Full U (tall) and full
     # V (wide) include the columns without a partner.
+    _check_svd(*case, shape)
+
+
+# Past PANEL_CROSSOVER entries the bidiagonalization sweeps panels of BLOCK
+# columns: tall shapes up to 300 x 80 and square ones up to 140 x 140, every
+# one with at least one panel.
+PANEL_SIDE = math.isqrt(PANEL_CROSSOVER) + 1
+PANEL_TALL = dict(min_rows=PANEL_CROSSOVER // 40 + 1, max_rows=300, min_cols=40, max_cols=80)
+PANEL_SQUARE = dict(min_rows=PANEL_SIDE, max_rows=140, min_cols=PANEL_SIDE, max_cols=140)
+
+
+@LARGE
+@given(st.one_of(scaled_matrices(**PANEL_TALL), scaled_matrices(**PANEL_SQUARE)),
+       st.sampled_from(["reduced", "full"]))
+def test_svd_past_the_panel_crossover(case, shape):
     _check_svd(*case, shape)
 
 

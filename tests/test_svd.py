@@ -27,7 +27,7 @@ from orthokit import (
     svd,
 )
 from orthokit import bidiagonal as bd_mod
-from orthokit.reflectors import rotate
+from orthokit.reflectors import BLOCK, reflect_all, rotate
 from helpers import (
     RANK2_A,
     RANK2_PINV,
@@ -36,6 +36,7 @@ from helpers import (
     SVD_3X2,
     SVD_5X3,
     SVD_5X3_SIGMA,
+    bidiagonalize_reference,
     dense_reflector,
     fix_signs_reference,
     fro,
@@ -84,6 +85,149 @@ class TestBidiagonalize:
             bidiagonalize(np.ones((2, 4)))
 
 
+def _panel_starts(m, n):
+    """Columns at which ``bidiagonalize`` starts a panel of BLOCK columns;
+    the rank-1 sweep takes over at the next multiple of BLOCK."""
+    starts = []
+    for j0 in range(0, n, BLOCK):
+        if (m - j0) * (n - j0) < svd_mod.PANEL_CROSSOVER:
+            break
+        starts.append(j0)
+    return starts
+
+
+def _embed(d, e, m):
+    b = np.zeros((m, d.size))
+    b[np.arange(d.size), np.arange(d.size)] = d
+    b[np.arange(e.size), np.arange(1, d.size)] = e
+    return b
+
+
+def _reconstruct(left, d, e, right, m):
+    """Q_L B Q_R^T, with both reflector products applied by ``reflect_all``."""
+    b = _embed(d, e, m)
+    reflect_all(left, b)
+    bt = np.ascontiguousarray(b.T)
+    reflect_all(right, bt)
+    return bt.T
+
+
+class TestBlockedBidiagonalization:
+    # Tall, square and m = n + 1: two panels and no rank-1 tail, then two
+    # or three panels followed by the rank-1 sweep.
+    SHAPES = [(600, 60), (600, 70), (160, 160), (161, 160)]
+
+    @pytest.mark.parametrize("m, n, panels", [(200, 40, 1), (600, 60, 2), (600, 70, 2), (160, 160, 3),
+                                              (161, 160, 3)])
+    def test_panel_columns_are_eliminated_through_one_column_views(self, m, n, panels, monkeypatch):
+        calls = []
+        real = svd_mod.annihilate
+
+        def spy(block, offset):
+            calls.append((offset, block.shape[1]))
+            return real(block, offset)
+
+        monkeypatch.setattr(svd_mod, "annihilate", spy)
+        bidiagonalize(np.random.default_rng(m + n).standard_normal((m, n)))
+        starts = _panel_starts(m, n)
+        assert starts == [BLOCK * i for i in range(panels)]
+        # Every panel column and row goes through a one-column view; the
+        # rank-1 sweep from column ``tail`` on passes the whole trailing block.
+        tail = min(starts[-1] + BLOCK, n)
+        expected = []
+        for k in range(n):
+            expected.append((k, 1 if k < tail else n - k))
+            if k < n - 2:
+                expected.append((k + 1, 1 if k < tail else m - k))
+        assert calls == expected
+
+    @pytest.mark.parametrize("m, n", SHAPES)
+    @pytest.mark.parametrize("kind", ["dense", "rank", "graded"])
+    @pytest.mark.parametrize("exp", [-900, 0, 900])
+    def test_matches_the_rank1_sweep_and_reconstructs(self, m, n, kind, exp):
+        rng = np.random.default_rng(m * n + len(kind))
+        if kind == "dense":
+            unit = rng.standard_normal((m, n))
+        elif kind == "rank":
+            unit = random_rank_deficient(rng, m, n, n // 3)
+        else:
+            unit = rng.standard_normal((m, n)) * np.logspace(0, -12, n)
+        a = np.ldexp(unit, exp)
+        left, bid, right = bidiagonalize(a)
+        ref_left, ref_d, ref_e, _ = bidiagonalize_reference(a)
+        # Both sweeps are backward stable, to O(n eps ||A||_F); the last
+        # entries of a square B differ by about that much (6.8e-12 at
+        # 161 x 160, 40 times max|A| eps n), so max|A| is no scale for them.
+        tol = 20 * max(m, n) * EPS * fro(unit)
+        d, e = np.ldexp(bid.d, -exp), np.ldexp(bid.e, -exp)
+        ref_d, ref_e = np.ldexp(ref_d, -exp), np.ldexp(ref_e, -exp)
+        if kind == "rank":
+            # Past the rank both sweeps eliminate rounding noise, so d and e
+            # there are not determined by A (d[r] reaches about 1e-6 here);
+            # the singular values of B are.
+            sigma = np.linalg.svd(_embed(d, e, n), compute_uv=False)
+            assert np.abs(sigma - np.linalg.svd(_embed(ref_d, ref_e, n), compute_uv=False)).max() <= tol
+        else:
+            assert np.abs(np.abs(d) - np.abs(ref_d)).max() <= tol
+            assert np.abs(np.abs(e) - np.abs(ref_e)).max() <= tol
+        assert fro(_reconstruct(left, d, e, right, m) - unit) <= tol
+        if kind == "dense":
+            assert [h.offset for h in left] == [h.offset for h in ref_left]
+
+    @pytest.mark.parametrize("m, n", [(70, 70), (100, 49), (64, 40), (6, 4), (3, 1), (1, 1)])
+    @pytest.mark.parametrize("exp", [-900, 0, 900])
+    def test_bit_identical_to_the_rank1_sweep_below_the_crossover(self, m, n, exp):
+        assert m * n < svd_mod.PANEL_CROSSOVER
+        a = np.ldexp(np.random.default_rng(m + n).standard_normal((m, n)), exp)
+        left, bid, right = bidiagonalize(a)
+        ref_left, ref_d, ref_e, ref_right = bidiagonalize_reference(a)
+        assert np.array_equal(bid.d, ref_d) and np.array_equal(bid.e, ref_e)
+        for got, ref in ((left, ref_left), (right, ref_right)):
+            assert len(got) == len(ref)
+            for h, g in zip(got, ref):
+                assert h.offset == g.offset and h.beta == g.beta and np.array_equal(h.u, g.u)
+
+    def test_skipped_reflectors_inside_a_panel(self):
+        # Block diagonal: the steps of the 10 x 10 block never touch the
+        # other block, so the right reflectors of rows 8 and 9 and the left
+        # one of column 9 are skipped mid-panel.  Columns 60 and beyond are
+        # zero: from there every left and right reflector is skipped, in
+        # the second panel.
+        rng = np.random.default_rng(5)
+        a = np.zeros((200, 100))
+        a[:10, :10] = rng.standard_normal((10, 10))
+        a[10:, 10:60] = rng.standard_normal((190, 50))
+        left, bid, right = bidiagonalize(a)
+        ref_left, ref_d, ref_e, ref_right = bidiagonalize_reference(a)
+        assert _panel_starts(200, 100)[:2] == [0, BLOCK]
+        left_steps = [h.offset for h in left]
+        right_steps = [h.offset for h in right]
+        assert left_steps == [h.offset for h in ref_left] and right_steps == [h.offset for h in ref_right]
+        assert 9 not in left_steps and 9 not in right_steps and 10 not in right_steps
+        assert left_steps[-1] == 59 and right_steps[-1] == 58
+        assert np.all(bid.d[60:] == 0.0) and np.all(bid.e[59:] == 0.0) and bid.e[9] == 0.0
+        tol = 20 * 200 * EPS * fro(a)
+        assert np.abs(np.abs(bid.d) - np.abs(ref_d)).max() <= tol
+        assert np.abs(np.abs(bid.e) - np.abs(ref_e)).max() <= tol
+        assert fro(_reconstruct(left, bid.d, bid.e, right, 200) - a) <= tol
+
+    def test_zero_leading_column(self):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((300, 60))
+        a[:, 0] = 0.0
+        left, bid, right = bidiagonalize(a)
+        assert left[0].offset == 1 and right[0].offset == 1 and bid.d[0] == 0.0
+        assert fro(_reconstruct(left, bid.d, bid.e, right, 300) - a) <= 20 * 300 * EPS * fro(a)
+
+    def test_already_bidiagonal_input_past_the_crossover_is_untouched(self):
+        rng = np.random.default_rng(7)
+        d, e = rng.standard_normal(150), rng.standard_normal(149)
+        left, bid, right = bidiagonalize(_embed(d, e, 200))
+        assert _panel_starts(200, 150)
+        assert left == [] and right == []
+        assert np.array_equal(bid.d, d) and np.array_equal(bid.e, e)
+
+
 class TestBidiagSvd:
     def test_diagonal_case_sorts_absolute_values(self):
         b = Bidiagonal(np.array([-2.0, 5.0, 1.0]), np.zeros(2))
@@ -123,6 +267,31 @@ class TestBidiagSvd:
     def test_max_sweeps_validated(self):
         with pytest.raises(ValueError, match="max_sweeps"):
             bidiag_svd(Bidiagonal(np.ones(2), np.ones(1)), max_sweeps=0)
+
+    def test_two_dimensional_superdiagonal_rejected(self):
+        with pytest.raises(ShapeError, match="1-D"):
+            Bidiagonal([1.0, 2.0, 3.0], [[1.0, 2.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_superdiagonal_is_an_input_error(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Bidiagonal([1.0, 2.0, 3.0], [1.0, bad])
+
+    def test_validated_superdiagonal_is_a_copy(self):
+        e = np.ones(2)
+        b = Bidiagonal([1.0, 2.0, 3.0], e)
+        e[0] = np.nan
+        assert np.array_equal(b.e, [1.0, 1.0])
+
+    def test_superdiagonal_length_checked(self):
+        with pytest.raises(ShapeError, match="length"):
+            Bidiagonal([1.0, 2.0, 3.0], [1.0])
+        with pytest.raises(ShapeError, match="length"):
+            Bidiagonal([4.0], [1.0])
+
+    def test_one_entry_diagonal_takes_an_empty_superdiagonal(self):
+        _, sigma, _ = bidiag_svd(Bidiagonal([-4.0], []))
+        assert np.array_equal(sigma, [4.0])
 
     def test_sweep_budget_is_per_leaf_above_the_leaf_size(self):
         # n = 60 goes through divide and conquer; one sweep per leaf is too
