@@ -115,7 +115,10 @@ def read_pgm(path) -> GrayImage:
         fields = data[pos:].split()
         if len(fields) < count:
             raise ValueError(f"{path}: truncated P2 raster")
-        pixels = np.array([float(int(v)) for v in fields[:count]])
+        try:
+            pixels = np.array([float(int(v)) for v in fields[:count]])
+        except ValueError:
+            raise ValueError(f"{path}: malformed P2 raster") from None
     return GrayImage(pixels.reshape(height, width))
 
 

@@ -2,28 +2,28 @@
 upper-bidiagonal matrix B.
 
 ``bidiagonal_svd`` is the one entry point.  Singular values alone, and the
-vectors of a bidiagonal of at most LEAF rows, come from implicit-shift QR
-steps (Wilkinson shift on the trailing 2x2 of B^T B), deflating whenever a
-superdiagonal entry passes the convergence test
+vectors of each divide-and-conquer leaf of at most LEAF rows, come from
+implicit-shift QR steps (Wilkinson shift on the trailing 2x2 of B^T B),
+deflating whenever a superdiagonal entry passes the convergence test
 |e_i| <= eps * (|d_i| + |d_i+1|).  The chase runs on Python floats and
 records each sweep's right and left rotations as chains of (c, s) pairs.  A
 chain is applied to its singular-vector accumulator after the sweep:
-rotation by rotation below CHAIN_CROSSOVER rotations, otherwise in blocks
-of up to CHAIN_BLOCK rotations, each block multiplied in as one
-upper-Hessenberg GEMM (B. Lang, "Using Level 3 BLAS in Rotation-Based
-Algorithms", SIAM J. Sci. Comput. 1998).  The rare deflation sweeps rotate
-the accumulators directly.
+rotation by rotation below CHAIN_CROSSOVER rotations, otherwise multiplied
+in as one upper-Hessenberg GEMM (B. Lang, "Using Level 3 BLAS in
+Rotation-Based Algorithms", SIAM J. Sci. Comput. 1998).  A leaf's chains
+have at most LEAF - 1 rotations, so they are not split into blocks.  The
+rare deflation sweeps rotate the accumulators directly.
 
-The vectors of a bidiagonal of more than LEAF rows come from divide and
-conquer (M. Gu & S. C. Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995;
-LAPACK xBDSDC, xLASD0-xLASD4).  B is split at its middle row into an upper
-k x (k+1) block and a lower block, both solved recursively, and the row
-between them couples the halves into an arrow matrix.  Its deflation
-follows xLASD2; the secular equation of each merge is solved for all roots
-at once by R.-C. Li's middle-way iteration (LAPACK Working Note 89, 1994);
-the vectors are built from the z-hat of the Loewner formula, so they are
-orthogonal however close the roots lie, and two GEMMs take them back to
-B's bases.  The leaves, of at most LEAF rows, run the implicit QR.
+The singular vectors come from divide and conquer (M. Gu & S. C.
+Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995; LAPACK xBDSDC,
+xLASD0-xLASD4); a bidiagonal of at most LEAF rows is one leaf.  B is split
+at its middle row into an upper k x (k+1) block and a lower block, both
+solved recursively, and the row between them couples the halves into an
+arrow matrix.  Its deflation follows xLASD2; the secular equation of each
+merge is solved for all roots at once by R.-C. Li's middle-way iteration
+(LAPACK Working Note 89, 1994); the vectors are built from the z-hat of the
+Loewner formula, so they are orthogonal however close the roots lie, and
+two GEMMs take them back to B's bases.
 """
 
 from __future__ import annotations
@@ -36,16 +36,16 @@ from .errors import ConvergenceError
 from .matrix import pow2_scale, require_finite
 from .reflectors import givens_params, rotate
 
-# The implicit QR applies each sweep's rotation chain to the singular-vector
-# accumulators in one go.  Chains shorter than CHAIN_CROSSOVER go rotation
-# by rotation; longer ones in blocks of at most CHAIN_BLOCK rotations, each
-# block one GEMM with its (b+1) x (b+1) Hessenberg product.  Both values
-# were chosen by timing svd from n = 3 to 400.
+# A leaf's implicit QR applies each sweep's rotation chain to the
+# singular-vector accumulators in one go: chains shorter than
+# CHAIN_CROSSOVER rotation by rotation, longer ones as one GEMM with their
+# (b+1) x (b+1) Hessenberg product.  Timed on svd with leaves of at most
+# LEAF rows: the GEMM alone was 1.2-1.3x slower at n = 3-6, the rotations
+# alone 1.45-2.1x slower at n = 16-64.
 CHAIN_CROSSOVER = 8
-CHAIN_BLOCK = 32
 
-# Singular vectors of a bidiagonal with more than LEAF rows come from divide
-# and conquer, whose leaves of at most LEAF rows run the implicit QR.
+# Divide and conquer splits a bidiagonal of more than LEAF rows; its leaves
+# of at most LEAF rows run the implicit QR.
 # Chosen by timing bidiag_svd from n = 30 to 400: leaves of 20 to 40 rows
 # were within the noise of each other, 16 and fewer slower.
 LEAF = 25
@@ -77,19 +77,15 @@ def _chain_matrix(c: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def _apply_chain(m: np.ndarray, lo: int, c, s) -> None:
     """m <- m G_lo G_lo+1 ... for the chain of rotations (c[k], s[k]) in
-    column planes (lo+k, lo+k+1).  Short chains go rotation by rotation;
-    longer ones in blocks of CHAIN_BLOCK rotations, one GEMM per block."""
+    column planes (lo+k, lo+k+1).  Short chains go rotation by rotation,
+    longer ones as one GEMM with their Hessenberg product."""
     n = len(c)
     if n < CHAIN_CROSSOVER:
         for k in range(n):
             rotate(m[:, lo + k], m[:, lo + k + 1], c[k], s[k])
         return
-    c = np.asarray(c, dtype=float)
-    s = np.asarray(s, dtype=float)
-    for a in range(0, n, CHAIN_BLOCK):
-        b = min(CHAIN_BLOCK, n - a)
-        cols = slice(lo + a, lo + a + b + 1)
-        m[:, cols] = m[:, cols] @ _chain_matrix(c[a : a + b], s[a : a + b])
+    cols = slice(lo, lo + n + 1)
+    m[:, cols] = m[:, cols] @ _chain_matrix(np.asarray(c, dtype=float), np.asarray(s, dtype=float))
 
 
 def _wilkinson_mu(d, e, lo, hi):
@@ -509,12 +505,11 @@ def bidiagonal_svd(d, e, want_uv: bool, max_sweeps: int | None):
     d = d / rescale
     e = e / rescale
     try:
-        if want_uv and n > LEAF:
+        if want_uv:
             u, d, v = _dc(d, e, 0, n, 0, max_sweeps)
         else:
-            u = np.eye(n) if want_uv else None
-            v = np.eye(n) if want_uv else None
-            d = _qr_svd(d.tolist(), e.tolist(), u, v, max_sweeps)
+            u = v = None
+            d = _qr_svd(d.tolist(), e.tolist(), None, None, max_sweeps)
     except ConvergenceError as err:
         err.partial = np.sort(err.partial * rescale)[::-1].copy()
         raise

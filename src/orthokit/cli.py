@@ -21,7 +21,7 @@ from .errors import CsvFormatError, NumericalError, ShapeError
 from .lstsq import conditioning_report, solve, solve_normal, solve_qr, solve_qr_pivoted, solve_svd
 from .matrix import DEFAULT_T_DIGITS, read_matrix_csv, read_vector_csv
 from .qr import QrMode, form_q, qr_givens, qr_householder, qr_pivoted
-from .svd import svd
+from .svd import singular_values, svd
 from .apps.digits import (
     NUM_CLASSES,
     digits_classify,
@@ -159,10 +159,10 @@ def _cmd_qr(args, prec):
 
 def _cmd_svd(args, prec):
     a = read_matrix_csv(args.matrix)
-    f = svd(a, "reduced" if args.reduced else "full")
     if args.values_only:
-        print(_fmt_vec(f.sigma, prec))
+        print(_fmt_vec(singular_values(a), prec))
         return 0
+    f = svd(a, "reduced" if args.reduced else "full")
     print("sigma =", _fmt_vec(f.sigma, prec))
     _print_matrix("U", f.u, prec)
     _print_matrix("Vt", f.vt, prec)

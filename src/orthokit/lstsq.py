@@ -182,9 +182,10 @@ def conditioning_report(a, b, x, eps_a: float = 0.0) -> ConditioningReport:
     ``eps_a`` is the relative matrix perturbation ||E|| / ||A|| the matrix
     bound should be evaluated at.
     """
-    a = as_matrix(a)
-    b = as_vector(b)
+    a, b = _checked(a, b)
     x = as_vector(x)
+    if x.size != a.shape[1]:
+        raise ShapeError(f"solution of length {x.size} does not match matrix {a.shape}")
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         raise ValueError("conditioning report needs a nonzero right-hand side")

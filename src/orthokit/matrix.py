@@ -78,7 +78,8 @@ def norm_tol(a: np.ndarray, rtol: float) -> float:
     normal-range input, the same bits as the unscaled product."""
     mag = np.abs(a)
     s = pow2_scale(float(mag.max()))
-    return rtol * float((mag / s).sum(axis=1).max()) * s
+    mag /= s
+    return rtol * float(mag.sum(axis=1).max()) * s
 
 
 def require_finite(what: str, *arrays) -> None:

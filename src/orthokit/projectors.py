@@ -61,9 +61,8 @@ def projector_onto_range(a) -> np.ndarray:
     ``RankDeficiencyError``; use the SVD subspace bases for the
     rank-deficient case.
     """
-    a = as_matrix(a)
-    m, n = a.shape
     f = qr_pivoted(a)
+    m, n = f.r.shape
     if f.rank < n:
         raise RankDeficiencyError(
             "matrix is not of full column rank; build the projector from SVD subspace bases instead"

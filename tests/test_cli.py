@@ -229,6 +229,13 @@ class TestImageCommands:
         out2, _ = run_lines(capsys, ["denoise", str(src), str(tmp_path / "d.pgm"), "--threshold", "10"])
         assert (tmp_path / "d.pgm").exists()
 
+    def test_malformed_p2_raster_names_the_file(self, capsys, tmp_path):
+        src = tmp_path / "bad.pgm"
+        src.write_bytes(b"P2\n2 2\n255\n1 2 x 4\n")
+        out, err = run_lines(capsys, ["compress", str(src), str(tmp_path / "out.pgm"), "--k", "1"], expect=1)
+        assert out == []
+        assert err == f"input error: {src}: malformed P2 raster\n"
+
 
 class TestSummarize:
     def test_top_terms_and_sentences(self, capsys, tmp_path):

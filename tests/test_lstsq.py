@@ -289,3 +289,13 @@ class TestConditioning:
     def test_zero_rhs_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             conditioning_report(np.eye(2), np.zeros(2), np.zeros(2))
+
+    def test_rhs_of_the_wrong_length_rejected(self):
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(ShapeError, match=r"\(3, 2\) does not match right-hand side of length 5"):
+            conditioning_report(a, np.ones(5), np.ones(2))
+
+    def test_solution_of_the_wrong_length_rejected(self):
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(ShapeError, match=r"solution of length 3 does not match matrix \(3, 2\)"):
+            conditioning_report(a, np.ones(3), np.ones(3))

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from orthokit import (
     nearest_orthogonal,
     norm2,
     numerical_rank,
+    projector_onto_range,
     pseudoinverse,
     qr_householder,
     singular_values,
@@ -405,10 +407,11 @@ def _random_chain(rng, length):
 
 
 class TestRotationChains:
-    B = bd_mod.CHAIN_BLOCK
     X = bd_mod.CHAIN_CROSSOVER
 
-    @pytest.mark.parametrize("length", [1, X - 1, X, B, B + 1, 3 * B + 5])
+    # Leaf chains have at most LEAF - 1 rotations; the longer ones check
+    # that a single GEMM stays within the same bound.
+    @pytest.mark.parametrize("length", [1, X - 1, X, 32, 33, 101])
     def test_chain_matrix_equals_sequential_rotations(self, length):
         rng = np.random.default_rng(length)
         for _ in range(5):
@@ -417,7 +420,7 @@ class TestRotationChains:
             _sequential_chain(expected, 0, c, s)
             assert np.array_equal(bd_mod._chain_matrix(c, s), expected)
 
-    @pytest.mark.parametrize("length", [1, X - 1, X, B, B + 1, 3 * B + 5])
+    @pytest.mark.parametrize("length", [1, X - 1, X, 32, 33, 101])
     def test_apply_chain_matches_sequential_rotations(self, length):
         rng = np.random.default_rng(100 + length)
         m = rng.standard_normal((40, length + 7))
@@ -513,7 +516,7 @@ class TestSvd:
 
     @pytest.mark.parametrize("kind", ["random", "graded"])
     def test_blocked_chains_keep_backward_error_and_orthogonality(self, kind):
-        # n = 200: sweeps span several CHAIN_BLOCK blocks.
+        # n = 200: several levels of divide and conquer above the leaves.
         n = 200
         rng = np.random.default_rng(94)
         a = rng.standard_normal((n, n))
@@ -563,6 +566,43 @@ def _tie_matrices():
 # has columns without a V partner), square, and full wide (V has columns
 # without a U partner).
 SIGN_SHAPES = [(4, 2, 2), (4, 4, 2), (4, 4, 4), (2, 2, 4), (5, 3, 3), (5, 5, 3), (3, 3, 5)]
+
+
+class TestWorkingCopy:
+    """Each call validates A once, where it makes its one working copy."""
+
+    MALFORMED = [
+        (np.zeros((0, 3)), ShapeError, r"\(0, 3\)"),
+        (np.zeros((3, 0)), ShapeError, r"\(3, 0\)"),
+        (np.ones(3), ShapeError, "ndim 1"),
+        (np.ones((2, 2, 2)), ShapeError, "ndim 3"),
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), ValueError, "finite"),
+        ([[1.0, 2.0], [3.0]], ValueError, "sequence"),
+        ([["a", "b"]], ValueError, "could not convert string"),
+    ]
+
+    @pytest.mark.parametrize(
+        "func",
+        [svd, singular_values, cond2, matrix_rank, norm2, pseudoinverse, subspace_bases, projector_onto_range],
+    )
+    @pytest.mark.parametrize("a, error, message", MALFORMED, ids=["0x3", "3x0", "1d", "3d", "nan", "ragged", "str"])
+    def test_malformed_input(self, func, a, error, message):
+        with pytest.raises(ValueError, match=message) as info:
+            func(a)
+        assert info.type is error
+
+    def test_singular_values_peak_is_the_bidiagonalization(self):
+        a = np.random.default_rng(96).standard_normal((600, 60))
+        peaks = []
+        for func in (bidiagonalize, singular_values):
+            func(a)
+            tracemalloc.start()
+            try:
+                func(a)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + a.nbytes / 4
 
 
 class TestSignConvention:
