@@ -14,6 +14,10 @@ from the fixed seed 4242 + n, and each row times one layer on it:
 - ``svd``: the reduced ``svd`` of A, end to end
 - ``numpy_svd``: ``numpy.linalg.svd`` of A, the ceiling
 
+The single-leaf sizes n in 6, 16 and 25 (one divide-and-conquer leaf each,
+the SVD path of the small-batch workload) get a ``phase2_vectors`` row
+alone, from the seed 4242 + n, over twenty times ``--repeats`` calls.
+
 Each tall shape m x n in 600 x 60, 1000 x 100 and 1500 x 120 gets one
 standard-normal matrix from the seed 4242 + m + n, timed in the rows
 ``bidiagonalize``, ``singular_values`` and ``numpy_svdvals``
@@ -46,6 +50,7 @@ import orthokit  # noqa: E402
 from orthokit.bidiagonal import bidiagonal_svd  # noqa: E402
 
 SIZES = (44, 81, 118, 156, 400)
+LEAF_SIZES = (6, 16, 25)
 TALL = ((600, 60), (1000, 100), (1500, 120))
 SEED = 4242
 
@@ -78,6 +83,10 @@ def _rows(m, n, layers, reps):
 
 
 def rows(repeats):
+    for n in LEAF_SIZES:
+        a = np.random.default_rng(SEED + n).standard_normal((n, n))
+        _, bid, _ = orthokit.bidiagonalize(a)
+        yield from _rows(n, n, {"phase2_vectors": lambda: orthokit.bidiag_svd(bid)}, 20 * repeats)
     for n in SIZES:
         a = np.random.default_rng(SEED + n).standard_normal((n, n))
         _, bid, _ = orthokit.bidiagonalize(a)

@@ -5,14 +5,13 @@ upper-bidiagonal matrix B.
 vectors of each divide-and-conquer leaf of at most LEAF rows, come from
 implicit-shift QR steps (Wilkinson shift on the trailing 2x2 of B^T B),
 deflating whenever a superdiagonal entry passes the convergence test
-|e_i| <= eps * (|d_i| + |d_i+1|).  The chase runs on Python floats and
-records each sweep's right and left rotations as chains of (c, s) pairs.  A
-chain is applied to its singular-vector accumulator after the sweep:
-rotation by rotation below CHAIN_CROSSOVER rotations, otherwise multiplied
-in as one upper-Hessenberg GEMM (B. Lang, "Using Level 3 BLAS in
-Rotation-Based Algorithms", SIAM J. Sci. Comput. 1998).  A leaf's chains
-have at most LEAF - 1 rotations, so they are not split into blocks.  The
-rare deflation sweeps rotate the accumulators directly.
+|e_i| <= eps * (|d_i| + |d_i+1|).  The chase runs on Python floats.  With
+vectors, each sweep's right and left rotation chains are recorded, not
+applied.  A side's record is flushed when the leaf converges, and before a
+rare deflation sweep rotates that side's accumulator directly: all its
+chains become upper-Hessenberg factors at once, multiplied pairwise and
+then in with one GEMM (B. Lang, "Using Level 3 BLAS in Rotation-Based
+Algorithms", SIAM J. Sci. Comput. 1998).
 
 The singular vectors come from divide and conquer (M. Gu & S. C.
 Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995; LAPACK xBDSDC,
@@ -36,56 +35,52 @@ from .errors import ConvergenceError
 from .matrix import pow2_scale, require_finite
 from .reflectors import givens_params, rotate
 
-# A leaf's implicit QR applies each sweep's rotation chain to the
-# singular-vector accumulators in one go: chains shorter than
-# CHAIN_CROSSOVER rotation by rotation, longer ones as one GEMM with their
-# (b+1) x (b+1) Hessenberg product.  Timed on svd with leaves of at most
-# LEAF rows: the GEMM alone was 1.2-1.3x slower at n = 3-6, the rotations
-# alone 1.45-2.1x slower at n = 16-64.
-CHAIN_CROSSOVER = 8
-
 # Divide and conquer splits a bidiagonal of more than LEAF rows; its leaves
-# of at most LEAF rows run the implicit QR.
-# Chosen by timing bidiag_svd from n = 30 to 400: leaves of 20 to 40 rows
-# were within the noise of each other, 16 and fewer slower.
+# of at most LEAF rows run the implicit QR.  Timed on bidiag_svd over
+# n = 40-160: leaves of 16, 20, 25 and 32 rows were within 4% of each other.
 LEAF = 25
 
 EPS = float(np.finfo(float).eps)
 
 
-def _chain_matrix(c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Upper-Hessenberg product G_0 G_1 ... G_{b-1} of the rotations G_k in
-    planes (k, k+1), built with vectorized ops.
+def _chain_factors(chains, n: int) -> np.ndarray:
+    """The n x n upper-Hessenberg products G_0 G_1 ... G_n-2, stacked, of the
+    recorded chains (lo, c, s): G_k rotates planes (k, k+1) by (c, s)[k-lo]
+    inside the chain and is the identity (1, 0) outside it.
 
-    Column k < b is c_k times the carried column w_k, plus s_k on the
-    subdiagonal; column b is w_b.  Row i of the carries is the running
-    product c_{i-1} (-s_i) (-s_{i+1}) ..., taken left to right as a row-wise
-    cumprod, so every entry equals the one sequential ``rotate`` of column pairs
-    on the identity would give.
+    Column k < n-1 is c_k times the carried column w_k, plus s_k on the
+    subdiagonal; column n-1 is w_n-1.  Row i of the carries is the running
+    product c_{i-1} (-s_i) (-s_{i+1}) ..., a row-wise cumprod, so every entry
+    equals the one sequential ``rotate`` of column pairs on the identity gives.
     """
-    b = c.size
-    i = np.arange(b + 1)
-    below = i[:, None] > i
-    t = np.where(below, 1.0, np.concatenate(([1.0], -s)))
-    t.flat[:: b + 2] = np.concatenate(([1.0], c))
-    h = np.cumprod(t, axis=1)
-    h[:, :b] *= c
-    h[below] = 0.0
-    h.flat[b + 1 :: b + 2] = s
+    one, zero = [1.0] * n, [0.0] * n
+    # Rows (1, c_0 .. c_n-2, 1) and (0, s_0 .. s_n-2, 0), padded with identities.
+    c, s = np.array([(one[: lo + 1] + cs + one[lo + len(cs) :], zero[: lo + 1] + sn + zero[lo + len(sn) :])
+                     for lo, cs, sn in chains]).transpose(1, 0, 2)
+    below = np.tri(n, k=-1, dtype=bool)
+    h = np.repeat(-s[:, None, :n], n, axis=1)
+    h[:, below] = 1.0
+    h.reshape(len(chains), -1)[:, :: n + 1] = c[:, :n]
+    np.cumprod(h, axis=2, out=h)
+    h *= c[:, None, 1:]
+    h[:, below] = 0.0
+    h.reshape(len(chains), -1)[:, n :: n + 1] = s[:, 1:n]
     return h
 
 
-def _apply_chain(m: np.ndarray, lo: int, c, s) -> None:
-    """m <- m G_lo G_lo+1 ... for the chain of rotations (c[k], s[k]) in
-    column planes (lo+k, lo+k+1).  Short chains go rotation by rotation,
-    longer ones as one GEMM with their Hessenberg product."""
-    n = len(c)
-    if n < CHAIN_CROSSOVER:
-        for k in range(n):
-            rotate(m[:, lo + k], m[:, lo + k + 1], c[k], s[k])
+def _apply_chains(m: np.ndarray, chains: list) -> None:
+    """m <- m H_1 H_2 ... for the recorded chains, in order, and empty the
+    record; an empty record leaves m alone.  The factors are multiplied
+    pairwise, a tree of stacked matmuls, and then into m with one GEMM."""
+    if not chains:
         return
-    cols = slice(lo, lo + n + 1)
-    m[:, cols] = m[:, cols] @ _chain_matrix(np.asarray(c, dtype=float), np.asarray(s, dtype=float))
+    h = _chain_factors(chains, m.shape[1])
+    while len(h) > 1:
+        if len(h) % 2:  # the odd one out joins its left neighbour
+            h[-2] = h[-2] @ h[-1]
+        h = h[: len(h) - 1 : 2] @ h[1::2]
+    m[...] = m @ h[0]
+    chains.clear()
 
 
 def _wilkinson_mu(d, e, lo, hi):
@@ -204,6 +199,7 @@ def _qr_svd(d: list, e: list, u, v, max_sweeps: int | None) -> np.ndarray:
         max_sweeps = 30 * max(n, 1)
     eps = EPS  # a local: the scans below read it once per entry
     sweeps = 0
+    rec_u, rec_v = [], []  # the chains not yet applied to u and v
     lo, hi = 0, n - 1
     while True:
         # Only e[lo:hi] can have changed since the last scan (all of it on
@@ -221,11 +217,13 @@ def _qr_svd(d: list, e: list, u, v, max_sweeps: int | None) -> np.ndarray:
         scale = max(max(map(abs, d[lo : hi + 1])), max(map(abs, e[lo:hi])))
         if abs(d[hi]) <= eps * scale:
             d[hi] = 0.0
+            _apply_chains(v, rec_v)
             _deflate_zero_tail(d, e, lo, hi, v)
             continue
         zero_i = next((i for i in range(lo, hi) if abs(d[i]) <= eps * scale), -1)
         if zero_i >= 0:
             d[zero_i] = 0.0
+            _apply_chains(u, rec_u)
             _deflate_zero_diagonal(d, e, zero_i, hi, u)
             continue
         sweeps += 1
@@ -235,10 +233,14 @@ def _qr_svd(d: list, e: list, u, v, max_sweeps: int | None) -> np.ndarray:
             )
         rc, rs, lc, ls = _implicit_step(d, e, lo, hi)
         if u is not None:
-            _apply_chain(v, lo, rc, rs)
-            _apply_chain(u, lo, lc, ls)
+            for m, rec, chain in ((v, rec_v, (lo, rc, rs)), (u, rec_u, (lo, lc, ls))):
+                rec.append(chain)
+                if len(rec) == LEAF:  # at most LEAF factors in a stack
+                    _apply_chains(m, rec)
     d = np.array(d)
     if u is not None:
+        _apply_chains(v, rec_v)
+        _apply_chains(u, rec_u)
         neg = d < 0.0
         u[:, neg] = -u[:, neg]
     return np.abs(d)
@@ -372,14 +374,19 @@ def _sq_gaps(d, o, t):
     return g
 
 
-def _split_sums(x, p):
-    """Sums of each row r of x over columns 0..p[r] and over the rest,
-    p[r] < x.shape[1] - 1, without a temporary the size of x."""
-    rows, cols = x.shape
-    idx = np.repeat(np.arange(rows) * cols, 2)
+def _secular_terms(d, z2, o, t, p):
+    """f's terms at sigma_r = o_r + t_r, split at pole p_r < d.size - 1: the
+    gaps to poles p_r and p_r + 1, the sums psi over the poles up to p_r and
+    phi over the rest, and their derivatives in sigma^2."""
+    g = _sq_gaps(d, o, t)
+    dp, dq = np.take_along_axis(g, p[:, None] + [0, 1], axis=1).T
+    # Each row's two sums by one reduceat, without a temporary the size of g.
+    idx = np.repeat(np.arange(t.size) * d.size, 2)
     idx[1::2] += p + 1
-    sums = np.add.reduceat(x.ravel(), idx)
-    return sums[0::2], sums[1::2]
+    term = np.divide(z2, g)
+    psi, phi = np.add.reduceat(term.ravel(), idx).reshape(-1, 2).T
+    dpsi, dphi = np.add.reduceat(np.divide(term, g, out=g).ravel(), idx).reshape(-1, 2).T
+    return dp, dq, psi, phi, dpsi, dphi
 
 
 def _arrow_svd(d, z):
@@ -400,7 +407,8 @@ def _arrow_svd(d, z):
     # the poles k != j in order.
     gaps = d[:, None] - d
     gaps *= d[:, None] + d
-    ratios = gaps[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    # the off-diagonal entries: rows of n + 1 from (0, 1), less the diagonal
+    ratios = gaps.ravel()[1:].reshape(n - 1, n + 1)[:, :-1].reshape(n, n - 1)
     del gaps
     np.divide(p[:, :-1], ratios, out=ratios)
     zhat = np.sqrt(np.abs(p[:, -1] * ratios.prod(axis=1)))
@@ -429,37 +437,29 @@ def _secular_roots(d, z):
     z2 = z * z
     i = np.arange(n)
     org = i.copy()
-    lo = np.zeros(n)
-    hi = np.empty(n)
-    # Root i < n-1: f at the midpoint of (d_i^2, d_i+1^2) tells which half
-    # holds it, and so which pole is nearer.
+    lo, hi = np.zeros(n), np.empty(n)
+    pole = np.minimum(i, n - 2)  # the model's poles are pole and pole + 1
+    # The first evaluation: root i < n-1 at the midpoint of (d_i^2, d_i+1^2)
+    # from the origin d_i, the last halfway to its bound sqrt(d[-1]^2 +
+    # ||z||^2).  f there tells which half holds root i, and so which pole is
+    # nearer; the first step then starts from that pole with the same terms.
     dl, du = d[:-1], d[1:]
     half = 0.5 * (du - dl) * (du + dl)
     smid = np.sqrt(dl * dl + half)
     tmid = half / (dl + smid)
-    g = _sq_gaps(d, dl, tmid)
-    up = 1.0 + np.divide(z2, g, out=g).sum(axis=1) < 0.0
-    del g
+    rho = float(z2.sum())
+    hi[-1] = rho / (d[-1] + math.sqrt(d[-1] * d[-1] + rho))
+    terms = _secular_terms(d, z2, d, np.append(tmid, 0.5 * hi[-1]), pole)
+    up = 1.0 + terms[2][:-1] + terms[3][:-1] < 0.0
     org[:-1] += up
     lo[:-1] = np.where(up, -half / (du + smid), 0.0)
     hi[:-1] = np.where(up, 0.0, tmid)
-    # The last root lies below sqrt(d[-1]^2 + ||z||^2).
-    rho = float(z2.sum())
-    hi[-1] = rho / (d[-1] + math.sqrt(d[-1] * d[-1] + rho))
     tau = np.append(np.where(up, lo[:-1], hi[:-1]), 0.5 * hi[-1])
-    pole = np.minimum(i, n - 2)  # the model's poles are pole and pole + 1
     act = i
     for _ in range(100):  # middle-way steps converge in about 10
+        dp, dq, psi, phi, dpsi, dphi = terms
         t = tau[act]
         o = d[org[act]]
-        g = _sq_gaps(d, o, t)
-        p = pole[act]
-        rows = np.arange(act.size)
-        dp, dq = g[rows, p], g[rows, p + 1]
-        term = np.divide(z2, g)
-        psi, phi = _split_sums(term, p)
-        dpsi, dphi = _split_sums(np.divide(term, g, out=g), p)
-        del g, term  # before the next iteration allocates its own
         w = 1.0 + psi + phi
         dw = dpsi + dphi
         # Rounding error of w: of the sums (each of one sign), and of
@@ -485,6 +485,7 @@ def _secular_roots(d, z):
         act = act[~done]
         if act.size == 0:
             break
+        terms = _secular_terms(d, z2, d[org[act]], tau[act], pole[act])
     return org, tau
 
 
@@ -519,6 +520,5 @@ def bidiagonal_svd(d, e, want_uv: bool, max_sweeps: int | None):
     order = np.argsort(-d, kind="stable")
     d = d[order]
     if want_uv:
-        u = u[:, order]
-        v = v[:, order]
+        u, v = u[:, order], v[:, order]
     return u, d, v

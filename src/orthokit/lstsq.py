@@ -55,12 +55,16 @@ class ConditioningReport:
     matrix_sensitivity_bound: float
 
 
+def _matching(shape, b):
+    b = as_vector(b)
+    if shape[0] != b.size:
+        raise ShapeError(f"matrix {shape} does not match right-hand side of length {b.size}")
+    return b
+
+
 def _checked(a, b):
     a = as_matrix(a)
-    b = as_vector(b)
-    if a.shape[0] != b.size:
-        raise ShapeError(f"matrix {a.shape} does not match right-hand side of length {b.size}")
-    return a, b
+    return a, _matching(a.shape, b)
 
 
 def solve_normal(a, b) -> LeastSquaresSolution:
@@ -168,11 +172,13 @@ def solve_svd(a, b) -> LeastSquaresSolution:
 
 
 def solve(a, b) -> LeastSquaresSolution:
-    """Default route: QR when the numerical rank is full, SVD otherwise."""
-    a, b = _checked(a, b)
-    if qr_pivoted(a).rank == a.shape[1]:
-        return solve_qr(a, b)
-    return solve_svd(a, b)
+    """Default route: QR when the numerical rank is full, SVD otherwise.
+    A is validated, and copied, by the factorizations alone."""
+    f = qr_pivoted(a)
+    shape, full_rank = f.r.shape, f.rank == f.r.shape[1]
+    del f  # its R would otherwise stay alive through the second sweep
+    b = _matching(shape, b)
+    return solve_qr(a, b) if full_rank else solve_svd(a, b)
 
 
 def conditioning_report(a, b, x, eps_a: float = 0.0) -> ConditioningReport:

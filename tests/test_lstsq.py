@@ -171,6 +171,32 @@ class TestDispatch:
         a = random_rank_deficient(rng, 6, 3, 2)
         assert solve(a, rng.standard_normal(6)).method == "svd"
 
+    @pytest.mark.parametrize(
+        "a, b, error, message",
+        [
+            (np.ones(3), np.ones(3), ShapeError, "expected a 2-D matrix, got array of ndim 1"),
+            (np.ones((0, 2)), np.ones(1), ShapeError, r"matrix dimensions must be positive, got \(0, 2\)"),
+            ([[1.0, np.nan], [1.0, 2.0]], np.ones(2), ValueError, r"matrix entries must be finite \(no NaN/Inf\)"),
+            (np.ones((3, 2)), np.ones(4), ShapeError,
+             r"matrix \(3, 2\) does not match right-hand side of length 4"),
+            ([[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]], [1.0, 2.0], ShapeError,
+             r"matrix \(3, 2\) does not match right-hand side of length 2"),
+            (np.ones((3, 2)), [[1.0, 2.0, 3.0]], ShapeError, "expected a 1-D vector, got array of ndim 2"),
+            (np.ones((3, 2)), [1.0, np.inf, 2.0], ValueError, r"vector entries must be finite \(no NaN/Inf\)"),
+            # a malformed A is reported before a wrong-length b
+            (np.ones(3), np.ones(4), ShapeError, "expected a 2-D matrix, got array of ndim 1"),
+            (np.ones((0, 2)), np.ones(5), ShapeError, r"matrix dimensions must be positive, got \(0, 2\)"),
+            ([[np.inf, 1.0]], [1.0, 2.0], ValueError, r"matrix entries must be finite \(no NaN/Inf\)"),
+        ],
+    )
+    def test_malformed_input_is_reported_as_by_the_checked_solvers(self, a, b, error, message):
+        # solve leaves A's validation to the factorizations; the exception
+        # and its message are those of solve_qr's up-front checks.
+        with pytest.raises(error, match=f"^{message}$"):
+            solve(a, b)
+        with pytest.raises(error, match=f"^{message}$"):
+            solve_qr(a, b)
+
 
 class TestSharedInvariants:
     def test_residual_orthogonality_all_solvers(self):

@@ -403,37 +403,110 @@ def _random_chain(rng, length):
     # exact identities and swaps, as the chase produces for zero entries
     c[1::7], s[1::7] = 1.0, 0.0
     c[4::7], s[4::7] = 0.0, 1.0
-    return c, s
+    return c.tolist(), s.tolist()
+
+
+def _rotate_spy(monkeypatch):
+    """Replace the leaves' ``rotate`` by one that logs its caller's name."""
+    callers = []
+
+    def spy(x, y, c, s):
+        callers.append(sys._getframe(1).f_code.co_name)
+        rotate(x, y, c, s)
+
+    monkeypatch.setattr(bd_mod, "rotate", spy)
+    return callers
 
 
 class TestRotationChains:
-    X = bd_mod.CHAIN_CROSSOVER
-
-    # Leaf chains have at most LEAF - 1 rotations; the longer ones check
-    # that a single GEMM stays within the same bound.
-    @pytest.mark.parametrize("length", [1, X - 1, X, 32, 33, 101])
-    def test_chain_matrix_equals_sequential_rotations(self, length):
+    # A leaf's chains have at most LEAF - 1 rotations, padded to the leaf's
+    # width with identity rotations.
+    @pytest.mark.parametrize("length", [1, 7, 8, 24])
+    def test_each_padded_factor_equals_sequential_rotations(self, length):
         rng = np.random.default_rng(length)
-        for _ in range(5):
-            c, s = _random_chain(rng, length)
-            expected = np.eye(length + 1)
-            _sequential_chain(expected, 0, c, s)
-            assert np.array_equal(bd_mod._chain_matrix(c, s), expected)
+        for width in (length + 1, length + 4):
+            chains = [(lo, *_random_chain(rng, length)) for lo in range(width - length)]
+            factors = bd_mod._chain_factors(chains, width)
+            assert factors.shape == (len(chains), width, width)
+            for h, (lo, c, s) in zip(factors, chains):
+                expected = np.eye(width)
+                _sequential_chain(expected, lo, c, s)
+                assert np.array_equal(h, expected)
 
-    @pytest.mark.parametrize("length", [1, X - 1, X, 32, 33, 101])
-    def test_apply_chain_matches_sequential_rotations(self, length):
-        rng = np.random.default_rng(100 + length)
-        m = rng.standard_normal((40, length + 7))
-        c, s = _random_chain(rng, length)
-        expected = m.copy()
-        _sequential_chain(expected, 3, c, s)
-        bd_mod._apply_chain(m, 3, list(c), list(s))
-        if length < self.X:
-            assert np.array_equal(m, expected)
+    @pytest.mark.parametrize("count", [1, 2, 7, bd_mod.LEAF])
+    def test_a_record_applies_as_one_product(self, count):
+        rng = np.random.default_rng(200 + count)
+        n = bd_mod.LEAF
+        full = rng.standard_normal((n + 1, n + 1))
+        m = full[:, :n]  # like a leaf's v without its sqre column
+        chains = []
+        for _ in range(count):
+            lo = int(rng.integers(0, n - 1))
+            chains.append((lo, *_random_chain(rng, int(rng.integers(1, n - lo)))))
+        expected = full.copy()
+        for lo, c, s in chains:
+            _sequential_chain(expected, lo, c, s)
+        record = list(chains)
+        bd_mod._apply_chains(m, record)
+        assert record == []
+        assert np.abs(full - expected).max() <= 10 * count * n * EPS * np.abs(expected).max()
+        assert np.array_equal(full[:, n], expected[:, n])
+
+    def test_an_empty_record_is_a_no_op(self):
+        m = np.random.default_rng(201).standard_normal((5, 4))
+        before = m.copy()
+        bd_mod._apply_chains(m, [])
+        assert np.array_equal(m, before)
+        bd_mod._apply_chains(None, [])  # the values-only path has no accumulators
+
+    @pytest.mark.parametrize("kind", ["zero-d", "nearly-singular"])
+    def test_deflations_between_recorded_sweeps(self, monkeypatch, kind):
+        m = bd_mod.LEAF
+        rng = np.random.default_rng(203)
+        d, e = rng.standard_normal(m), rng.standard_normal(m - 1)
+        if kind == "zero-d":
+            # e[12] = e[18] = 0 split the leaf into three blocks.  The lowest,
+            # from a zero last d on, iterates first and records its sweeps;
+            # then the zero middle d[15] of the next block and the zero last
+            # d[12] of the top one rotate u and v directly.
+            e[[12, 18]] = 0.0
+            d[[12, 15, m - 1]] = 0.0
         else:
-            assert np.abs(m - expected).max() <= 10 * length * EPS * np.abs(expected).max()
-        assert np.array_equal(m[:, :3], expected[:, :3])
-        assert np.array_equal(m[:, length + 4 :], expected[:, length + 4 :])
+            # Small d against e: tiny singular values surface as negligible
+            # d's during the iteration, in planes the recorded chains touch.
+            d *= 0.1
+        events = _rotate_spy(monkeypatch)
+        apply_chains = bd_mod._apply_chains
+
+        def flush_spy(acc, chains):
+            events.append(len(chains))
+            apply_chains(acc, chains)
+
+        monkeypatch.setattr(bd_mod, "_apply_chains", flush_spy)
+        u, sigma, v = bd_mod._dc_leaf(d, e, 0, m, 0, None)
+        kinds = {ev for ev in events if isinstance(ev, str)}
+        assert kinds == {"_deflate_zero_tail", "_deflate_zero_diagonal"}
+        for name in kinds:
+            # the event before each deflation sweep is the flush of a record
+            first = [i for i, ev in enumerate(events) if ev == name and events[i - 1] != name]
+            assert any(isinstance(events[i - 1], int) and events[i - 1] > 0 for i in first)
+        b = _dense_block(d, e, 0)
+        tol = 10 * m * EPS
+        assert fro(u * sigma @ v.T - b) <= tol * fro(b)
+        assert fro(u.T @ u - np.eye(m)) <= tol
+        assert fro(v.T @ v - np.eye(m)) <= tol
+        ref = np.linalg.svd(b, compute_uv=False)
+        assert np.abs(np.sort(sigma)[::-1] - ref).max() <= tol * ref[0]
+
+    @pytest.mark.parametrize("sqre", [0, 1])
+    def test_leaves_rotate_only_to_deflate(self, monkeypatch, sqre):
+        callers = _rotate_spy(monkeypatch)
+        m = bd_mod.LEAF
+        rng = np.random.default_rng(203 + sqre)
+        d, e = rng.standard_normal(m), rng.standard_normal(m - 1 + sqre)
+        bd_mod._dc_leaf(d, e, 0, m, sqre, None)
+        # only the sqre pre-rotation: the random leaf never deflates
+        assert callers == ["_deflate_zero_tail"] * (m * sqre)
 
 
 class TestSvd:
