@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,7 +116,15 @@ def read_digits_csv(path):
 
     Rows of 784 fields are accepted as unlabeled data (labels = None).
     """
-    raw = as_matrix(np.loadtxt(path, delimiter=",", ndmin=2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty file is reported below
+        try:
+            raw = np.loadtxt(path, delimiter=",", ndmin=2, comments=None)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if raw.size == 0:
+        raise ValueError(f"{path}: no data rows")
+    raw = as_matrix(raw)
     if raw.shape[1] == MODEL_DIM + 1:
         labels = raw[:, 0].astype(int)
         fractional = np.flatnonzero(labels != raw[:, 0])

@@ -3,8 +3,9 @@ upper-bidiagonal matrix B.
 
 ``bidiagonal_svd`` is the one entry point.  Singular values alone, and the
 vectors of each divide-and-conquer leaf of at most LEAF rows, come from
-implicit-shift QR steps (Wilkinson shift on the trailing 2x2 of B^T B),
-deflating whenever a superdiagonal entry passes the convergence test
+implicit-shift QR steps (Wilkinson shift on the trailing 2x2 of B^T B,
+taken with the first rotation on the block over a power of two near its
+largest entry), deflating whenever a superdiagonal entry passes the test
 |e_i| <= eps * (|d_i| + |d_i+1|).  The chase runs on Python floats.  With
 vectors, each sweep's right and left rotation chains are recorded, not
 applied.  A side's record is flushed when the leaf converges, and before a
@@ -32,7 +33,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError
-from .matrix import pow2_scale, require_finite
+from .matrix import pow2_scale, prescale, require_finite, unscale
 from .reflectors import givens_params, rotate
 
 # Divide and conquer splits a bidiagonal of more than LEAF rows; its leaves
@@ -83,10 +84,10 @@ def _apply_chains(m: np.ndarray, chains: list) -> None:
     chains.clear()
 
 
-def _wilkinson_mu(d, e, lo, hi):
-    dm, dn = d[hi - 1], d[hi]
-    em = e[hi - 1]
-    em1 = e[hi - 2] if hi - 1 > lo else 0.0
+def _wilkinson_mu(d, e, lo, hi, w):
+    dm, dn = d[hi - 1] / w, d[hi] / w
+    em = e[hi - 1] / w
+    em1 = e[hi - 2] / w if hi - 1 > lo else 0.0
     t11 = dm * dm + em1 * em1
     t12 = dm * em
     t22 = dn * dn + em * em
@@ -94,34 +95,28 @@ def _wilkinson_mu(d, e, lo, hi):
         return t22
     half = 0.5 * (t11 - t22)
     root = math.hypot(half, t12)
-    denom = half + (root if half >= 0.0 else -root)
-    if denom == 0.0:
-        return t22
+    denom = half + (root if half >= 0.0 else -root)  # |denom| >= root >= |t12| > 0
     # associated as t12 * (t12 / denom): t12^2 alone could underflow
     return t22 - t12 * (t12 / denom)
 
 
-def _implicit_step(d: list, e: list, lo: int, hi: int):
+def _implicit_step(d: list, e: list, lo: int, hi: int, w: float):
     """One shifted QR step on the unreduced block [lo, hi]; chases the bulge
     down the superdiagonal with alternating right/left rotations.
 
-    ``d`` and ``e`` are Python lists, updated in place.  Returns the chains
+    ``d`` and ``e`` are Python lists, updated in place.  The shift (in
+    units of w^2) and the first rotation come from the block divided by the
+    power of two ``w``, so their squares cannot underflow.  Returns the chains
     ``(right_c, right_s, left_c, left_s)`` for the caller to apply to the
     singular-vector accumulators.
     """
-    mu = _wilkinson_mu(d, e, lo, hi)
-    y = d[lo] * d[lo] - mu
-    z = d[lo] * e[lo]
+    mu = _wilkinson_mu(d, e, lo, hi, w)
+    d0 = d[lo] / w
+    y = d0 * d0 - mu
+    z = d0 * (e[lo] / w)
     rc, rs, lc, ls = [], [], [], []
     for k in range(lo, hi):
-        # A zero second entry needs no rotation, a zero first one a swap;
-        # givens_params rejects the (0, 0) pair.
-        if z == 0.0:
-            c, s = 1.0, 0.0
-        elif y == 0.0:
-            c, s = 0.0, 1.0
-        else:
-            c, s = givens_params(y, z)
+        c, s = givens_params(y, z)
         if k > lo:
             e[k - 1] = c * y + s * z
         d0, e0, d1 = d[k], e[k], d[k + 1]
@@ -129,12 +124,7 @@ def _implicit_step(d: list, e: list, lo: int, hi: int):
         ek = -s * d0 + c * e0
         bulge = s * d1
         dk1 = c * d1
-        if bulge == 0.0:
-            c2, s2 = 1.0, 0.0
-        elif dk == 0.0:
-            c2, s2 = 0.0, 1.0
-        else:
-            c2, s2 = givens_params(dk, bulge)
+        c2, s2 = givens_params(dk, bulge)
         d[k] = c2 * dk + s2 * bulge
         e[k] = y = c2 * ek + s2 * dk1
         d[k + 1] = -s2 * ek + c2 * dk1
@@ -152,6 +142,8 @@ def _implicit_step(d: list, e: list, lo: int, hi: int):
 def _deflate_zero_diagonal(d, e, i, hi, u):
     """d[i] = 0 with i < hi: row rotations (i, j) sweep e[i] off to the
     right, zeroing row i entirely."""
+    # Both deflation sweeps keep d[j] = hypot >= 0: givens_params's signs
+    # and rounding differ, so the bits of U and V would move.
     bulge = e[i]
     e[i] = 0.0
     for j in range(i + 1, hi + 1):
@@ -231,7 +223,7 @@ def _qr_svd(d: list, e: list, u, v, max_sweeps: int | None) -> np.ndarray:
             raise ConvergenceError(
                 f"bidiagonal SVD did not converge within {max_sweeps} sweeps", partial=np.abs(np.array(d))
             )
-        rc, rs, lc, ls = _implicit_step(d, e, lo, hi)
+        rc, rs, lc, ls = _implicit_step(d, e, lo, hi, pow2_scale(scale))
         if u is not None:
             for m, rec, chain in ((v, rec_v, (lo, rc, rs)), (u, rec_u, (lo, lc, ls))):
                 rec.append(chain)
@@ -291,7 +283,8 @@ def _dc_merge(upper, alpha, beta, lower, sqre):
     u2, s2, v2 = lower
     k, m2 = s1.size, s2.size
     n = k + 1 + m2
-    # Exact power-of-two scaling keeps the squares below in range.
+    # Exact power-of-two scaling keeps the squares below in range; it is
+    # joint over two arrays and the coupling row, so not ``prescale``.
     scale = pow2_scale(max(float(s1.max()), float(s2.max()), abs(alpha), abs(beta)))
     alpha /= scale
     beta /= scale
@@ -302,11 +295,9 @@ def _dc_merge(upper, alpha, beta, lower, sqre):
     # of that pair is the merged null vector.
     d = np.concatenate(([0.0], s1, s2)) / scale
     z = np.concatenate(([alpha * v1[k, k]], alpha * v1[k, :k], beta * v2[0, :m2]))
-    c0, s0 = 1.0, 0.0
     phi = beta * v2[0, m2] if sqre else 0.0
-    if z[0] != 0.0 or phi != 0.0:
-        c0, s0 = givens_params(z[0], phi)
-        z[0] = c0 * z[0] + s0 * phi
+    c0, s0 = givens_params(z[0], phi)
+    z[0] = c0 * z[0] + s0 * phi
     order = np.concatenate(([0], 1 + np.argsort(d[1:], kind="stable")))
     d, z = d[order], z[order]
     # Deflation (xLASD2): a negligible z_j leaves d_j and its vectors as they
@@ -498,13 +489,12 @@ def bidiagonal_svd(d, e, want_uv: bool, max_sweeps: int | None):
     if max_sweeps is not None and max_sweeps < 1:
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
     require_finite("bidiagonal SVD", d, e)
-    top = max(float(np.abs(d).max()), float(np.abs(e).max()) if e.size else 0.0)
-    # Exact power-of-two prescaling keeps the squared quantities of the
-    # shift computation inside the normal floating-point range.  The chase
-    # runs on Python floats: per-element numpy indexing would dominate it.
-    rescale = pow2_scale(top)
-    d = d / rescale
-    e = e / rescale
+    # Exact power-of-two prescaling of B (each implicit-QR step scales its
+    # block again).  The chase runs on Python floats: per-element numpy
+    # indexing would dominate it.
+    de = np.concatenate((d, e))
+    rescale = prescale(de)
+    d, e = de[:n], de[n:]
     try:
         if want_uv:
             u, d, v = _dc(d, e, 0, n, 0, max_sweeps)
@@ -514,9 +504,7 @@ def bidiagonal_svd(d, e, want_uv: bool, max_sweeps: int | None):
     except ConvergenceError as err:
         err.partial = np.sort(err.partial * rescale)[::-1].copy()
         raise
-    with np.errstate(over="ignore"):  # reported just below
-        d = d * rescale
-    require_finite("bidiagonal SVD", d)
+    unscale("bidiagonal SVD", rescale, d)
     order = np.argsort(-d, kind="stable")
     d = d[order]
     if want_uv:

@@ -68,7 +68,6 @@ def _print_matrix(name: str, a, prec: int) -> None:
 def _build_parser() -> _Parser:
     p = _Parser(prog="orthokit", description="dense orthogonal factorizations and applications")
     p.add_argument("--precision", type=int, default=None, help="output decimals (1..17, default 6)")
-    p.add_argument("--seed", type=int, default=0, help="seed for synthetic generators")
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("qr", help="QR factorization of a CSV matrix")
@@ -123,7 +122,7 @@ def _build_parser() -> _Parser:
     ds = dsub.add_parser("synth", help="emit a synthetic labeled dataset")
     ds.add_argument("--classes", type=int, default=10)
     ds.add_argument("--per-class", type=int, required=True)
-    ds.add_argument("--seed", type=int, default=None)
+    ds.add_argument("--seed", type=int, default=0)
     ds.add_argument("--out", required=True)
     return p
 
@@ -289,8 +288,7 @@ def _cmd_digits(args, prec):
             print("accuracy =", _fmt(accuracy, prec))
         return 0
     # synth
-    seed = args.seed if args.seed is not None else 0
-    x, labels = synth_digit_data(per_class=args.per_class, classes=args.classes, seed=seed)
+    x, labels = synth_digit_data(per_class=args.per_class, classes=args.classes, seed=args.seed)
     write_digits_csv(args.out, x, labels)
     print(f"samples = {x.shape[1]}")
     print(f"out = {args.out}")

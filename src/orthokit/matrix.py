@@ -1,5 +1,5 @@
 """Dense matrix/vector substrate: validation, arithmetic, norms, triangular
-solves, Cholesky, and the CSV interchange format.
+solves, Cholesky, power-of-two scaling (``prescale``/``unscale``) and CSV.
 
 Matrices are 2-D row-major float64 numpy arrays; vectors are 1-D float64
 arrays.  Public operations never mutate their inputs and never alias an
@@ -73,13 +73,29 @@ DEFAULT_T_DIGITS = 12
 
 
 def norm_tol(a: np.ndarray, rtol: float) -> float:
-    """``rtol * norm(a, "inf")`` taken on ``a / s``, s = pow2_scale(max|a|),
-    so a row sum past the float64 maximum cannot overflow it; on
-    normal-range input, the same bits as the unscaled product."""
+    """``rtol * norm(a, "inf")`` taken on the prescaled ``|a|``, so a row
+    sum past the float64 maximum cannot overflow it; on normal-range
+    input, the same bits as the unscaled product."""
     mag = np.abs(a)
-    s = pow2_scale(float(mag.max()))
-    mag /= s
+    s = prescale(mag)
     return rtol * float(mag.sum(axis=1).max()) * s
+
+
+def prescale(a: np.ndarray) -> float:
+    """Divide ``a`` in place by s = pow2_scale(max|a|) and return s: exact,
+    and the squares of the scaled entries cannot overflow."""
+    s = pow2_scale(float(np.abs(a).max()))
+    a /= s
+    return s
+
+
+def unscale(what: str, s: float, *arrays) -> None:
+    """Multiply ``arrays`` in place by ``s``; ``NumericalError`` naming
+    ``what`` if a result overflowed."""
+    with np.errstate(over="ignore"):  # reported just below
+        for x in arrays:
+            x *= s
+    require_finite(what, *arrays)
 
 
 def require_finite(what: str, *arrays) -> None:
@@ -122,8 +138,7 @@ def norm(a, kind: str = "frobenius") -> float:
     ``a / pow2_scale(max|a|)``, so it cannot overflow or underflow."""
     a = as_matrix(a)
     if kind == "frobenius":
-        s = pow2_scale(float(np.abs(a).max()))
-        a /= s
+        s = prescale(a)
         return float(np.sqrt((a * a).sum())) * s
     if kind == "inf":
         return float(np.abs(a).sum(axis=1).max())

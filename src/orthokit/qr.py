@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ShapeError
-from .matrix import DEFAULT_T_DIGITS, as_matrix, pow2_scale, require_finite
+from .matrix import DEFAULT_T_DIGITS, as_matrix, prescale, require_finite, unscale
 from .reflectors import (
     BLOCK,
     GivensRotation,
@@ -86,12 +86,11 @@ def qr_householder(a, mode=QrMode.Q_AND_R) -> QrFactorization:
     when requested.
     """
     mode = QrMode.of(mode)
-    a = as_matrix(a)
-    m, n = a.shape
+    r = as_matrix(a)  # a fresh copy, swept in place
+    m, n = r.shape
     # Exact power-of-two prescaling: the sweep cannot overflow, and R
     # overflows only if its true entries do.
-    scale = pow2_scale(float(np.abs(a).max()))
-    r = np.divide(a, scale, out=a)  # as_matrix returned a fresh copy
+    scale = prescale(r)
     reflectors = []
     steps = min(m - 1, n)
     for j0 in range(0, steps, BLOCK):
@@ -105,14 +104,12 @@ def qr_householder(a, mode=QrMode.Q_AND_R) -> QrFactorization:
         if j1 < n:
             reflect_all(panel, r[:, j1:], transpose=True)
         reflectors += panel
-    with np.errstate(over="ignore"):  # reported just below
-        r *= scale
-    require_finite("qr_householder", r)
+    unscale("qr_householder", scale, r)
     if mode is QrMode.R_ONLY:
         return QrFactorization(r=r)
     if mode is QrMode.R_AND_REFLECTORS:
         return QrFactorization(r=r, reflectors=reflectors)
-    q = form_q(reflectors, a.shape[0])
+    q = form_q(reflectors, m)
     return QrFactorization(r=r, q=q, reflectors=reflectors)
 
 
@@ -192,19 +189,17 @@ def qr_pivoted(a, t_digits: int = DEFAULT_T_DIGITS) -> QrFactorization:
     A norm that needs the exact recompute ends the panel early, since the
     recompute reads the updated trailing columns.
     """
-    a = as_matrix(a)
+    r = as_matrix(a)  # a fresh copy, swept in place
     if t_digits < 1:
         raise ValueError(f"t_digits must be >= 1, got {t_digits}")
-    m, n = a.shape
+    m, n = r.shape
     # Exact power-of-two prescaling so the squared column norms stay in range.
-    mag = np.abs(a)
-    scale = pow2_scale(float(mag.max()))
-    mag /= scale
+    scale = prescale(r)
+    mag = np.abs(r)
     delta = 10.0 ** (-t_digits) * float(mag.sum(axis=1).max())
     mag *= mag
     kappa = mag.sum(axis=0)
     floor = NORM_DOWNDATE_GUARD * kappa
-    r = np.divide(a, scale, out=a)  # as_matrix returned a fresh copy
     perm = np.arange(n)
     reflectors: list[HouseholderReflector] = []
     rank = None
@@ -245,9 +240,7 @@ def qr_pivoted(a, t_digits: int = DEFAULT_T_DIGITS) -> QrFactorization:
         j0 = j1
     if rank is None:
         rank = steps
-    with np.errstate(over="ignore"):  # reported just below
-        r *= scale
-    require_finite("qr_pivoted", r)
+    unscale("qr_pivoted", scale, r)
     return QrFactorization(r=r, reflectors=reflectors, perm=perm, rank=rank)
 
 

@@ -9,8 +9,9 @@ loops over ``reflect``, the rank-1 update ``a -= beta u (u^T a)`` on rows
 ``offset:``; otherwise it applies groups of up to ``BLOCK`` reflectors in
 compact WY form ``I - V T V^T`` as three matrix products (Schreiber & Van
 Loan, SIAM J. Sci. Stat. Comput. 1989; LAPACK xLARFT/xLARFB).
-``annihilate`` is the one elimination step of the sweeps, and ``rotate``
-the one plane-rotation update.
+``annihilate`` is the one elimination step of the sweeps, ``givens_params``
+the one rotation-parameter kernel (the identity for the pair (0, 0)), and
+``rotate`` the one plane-rotation update.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .matrix import as_matrix, as_vector, pow2_scale
+from .matrix import as_matrix, as_vector, prescale
 
 __all__ = [
     "HouseholderReflector",
@@ -77,23 +78,21 @@ def _sign_nonneg(t: float) -> float:
 def stable_norm(x) -> float:
     """Euclidean norm with exact power-of-two prescaling, safe against
     overflow/underflow of the squared entries."""
-    top = float(np.abs(x).max()) if len(x) else 0.0
-    if top == 0.0:
+    if len(x) == 0:
         return 0.0
-    s = pow2_scale(top)
-    y = x / s
+    y = np.array(x, dtype=float)
+    s = prescale(y)
     return float(s * np.sqrt(y @ y))
 
 
 def _reflector(x: np.ndarray) -> tuple[HouseholderReflector, float]:
     """The reflector of ``householder_vector`` and ``||x||``, both from one
     prescaled copy of ``x``."""
-    top = float(np.abs(x).max())
-    if top == 0.0:
-        raise ValueError("cannot build a Householder reflector from the zero vector")
-    s = pow2_scale(top)
-    u = x / s
+    u = x.copy()
+    s = prescale(u)
     nrm = float(np.sqrt(u @ u))
+    if nrm == 0.0:  # after the prescale, a nonzero x has u @ u >= 1/4
+        raise ValueError("cannot build a Householder reflector from the zero vector")
     u[0] += _sign_nonneg(u[0]) * nrm
     return HouseholderReflector(u, 2.0 / float(u @ u)), s * nrm
 
@@ -206,13 +205,14 @@ def householder_apply_right(a, h: HouseholderReflector) -> np.ndarray:
 
 def givens_params(x: float, y: float) -> tuple[float, float]:
     """Rotation parameters (c, s) with c^2 + s^2 = 1 mapping (x, y) to
-    (r, 0), r = +-sqrt(x^2 + y^2).
+    (r, 0), r = +-sqrt(x^2 + y^2), and (1, 0) for (0, 0) as LAPACK's xLARTG
+    (Bindel, Demmel, Kahan & Marques, ACM TOMS 28(2), 2002).
 
     Branches on |x| vs |y| so that no intermediate magnitude larger than
     one is ever squared (no overflow/underflow of x^2 + y^2).
     """
     if x == 0.0 and y == 0.0:
-        raise ValueError("givens_params needs a nonzero pair")
+        return 1.0, 0.0
     x = float(x)
     y = float(y)
     if abs(x) > abs(y):

@@ -29,7 +29,7 @@ import numpy as np
 
 from .bidiagonal import bidiagonal_svd
 from .errors import ConvergenceError, ShapeError, SingularMatrixError
-from .matrix import DEFAULT_T_DIGITS, as_matrix, as_vector, norm, norm_tol, pow2_scale, require_finite
+from .matrix import DEFAULT_T_DIGITS, as_matrix, as_vector, norm, norm_tol, pow2_scale, prescale, unscale
 from .reflectors import BLOCK, HouseholderReflector, annihilate, reflect_all, rotate
 
 __all__ = [
@@ -103,14 +103,13 @@ def bidiagonalize(a):
     xGEBRD/xLABRD); the rest of the matrix, and every matrix below the
     crossover, takes one rank-1 update per reflector (xGEBD2).
     """
-    a = as_matrix(a)
-    m, n = a.shape
+    b = as_matrix(a)  # a fresh copy, swept in place
+    m, n = b.shape
     if m < n:
-        raise ShapeError(f"bidiagonalize needs m >= n, got {a.shape}; transpose first")
+        raise ShapeError(f"bidiagonalize needs m >= n, got {b.shape}; transpose first")
     # Exact power-of-two prescaling: the sweep cannot overflow, and d, e
     # overflow only if the singular values do.
-    scale = pow2_scale(float(np.abs(a).max()))
-    b = np.divide(a, scale, out=a)  # as_matrix returned a fresh copy
+    scale = prescale(b)
     left: list[HouseholderReflector] = []
     right: list[HouseholderReflector] = []
     j0 = 0
@@ -125,10 +124,8 @@ def bidiagonalize(a):
             h = annihilate(b[k:, k + 1 :].T, k + 1)
             if h is not None:
                 right.append(h)
-    with np.errstate(over="ignore"):  # reported just below
-        d = np.diagonal(b) * scale
-        e = np.diagonal(b, 1)[: n - 1] * scale
-    require_finite("bidiagonalize", d, e)
+    d, e = np.diagonal(b).copy(), np.diagonal(b, 1).copy()  # diagonal views are read-only
+    unscale("bidiagonalize", scale, d, e)
     return left, Bidiagonal(d, e), right
 
 
@@ -261,7 +258,8 @@ def jacobi_eig(s, max_sweeps: int = 30):
     if n != s.shape[1]:
         raise ShapeError(f"jacobi_eig needs a square matrix, got {s.shape}")
     # |a_ij| <= ||S||_2 <= n max|S| throughout, so below the factor 4n
-    # nothing can overflow and the sweep runs on S itself.
+    # nothing can overflow and the sweep runs on S itself (not ``prescale``:
+    # that would push entries far below max|S| into gradual underflow).
     top = float(np.abs(s).max())
     scale = pow2_scale(top) if top > np.finfo(float).max / (4 * n) else 1.0
     s /= scale  # as_matrix returned a fresh copy
@@ -298,9 +296,8 @@ def jacobi_eig(s, max_sweeps: int = 30):
                 a[q, q] = aqq + t * apq
                 a[p, q] = a[q, p] = 0.0
                 rotate(v[:, p], v[:, q], c, -sn)
-    with np.errstate(over="ignore"):  # reported just below
-        w = np.diagonal(a) * scale
-    require_finite("jacobi_eig", w)
+    w = np.diagonal(a).copy()
+    unscale("jacobi_eig", scale, w)
     order = np.argsort(-w, kind="stable")
     return w[order], v[:, order]
 
@@ -359,10 +356,9 @@ def pseudoinverse(a) -> np.ndarray:
 
 def low_rank(a, k: int) -> np.ndarray:
     """Best rank-k approximation sum_{j<=k} sigma_j u_j v_j^T."""
-    a = as_matrix(a)
-    if not 1 <= k <= min(a.shape):
-        raise ValueError(f"k must be in [1, {min(a.shape)}], got {k}")
-    f = svd(a, "reduced")
+    f = svd(a, "reduced")  # validates A first
+    if not 1 <= k <= f.sigma.size:
+        raise ValueError(f"k must be in [1, {f.sigma.size}], got {k}")
     return (f.u[:, :k] * f.sigma[:k]) @ f.vt[:k, :]
 
 
@@ -390,10 +386,9 @@ def subspace_bases(a) -> SubspaceBases:
 def nearest_orthogonal(a) -> np.ndarray:
     """The orthogonal matrix closest to a square A in Frobenius norm: the
     orthogonal polar factor U V^T."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"nearest_orthogonal needs a square matrix, got {a.shape}")
-    f = svd(a, "full")
+    f = svd(a, "full")  # validates A first
+    if f.u.shape != f.vt.shape:
+        raise ShapeError(f"nearest_orthogonal needs a square matrix, got {(f.u.shape[0], f.vt.shape[1])}")
     return f.u @ f.vt
 
 
@@ -405,10 +400,10 @@ class SingularDistance(NamedTuple):
 def distance_to_singular(a) -> SingularDistance:
     """Distance from a nonsingular square A to the nearest singular matrix:
     sigma_n absolutely, 1/cond2(A) relatively."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"distance_to_singular needs a square matrix, got {a.shape}")
-    sig = singular_values(a)
+    sig = singular_values(a)  # validates A first
+    m, n = np.shape(a)
+    if m != n:
+        raise ShapeError(f"distance_to_singular needs a square matrix, got {(m, n)}")
     if sig[-1] <= default_rank_threshold(a):
         raise SingularMatrixError("matrix is numerically singular")
     return SingularDistance(float(sig[-1]), float(sig[-1] / sig[0]))

@@ -182,6 +182,12 @@ def fro(a):
     return float(np.sqrt((np.asarray(a) ** 2).sum()))
 
 
+def written(path, data):
+    """Write ``data`` (bytes or text) to ``path`` and return the path."""
+    (path.write_bytes if isinstance(data, bytes) else path.write_text)(data)
+    return path
+
+
 def random_rank_deficient(rng, m, n, r):
     return rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
 

@@ -15,7 +15,7 @@ from orthokit.apps import (
     summarize_scores,
     write_pgm,
 )
-from helpers import fro
+from helpers import fro, written
 
 
 class TestPolyfit:
@@ -304,3 +304,24 @@ class TestText:
         ts.a = np.zeros((2, 2))
         with pytest.raises(ValueError, match="zero"):
             summarize_scores(ts)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda tmp: polyfit([1.0, 2.0], [1.0], 1), ValueError, "equal length", id="polyfit-lengths"),
+    pytest.param(lambda tmp: polyfit([1.0, 2.0], [1.0, 2.0], -1), ValueError, "nonnegative", id="polyfit-degree"),
+    pytest.param(lambda tmp: pca_fit(np.ones((3, 4)), 1, samples_as="both"), ValueError, "samples_as",
+                 id="pca-samples_as"),
+    pytest.param(lambda tmp: image_denoise(GrayImage(np.ones((3, 3))), -1.0), ValueError, "nonnegative",
+                 id="denoise-threshold"),
+    pytest.param(lambda tmp: read_pgm(written(tmp / "a.pgm", b"P3 2 2 255\n")), ValueError,
+                 "a.pgm: not a PGM", id="pgm-magic"),
+    pytest.param(lambda tmp: read_pgm(written(tmp / "a.pgm", b"P5 x 2 255\n")), ValueError,
+                 "a.pgm: malformed PGM header", id="pgm-header"),
+    pytest.param(lambda tmp: read_pgm(written(tmp / "a.pgm", b"P5 2 2 255\n\x01")), ValueError,
+                 "a.pgm: truncated P5 raster", id="pgm-truncated-p5"),
+    pytest.param(lambda tmp: read_pgm(written(tmp / "a.pgm", b"P2 2 2 255\n1 2 3")), ValueError,
+                 "a.pgm: truncated P2 raster", id="pgm-truncated-p2"),
+])
+def test_error_paths(call, error, match, tmp_path):
+    with pytest.raises(error, match=match):
+        call(tmp_path)

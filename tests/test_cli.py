@@ -293,3 +293,44 @@ class TestDigitsWorkflow:
         out, err = run_lines(capsys, ["digits", "classify", str(test), "--model", str(model)], expect=1)
         assert out == []
         assert err.count("\n") == 1 and err.startswith("input error: ") and "truncated model file" in err
+
+    @pytest.mark.parametrize("argv, seed", [(["--seed", "3"], 3), ([], 0)], ids=["seed-3", "default-0"])
+    def test_synth_seed(self, capsys, tmp_path, argv, seed):
+        from orthokit.apps import synth_digit_data, write_digits_csv
+
+        out = tmp_path / "out.csv"
+        run_lines(capsys, ["digits", "synth", "--per-class", "2", "--out", str(out)] + argv)
+        write_digits_csv(tmp_path / "ref.csv", *synth_digit_data(per_class=2, seed=seed))
+        assert out.read_text() == (tmp_path / "ref.csv").read_text()
+
+    def test_no_global_seed(self, capsys, tmp_path):
+        argv = ["--seed", "5", "digits", "synth", "--per-class", "2", "--out", str(tmp_path / "x.csv")]
+        out, err = run_lines(capsys, argv, expect=1)
+        assert out == [] and err.startswith("usage error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("text, reason", [("", "no data rows"), ("\n\n", "no data rows"),
+                                              ("# a comment\n", "could not convert")],
+                             ids=["empty", "blank", "comment"])
+    def test_csv_without_data_is_one_input_error_line(self, capsys, tmp_path, text, reason):
+        data = tmp_path / "f.csv"
+        data.write_text(text)
+        out, err = run_lines(capsys, ["digits", "train", str(data), "--k", "1", "--model", str(tmp_path / "m")],
+                             expect=1)
+        assert out == [] and err.count("\n") == 1
+        assert err.startswith(f"input error: {data}: ") and reason in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["fit", "{tmp}/three.csv", "--degree", "1"], "input error: {tmp}/three.csv: expected two columns",
+                 id="fit-three-columns"),
+    pytest.param(["digits", "train", "{tmp}", "--k", "1", "--model", "{tmp}/m"], "usage error: missing class file",
+                 id="train-missing-class"),
+    pytest.param(["digits", "train", "{tmp}/unlabeled.csv", "--k", "1", "--model", "{tmp}/m"],
+                 "usage error: {tmp}/unlabeled.csv: training CSV must carry labels", id="train-unlabeled"),
+])
+def test_error_paths(capsys, tmp_path, argv, message):
+    write_matrix_csv(np.ones((3, 3)), tmp_path / "three.csv")
+    (tmp_path / "unlabeled.csv").write_text(",".join(["0"] * 784) + "\n")
+    out, err = run_lines(capsys, [a.format(tmp=tmp_path) for a in argv], expect=1)
+    assert out == [] and err.count("\n") == 1 and err.startswith(message.format(tmp=tmp_path))

@@ -14,7 +14,7 @@ from orthokit.apps import (
     synth_digit_data,
     write_digits_csv,
 )
-from helpers import fro
+from helpers import fro, written
 
 
 def small_synthetic(per_class=12, dim=40, subspace_dim=3, seed=9, noise=1e-3):
@@ -199,3 +199,30 @@ class TestPersistence:
         model = digits_train(train, 6)
         pred, _ = digits_classify(model, test)
         assert np.mean(pred == truth) == 1.0
+
+
+def _row(label, width=784):
+    return (f"{label}," if label is not None else "") + ",".join(["7"] * width) + "\n"
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda tmp: read_digits_csv(written(tmp / "d.csv", _row(12))), "d.csv: labels must be in 0..9",
+                 id="label-range"),
+    pytest.param(lambda tmp: read_digits_csv(written(tmp / "d.csv", _row(1, 10))),
+                 "d.csv: expected 784 or 785 fields per row, got 11", id="width"),
+    pytest.param(lambda tmp: write_digits_csv(tmp / "d.csv", np.ones((784, 2)), [1]), "1 labels for 2 samples",
+                 id="write-labels"),
+    pytest.param(lambda tmp: write_digits_csv(tmp / "d.csv", np.ones((10, 2)), [1, 2]),
+                 "requires 784-pixel samples, got 10", id="write-pixels"),
+    pytest.param(lambda tmp: load_digit_model(written(tmp / "m.okdm", b"OKDM" + struct.pack("<II", 2, 1))),
+                 "m.okdm: unsupported model version 2", id="model-version"),
+    pytest.param(lambda tmp: digits_train([np.ones((4, 2))] * 10, 0), "k must be >= 1", id="train-k"),
+])
+def test_error_paths(call, match, tmp_path):
+    with pytest.raises(ValueError, match=match):
+        call(tmp_path)
+
+
+def test_unlabeled_rows_have_no_labels(tmp_path):
+    x, labels = read_digits_csv(written(tmp_path / "d.csv", _row(None) * 2))
+    assert labels is None and x.shape == (784, 2) and (x == 7.0).all()

@@ -325,3 +325,12 @@ class TestConditioning:
         a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         with pytest.raises(ShapeError, match=r"solution of length 3 does not match matrix \(3, 2\)"):
             conditioning_report(a, np.ones(3), np.ones(3))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: solve_qr_pivoted(np.ones((3, 2)), [1.0, 2.0, 3.0], y_hat=[np.inf]), ValueError,
+                 "y_hat entries must be finite", id="y_hat-inf"),
+])
+def test_error_paths(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

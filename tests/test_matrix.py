@@ -4,9 +4,11 @@ import pytest
 from orthokit import (
     CsvFormatError,
     NotPositiveDefiniteError,
+    NumericalError,
     ShapeError,
     SingularTriangularError,
     as_matrix,
+    as_vector,
     back_sub,
     cholesky,
     forward_sub,
@@ -17,7 +19,8 @@ from orthokit import (
     transpose,
     write_matrix_csv,
 )
-from helpers import SURVEY_A, SURVEY_GRAM, fro, triple_loop_matmul
+from orthokit.matrix import prescale, unscale
+from helpers import SURVEY_A, SURVEY_GRAM, fro, triple_loop_matmul, written
 
 
 class TestMatMul:
@@ -235,6 +238,32 @@ class TestPow2Scale:
         assert pow2_scale(0.0) == 1.0
 
 
+class TestPrescale:
+    @pytest.mark.parametrize("e", [-1000, 0, 1000])
+    def test_exact_round_trip(self, e):
+        base = np.array([[1.5, -0.25], [3.0, 0.0]])
+        a = np.ldexp(base, e)
+        s = prescale(a)
+        assert s == 2.0 ** (e + 2)
+        assert np.array_equal(a, base / 4.0)
+        unscale("round trip", s, a)
+        assert np.array_equal(a, np.ldexp(base, e))
+
+    def test_all_zero(self):
+        a = np.zeros((2, 3))
+        assert prescale(a) == 1.0
+        unscale("zeros", 1.0, a)
+        assert not a.any()
+
+    def test_overflow_names_the_caller(self):
+        x, y = np.array([2.5, -0.5]), np.array([0.25])
+        before = np.geterr()
+        with pytest.raises(NumericalError, match="^my factorization: "):
+            unscale("my factorization", 2.0 ** 1023, x, y)
+        assert np.isinf(x[0]) and x[1] == -(2.0 ** 1022) and y[0] == 2.0 ** 1021
+        assert np.geterr() == before
+
+
 class TestValidation:
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -282,3 +311,18 @@ class TestCsv:
         assert np.array_equal(read_vector_csv(path), [1.0, 2.0, 3.0])
         path.write_text("1,2,3\n")
         assert np.array_equal(read_vector_csv(path), [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda tmp: back_sub(np.ones((2, 3)), [1.0, 2.0]), ShapeError, "square", id="back_sub-shape"),
+    pytest.param(lambda tmp: back_sub(np.eye(2), [1.0, 2.0, 3.0]), ShapeError, "length 3", id="back_sub-rhs"),
+    pytest.param(lambda tmp: forward_sub(np.ones((2, 3)), [1.0, 2.0]), ShapeError, "square", id="forward_sub-shape"),
+    pytest.param(lambda tmp: forward_sub(np.eye(2), [1.0, 2.0, 3.0]), ShapeError, "length 3", id="forward_sub-rhs"),
+    pytest.param(lambda tmp: cholesky(np.ones((2, 3))), ShapeError, "square", id="cholesky-shape"),
+    pytest.param(lambda tmp: as_vector([]), ShapeError, "positive", id="as_vector-empty"),
+    pytest.param(lambda tmp: read_vector_csv(written(tmp / "m.csv", "1,0\n0,1\n")), ShapeError,
+                 "m.csv: expected a single row or column", id="read_vector_csv-2x2"),
+])
+def test_error_paths(call, error, match, tmp_path):
+    with pytest.raises(error, match=match):
+        call(tmp_path)

@@ -221,3 +221,11 @@ class TestProjectorGeometry:
             obl = oblique_projector(rng, m, k)
             assert is_projector(obl, 1e-8 * (1 + fro(obl) ** 2)).ok
             assert norm2(obl) >= 1.0 - 1e-10
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: complement(np.ones((2, 3))), ShapeError, "square", id="complement-shape"),
+])
+def test_error_paths(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -405,3 +405,11 @@ class TestFactorizationInvariants:
             g = qr_givens(a)
             assert fro(g.q.T @ g.q - np.eye(m)) <= 1e-12 * m
             assert fro(a - g.q @ g.r) <= 1e-13 * fro(a) * max(m, n)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: qr_pivoted(np.eye(2), t_digits=0), ValueError, "t_digits must be >= 1", id="t_digits"),
+])
+def test_error_paths(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

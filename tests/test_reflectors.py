@@ -282,9 +282,11 @@ class TestGivens:
         assert abs(abs(s) - 1 / np.sqrt(2)) <= 1e-15
         assert np.isfinite(c) and np.isfinite(s) and (c, s) != (0.0, 0.0)
 
-    def test_both_zero_rejected(self):
-        with pytest.raises(ValueError, match="nonzero"):
-            givens_params(0.0, 0.0)
+    def test_both_zero_is_identity(self):
+        # As LAPACK's xLARTG: the (0, 0) pair needs no rotation.
+        for x, y in [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)]:
+            c, s = givens_params(x, y)
+            assert (c, s) == (1.0, 0.0) and not np.signbit(s)
 
     def test_zeroing_pipeline_golden(self):
         a = ZEROING_A.copy()

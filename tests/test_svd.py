@@ -29,6 +29,7 @@ from orthokit import (
     svd,
 )
 from orthokit import bidiagonal as bd_mod
+from orthokit.matrix import as_matrix
 from orthokit.reflectors import BLOCK, reflect_all, rotate
 from helpers import (
     RANK2_A,
@@ -418,6 +419,39 @@ def _rotate_spy(monkeypatch):
     return callers
 
 
+class TestBlockFarBelowTheLargestEntry:
+    """diag(A1, rho A2) with rho far below 1: each implicit-QR step scales
+    its own block, so the shift of the tiny block does not underflow.  One
+    leaf (n = 6) and divide and conquer (n = 60, 120); normwise bounds."""
+
+    @pytest.mark.parametrize("n", [6, 60, 120])
+    @pytest.mark.parametrize("rho", [1e-160, 1e-200, 1e-300])
+    def test_converges_within_the_normwise_bounds(self, n, rho):
+        rng = np.random.default_rng(n)
+        h = n // 2
+        a = np.zeros((n, n))
+        a[:h, :h] = rng.standard_normal((h, h))
+        a[h:, h:] = rho * rng.standard_normal((h, h))
+        ref = np.linalg.svd(a, compute_uv=False)
+        tol = 20 * n * EPS
+        f = svd(a)
+        assert fro((f.u * f.sigma) @ f.vt - a) <= tol * fro(a)
+        assert fro(f.u.T @ f.u - np.eye(n)) <= tol * np.sqrt(n)
+        assert fro(f.vt @ f.vt.T - np.eye(n)) <= tol * np.sqrt(n)
+        for sigma in (f.sigma, singular_values(a)):
+            assert np.abs(sigma - ref).max() <= tol * ref[0]
+
+    def test_bidiagonal_with_a_tiny_trailing_block(self):
+        d, e = np.array([1.0, 1.0, 1e-200, 2e-200, 3e-200]), np.array([0.5, 0.0, 1e-200, 1e-200])
+        b = np.diag(d) + np.diag(e, 1)
+        left, sigma, right = bidiag_svd(Bidiagonal(d, e))
+        assert fro((left * sigma) @ right.T - b) <= 20 * 5 * EPS * fro(b)
+        # One leaf: the tiny block's values are accurate relative to themselves.
+        tiny = np.linalg.svd(b[2:, 2:] * 1e200, compute_uv=False) * 1e-200
+        for values in (sigma[2:], singular_values(b)[2:]):
+            assert np.abs(values - tiny).max() <= 20 * 5 * EPS * tiny[-1]
+
+
 class TestRotationChains:
     # A leaf's chains have at most LEAF - 1 rotations, padded to the leaf's
     # width with identity rotations.
@@ -656,13 +690,34 @@ class TestWorkingCopy:
 
     @pytest.mark.parametrize(
         "func",
-        [svd, singular_values, cond2, matrix_rank, norm2, pseudoinverse, subspace_bases, projector_onto_range],
+        [svd, singular_values, cond2, matrix_rank, norm2, pseudoinverse, subspace_bases, projector_onto_range,
+         pytest.param(lambda a: low_rank(a, 99), id="low_rank"), nearest_orthogonal, distance_to_singular],
     )
     @pytest.mark.parametrize("a, error, message", MALFORMED, ids=["0x3", "3x0", "1d", "3d", "nan", "ragged", "str"])
     def test_malformed_input(self, func, a, error, message):
         with pytest.raises(ValueError, match=message) as info:
             func(a)
         assert info.type is error
+
+    @pytest.mark.parametrize("func, copies", [(lambda a: low_rank(a, 2), 1), (nearest_orthogonal, 1),
+                                              (distance_to_singular, 2)], ids=["low_rank", "nearest", "distance"])
+    def test_checks_after_the_factorization(self, func, copies, monkeypatch):
+        # The factorization validates and copies A; only the rank threshold
+        # of distance_to_singular copies it once more.
+        calls = []
+        monkeypatch.setattr(svd_mod, "as_matrix", lambda a: calls.append(1) or as_matrix(a))
+        func(np.eye(3) + 0.1)
+        assert len(calls) == copies
+
+    @pytest.mark.parametrize("func, message", [
+        (lambda a: low_rank(a, 3), r"k must be in \[1, 2\], got 3"),
+        (nearest_orthogonal, r"nearest_orthogonal needs a square matrix, got \(2, 3\)"),
+        (distance_to_singular, r"distance_to_singular needs a square matrix, got \(2, 3\)"),
+    ], ids=["low_rank", "nearest", "distance"])
+    def test_messages_after_the_factorization(self, func, message):
+        for a in (np.ones((2, 3)), np.ones((2, 3)).tolist()):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                func(a)
 
     def test_singular_values_peak_is_the_bidiagonalization(self):
         a = np.random.default_rng(96).standard_normal((600, 60))
@@ -972,6 +1027,18 @@ class TestNearestOrthogonal:
     def test_non_square_rejected(self):
         with pytest.raises(ShapeError, match="square"):
             nearest_orthogonal(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: svd(np.eye(2), shape="thin"), ValueError, "shape must be", id="svd-thin"),
+    pytest.param(lambda: svd([[np.nan, 1.0]], shape="thin"), ValueError, "shape must be", id="svd-thin-malformed"),
+    pytest.param(lambda: jacobi_eig(np.ones((2, 3))), ShapeError, "square", id="jacobi_eig-shape"),
+    pytest.param(lambda: numerical_rank(np.ones((2, 2)), 0.1), ShapeError, "1-D", id="numerical_rank-2d"),
+])
+def test_error_paths(call, error, match):
+    with pytest.raises(error, match=match) as info:
+        call()
+    assert info.type is error
 
 
 class TestDistanceToSingular:
