@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import os
 import struct
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..matrix import as_matrix
+from ..matrix import as_matrix, read_matrix_csv, write_matrix_csv
 from ..qr import form_q, qr_householder, QrMode
 from ..svd import svd
 
@@ -116,24 +115,9 @@ def read_digits_csv(path):
 
     Rows of 784 fields are accepted as unlabeled data (labels = None).
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # an empty file is reported below
-        try:
-            raw = np.loadtxt(path, delimiter=",", ndmin=2, comments=None)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    if raw.size == 0:
-        raise ValueError(f"{path}: no data rows")
-    raw = as_matrix(raw)
+    raw = read_matrix_csv(path)
     if raw.shape[1] == MODEL_DIM + 1:
-        labels = raw[:, 0].astype(int)
-        fractional = np.flatnonzero(labels != raw[:, 0])
-        if fractional.size:
-            row = int(fractional[0])
-            raise ValueError(f"{path}: row {row + 1}: label {raw[row, 0]:g} is not an integer")
-        if np.any(labels < 0) or np.any(labels > 9):
-            raise ValueError(f"{path}: labels must be in 0..9")
-        return np.ascontiguousarray(raw[:, 1:].T), labels
+        return np.ascontiguousarray(raw[:, 1:].T), _checked_labels(path, raw[:, 0])
     if raw.shape[1] == MODEL_DIM:
         return np.ascontiguousarray(raw.T), None
     raise ValueError(f"{path}: expected {MODEL_DIM} or {MODEL_DIM + 1} fields per row, got {raw.shape[1]}")
@@ -146,17 +130,24 @@ def write_digits_csv(path, x, labels, offset: float = 128.0, scale: float = 48.0
     through ``offset + scale * value`` before rounding and clipping.
     """
     x = as_matrix(x)
-    labels = np.asarray(labels, dtype=int)
+    labels = np.asarray(labels, dtype=float)
     if labels.size != x.shape[1]:
         raise ValueError(f"{labels.size} labels for {x.shape[1]} samples")
     if x.shape[0] != MODEL_DIM:
         raise ValueError(f"digit CSV requires {MODEL_DIM}-pixel samples, got {x.shape[0]}")
     pixels = np.rint(offset + scale * x).clip(0, 255).astype(int)
-    with open(path, "w", encoding="utf-8") as f:
-        for j in range(x.shape[1]):
-            f.write(f"{labels[j]},")
-            f.write(",".join(str(v) for v in pixels[:, j]))
-            f.write("\n")
+    write_matrix_csv(np.column_stack((_checked_labels(path, labels), pixels.T)), path)
+
+
+def _checked_labels(path, values: np.ndarray) -> np.ndarray:
+    """``values`` as ints; raises unless every one is an integer in 0..9."""
+    fractional = np.flatnonzero(np.floor(values) != values)
+    if fractional.size:
+        row = int(fractional[0])
+        raise ValueError(f"{path}: row {row + 1}: label {values[row]:g} is not an integer")
+    if np.any(values < 0) or np.any(values > 9):
+        raise ValueError(f"{path}: labels must be in 0..9")
+    return values.astype(int)
 
 
 # ---------------------------------------------------------------------------

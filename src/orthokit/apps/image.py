@@ -103,6 +103,8 @@ def read_pgm(path) -> GrayImage:
         width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     except ValueError:
         raise ValueError(f"{path}: malformed PGM header") from None
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: image dimensions must be positive, got {width} x {height}")
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}; expected 255")
     count = width * height

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CsvFormatError, NumericalError, ShapeError
 from .lstsq import conditioning_report, solve, solve_normal, solve_qr, solve_qr_pivoted, solve_svd
-from .matrix import DEFAULT_T_DIGITS, read_matrix_csv, read_vector_csv
+from .matrix import DEFAULT_T_DIGITS, read_matrix_csv, read_text, read_vector_csv
 from .qr import QrMode, form_q, qr_givens, qr_householder, qr_pivoted
 from .svd import singular_values, svd
 from .apps.digits import (
@@ -185,7 +185,7 @@ def _cmd_solve(args, prec):
     print(f"rank = {sol.rank}")
     if sol.free_params is not None:
         print(f"free_params = {sol.free_params}")
-    if np.linalg.norm(b) > 0.0:
+    if b.any():
         rep = conditioning_report(a, b, sol.x)
         print("cond =", _fmt(rep.cond, prec))
         print("cos_theta =", _fmt(rep.cos_theta, prec))
@@ -233,12 +233,12 @@ def _cmd_denoise(args, prec):
 
 
 def _cmd_summarize(args, prec):
-    text = Path(args.text).read_text(encoding="utf-8")
-    sentences = [line for line in text.splitlines() if line.strip()]
-    stopwords = set()
-    if args.stopwords:
-        stopwords = {w.strip() for w in Path(args.stopwords).read_text(encoding="utf-8").split() if w.strip()}
-    ts = build_term_sentence(sentences, stopwords)
+    sentences = [line for line in read_text(args.text).splitlines() if line.strip()]
+    stopwords = set(read_text(args.stopwords).split()) if args.stopwords else set()
+    try:
+        ts = build_term_sentence(sentences, stopwords)
+    except ValueError as exc:
+        raise ValueError(f"{args.text}: {exc}") from None
     term_scores, sentence_scores = summarize_scores(ts)
     top = max(1, args.top)
     term_order = np.argsort(-term_scores, kind="stable")[:top]
@@ -263,6 +263,9 @@ def _load_training_classes(source):
     x, labels = read_digits_csv(path)
     if labels is None:
         raise UsageError(f"{source}: training CSV must carry labels in the first field")
+    counts = np.bincount(labels, minlength=NUM_CLASSES)
+    if not counts.all():
+        raise ValueError(f"{source}: no samples of class {int(np.argmin(counts))}")
     return [np.ascontiguousarray(x[:, labels == c]) for c in range(NUM_CLASSES)]
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NotPositiveDefiniteError, RankDeficiencyError, ShapeError
 from .matrix import DEFAULT_T_DIGITS, as_matrix, as_vector, back_sub, cholesky, forward_sub, norm_tol
 from .qr import QrMode, qr_householder, qr_pivoted
-from .reflectors import reflect_all
+from .reflectors import reflect_all, stable_norm
 from .svd import cond2, default_rank_threshold, numerical_rank, svd
 
 __all__ = [
@@ -192,11 +192,11 @@ def conditioning_report(a, b, x, eps_a: float = 0.0) -> ConditioningReport:
     x = as_vector(x)
     if x.size != a.shape[1]:
         raise ShapeError(f"solution of length {x.size} does not match matrix {a.shape}")
-    bnorm = float(np.linalg.norm(b))
+    bnorm = stable_norm(b)
     if bnorm == 0.0:
         raise ValueError("conditioning report needs a nonzero right-hand side")
     cond = cond2(a)
-    cos_theta = min(1.0, max(0.0, float(np.linalg.norm(a @ x)) / bnorm))
+    cos_theta = min(1.0, max(0.0, stable_norm(a @ x) / bnorm))
     theta = math.acos(cos_theta)
     rhs_bound = cond / cos_theta if cos_theta > 0.0 else math.inf
     matrix_bound = (cond * cond * math.tan(theta) + cond) * eps_a

@@ -221,46 +221,51 @@ def cholesky(s) -> np.ndarray:
 
 
 def parse_matrix_csv(text: str, source: str = "<string>") -> np.ndarray:
-    rows = []
-    width = None
-    lineno = 0
-    for raw in text.splitlines():
-        lineno += 1
-        if raw.strip() == "":
-            continue
-        fields = raw.split(",")
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            raise CsvFormatError(
-                f"{source}: line {lineno}: expected {width} fields, found {len(fields)}"
-            )
-        row = []
-        for col, field in enumerate(fields, start=1):
-            try:
-                row.append(float(field))
-            except ValueError:
-                raise CsvFormatError(
-                    f"{source}: line {lineno}, column {col}: not a number: {field.strip()!r}"
-                ) from None
-        rows.append(row)
-    if not rows:
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
         raise CsvFormatError(f"{source}: no data rows")
+    try:
+        rows = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+    except ValueError as exc:
+        # Report the first width or number error in file order, else loadtxt's.
+        width = lines[0].count(",") + 1
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            if raw.strip() == "":
+                continue
+            fields = raw.split(",")
+            if len(fields) != width:
+                raise CsvFormatError(
+                    f"{source}: line {lineno}: expected {width} fields, found {len(fields)}"
+                ) from None
+            for col, field in enumerate(fields, start=1):
+                try:
+                    float(field)
+                except ValueError:
+                    raise CsvFormatError(
+                        f"{source}: line {lineno}, column {col}: not a number: {field.strip()!r}"
+                    ) from None
+        raise CsvFormatError(f"{source}: {exc}") from None
     return as_matrix(rows)
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of the file at ``path``; a decoding error names the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def read_matrix_csv(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_matrix_csv(f.read(), source=str(path))
+    return parse_matrix_csv(read_text(path), source=str(path))
 
 
 def read_vector_csv(path) -> np.ndarray:
     """Read a vector stored as a single CSV column (or a single row)."""
     m = read_matrix_csv(path)
-    if m.shape[1] == 1:
-        return m[:, 0].copy()
-    if m.shape[0] == 1:
-        return m[0, :].copy()
+    if 1 in m.shape:
+        return m.ravel()
     raise ShapeError(f"{path}: expected a single row or column, got shape {m.shape}")
 
 
@@ -271,6 +276,4 @@ def write_matrix_csv(a, path, precision: int = 17) -> None:
     """
     a = as_matrix(a)
     with open(path, "w", encoding="utf-8") as f:
-        for row in a:
-            f.write(",".join(f"{v:.{precision}g}" for v in row))
-            f.write("\n")
+        np.savetxt(f, a, fmt=f"%.{precision}g", delimiter=",")

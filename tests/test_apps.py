@@ -317,6 +317,10 @@ class TestText:
                  "a.pgm: not a PGM", id="pgm-magic"),
     pytest.param(lambda tmp: read_pgm(written(tmp / "a.pgm", b"P5 x 2 255\n")), ValueError,
                  "a.pgm: malformed PGM header", id="pgm-header"),
+    pytest.param(lambda tmp: read_pgm(written(tmp / "a.pgm", b"P5 -1 2 255\n\x01\x02")), ValueError,
+                 "a.pgm: image dimensions must be positive, got -1 x 2", id="pgm-negative-width"),
+    pytest.param(lambda tmp: read_pgm(written(tmp / "a.pgm", b"P2 2 0 255\n")), ValueError,
+                 "a.pgm: image dimensions must be positive, got 2 x 0", id="pgm-zero-height"),
     pytest.param(lambda tmp: read_pgm(written(tmp / "a.pgm", b"P5 2 2 255\n\x01")), ValueError,
                  "a.pgm: truncated P5 raster", id="pgm-truncated-p5"),
     pytest.param(lambda tmp: read_pgm(written(tmp / "a.pgm", b"P2 2 2 255\n1 2 3")), ValueError,

@@ -165,6 +165,29 @@ class TestNearOverflowInput:
         assert "method = qr" in out and "rank = 2" in out
 
 
+class TestSolveAtExtremeScale:
+    REPORT = ("cond", "cos_theta", "theta", "rhs_sensitivity_bound", "matrix_sensitivity_bound")
+
+    def report_lines(self, capsys, tmp_path, s):
+        rng = np.random.default_rng(20)
+        a = rng.standard_normal((20, 3))
+        b = a @ np.array([1.0, 2.0, 3.0]) + 0.1 * rng.standard_normal(20)
+        write_matrix_csv(a * s, tmp_path / "a.csv")
+        write_matrix_csv((b * s).reshape(-1, 1), tmp_path / "b.csv")
+        out, _ = run_lines(capsys, ["--precision", "17", "solve", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")])
+        return [line for line in out if line.split(" = ")[0] in self.REPORT]
+
+    @pytest.mark.parametrize("e", [
+        # residual_norm is still an unscaled 2-norm and overflows at this scale
+        pytest.param(660, marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")),
+        -660,
+    ])
+    def test_report_matches_the_unscaled_system(self, capsys, tmp_path, e):
+        expected = self.report_lines(capsys, tmp_path, 1.0)
+        assert len(expected) == len(self.REPORT)
+        assert self.report_lines(capsys, tmp_path, 2.0**e) == expected
+
+
 class TestDeterminismAndPrecision:
     def test_identical_argv_identical_output(self, capsys, survey_files):
         a, b = survey_files
@@ -310,7 +333,7 @@ class TestDigitsWorkflow:
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("text, reason", [("", "no data rows"), ("\n\n", "no data rows"),
-                                              ("# a comment\n", "could not convert")],
+                                              ("# a comment\n", "line 1, column 1: not a number")],
                              ids=["empty", "blank", "comment"])
     def test_csv_without_data_is_one_input_error_line(self, capsys, tmp_path, text, reason):
         data = tmp_path / "f.csv"
@@ -328,9 +351,20 @@ class TestDigitsWorkflow:
                  id="train-missing-class"),
     pytest.param(["digits", "train", "{tmp}/unlabeled.csv", "--k", "1", "--model", "{tmp}/m"],
                  "usage error: {tmp}/unlabeled.csv: training CSV must carry labels", id="train-unlabeled"),
+    pytest.param(["digits", "train", "{tmp}/one-class.csv", "--k", "1", "--model", "{tmp}/m"],
+                 "input error: {tmp}/one-class.csv: no samples of class 0", id="train-class-without-samples"),
+    pytest.param(["summarize", "{tmp}/latin1.txt"], "input error: {tmp}/latin1.txt: 'utf-8' codec can't decode",
+                 id="summarize-not-utf8"),
+    pytest.param(["summarize", "{tmp}/doc.txt", "--stopwords", "{tmp}/latin1.txt"],
+                 "input error: {tmp}/latin1.txt: 'utf-8' codec can't decode", id="stopwords-not-utf8"),
+    pytest.param(["summarize", "{tmp}/doc.txt", "--stopwords", "{tmp}/doc.txt"],
+                 "input error: {tmp}/doc.txt: no terms left after stopword removal", id="summarize-no-terms"),
 ])
 def test_error_paths(capsys, tmp_path, argv, message):
     write_matrix_csv(np.ones((3, 3)), tmp_path / "three.csv")
     (tmp_path / "unlabeled.csv").write_text(",".join(["0"] * 784) + "\n")
+    (tmp_path / "one-class.csv").write_text("1," + ",".join(["0"] * 784) + "\n")
+    (tmp_path / "latin1.txt").write_bytes("caf\xe9 au lait\n".encode("latin-1"))
+    (tmp_path / "doc.txt").write_text("orthogonal factors\n")
     out, err = run_lines(capsys, [a.format(tmp=tmp_path) for a in argv], expect=1)
     assert out == [] and err.count("\n") == 1 and err.startswith(message.format(tmp=tmp_path))

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import tracemalloc
 
@@ -185,6 +186,31 @@ class TestPersistence:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"digits\.csv: row 2: label 3\.7 is not an integer"):
             read_digits_csv(path)
+
+    def test_csv_bytes_are_pinned(self, tmp_path):
+        # sha256 of what the per-sample writer of earlier releases produced
+        # ("label," then str(int) pixels) for this synthetic set.
+        x, labels = synth_digit_data(per_class=2, seed=3)
+        path = tmp_path / "digits.csv"
+        write_digits_csv(path, x, labels)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "54f28d7db55a728843c72fb6f5c49327860a52bbbb492aeb511ce093aaaa67a2")
+        x2, labels2 = read_digits_csv(path)
+        assert np.array_equal(labels2, labels)
+        assert np.array_equal(x2, np.rint(128.0 + 48.0 * x).clip(0, 255))
+
+    @pytest.mark.parametrize("labels, match", [
+        ([1, 3.7], r"d\.csv: row 2: label 3\.7 is not an integer"),
+        ([1, 12], r"d\.csv: labels must be in 0\.\.9"),
+        ([-1, 1], r"d\.csv: labels must be in 0\.\.9"),
+    ], ids=["fractional", "above-9", "negative"])
+    def test_csv_writer_rejects_what_the_reader_rejects(self, tmp_path, labels, match):
+        path = tmp_path / "d.csv"
+        with pytest.raises(ValueError, match=match):
+            write_digits_csv(path, np.zeros((784, 2)), labels)
+        assert not path.exists()
+        with pytest.raises(ValueError, match=match):
+            read_digits_csv(written(path, "".join(_row(label) for label in labels)))
 
     def test_csv_classification_survives_quantization(self, tmp_path):
         x, labels = synth_digit_data(30, classes=10, seed=6)

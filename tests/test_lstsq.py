@@ -312,6 +312,16 @@ class TestConditioning:
         assert rep.cos_theta == pytest.approx(1.0, abs=1e-12)
         assert rep.rhs_sensitivity_bound == pytest.approx(rep.cond, rel=1e-12)
 
+    @pytest.mark.parametrize("e", [660, -660])
+    def test_report_is_exact_under_power_of_two_scaling(self, e):
+        # ||b|| and ||Ax|| square entries near 2^(+-1320) unless prescaled.
+        rng = np.random.default_rng(20)
+        a = rng.standard_normal((20, 3))
+        b = a @ np.array([1.0, 2.0, 3.0]) + 0.1 * rng.standard_normal(20)
+        x = solve_qr(a, b).x
+        s = 2.0**e
+        assert conditioning_report(a * s, b * s, x, eps_a=1e-8) == conditioning_report(a, b, x, eps_a=1e-8)
+
     def test_zero_rhs_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             conditioning_report(np.eye(2), np.zeros(2), np.zeros(2))

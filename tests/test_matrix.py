@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthokit import (
     CsvFormatError,
@@ -19,7 +21,7 @@ from orthokit import (
     transpose,
     write_matrix_csv,
 )
-from orthokit.matrix import prescale, unscale
+from orthokit.matrix import parse_matrix_csv, prescale, unscale
 from helpers import SURVEY_A, SURVEY_GRAM, fro, triple_loop_matmul, written
 
 
@@ -304,6 +306,46 @@ class TestCsv:
         path.write_text("")
         with pytest.raises(CsvFormatError, match="no data"):
             read_matrix_csv(path)
+
+    @pytest.mark.parametrize("text, match", [
+        ("1,2\n3\n4,x\n", r"^<string>: line 2: expected 2 fields, found 1$"),
+        ("1,2\n\n4,x\n5\n", r"^<string>: line 3, column 2: not a number: 'x'$"),
+        ("1, ,3\n", r"^<string>: line 1, column 2: not a number: ''$"),
+    ], ids=["width-first", "number-first", "blank-field"])
+    def test_first_error_in_file_order(self, text, match):
+        with pytest.raises(CsvFormatError, match=match):
+            parse_matrix_csv(text)
+
+    @pytest.mark.parametrize("field", ["1_000", "\u0661"], ids=["underscore", "arabic-indic-digit"])
+    def test_fields_float_alone_accepts_are_rejected(self, field):
+        # float() reads both; loadtxt's message is then the diagnosis.
+        with pytest.raises(CsvFormatError, match=r"^<string>: could not convert string"):
+            parse_matrix_csv(f"1,{field}\n")
+
+    def test_non_finite_entries_rejected(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            parse_matrix_csv("1,nan\n2,3\n")
+
+    def test_invalid_utf8_names_the_file(self, tmp_path):
+        path = written(tmp_path / "latin1.csv", b"1,2\n\xff,3\n")
+        with pytest.raises(ValueError, match=r"latin1\.csv: 'utf-8' codec can't decode byte 0xff"):
+            read_matrix_csv(path)
+
+    def test_extreme_values_roundtrip_bit_identical(self, tmp_path):
+        tiny, big = np.nextafter(0.0, 1.0), np.finfo(float).max
+        a = np.array([[0.0, -0.0, tiny, -tiny], [big, -big, np.finfo(float).tiny, 1e-310]])
+        path = tmp_path / "m.csv"
+        write_matrix_csv(a, path)
+        assert read_matrix_csv(path).tobytes() == a.tobytes()
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n), min_size=1, max_size=4)))
+    def test_any_finite_float64_roundtrips_bit_identical(self, tmp_path_factory, rows):
+        a = np.array(rows)
+        path = tmp_path_factory.mktemp("codec") / "m.csv"
+        write_matrix_csv(a, path)
+        assert read_matrix_csv(path).tobytes() == a.tobytes()
 
     def test_vector_column_and_row(self, tmp_path):
         path = tmp_path / "v.csv"
