@@ -1,4 +1,4 @@
-"""Layer timings of the SVD, written to ``BENCH_svd.json``.
+"""Layer timings of the Householder sweeps and the SVD, written to ``BENCH_svd.json``.
 
     python3 scripts/bench_layers.py [--out BENCH_svd.json] [--repeats 5]
 
@@ -7,6 +7,9 @@ one thread (the thread variables are set before numpy is imported).  Each
 square size n in 44, 81, 118, 156 and 400 gets one standard-normal matrix
 from the fixed seed 4242 + n, and each row times one layer on it:
 
+- ``qr_householder``: Householder QR of A with its reflectors (mode
+  ``r+u``), no Q formed
+- ``qr_pivoted``: column-pivoted QR of A
 - ``bidiagonalize``: phase one, Householder bidiagonalization of A
 - ``phase2_values``: phase two on A's bidiagonal, singular values only
 - ``phase2_vectors``: phase two with the singular vectors of B
@@ -20,8 +23,8 @@ alone, from the seed 4242 + n, over twenty times ``--repeats`` calls.
 
 Each tall shape m x n in 600 x 60, 1000 x 100 and 1500 x 120 gets one
 standard-normal matrix from the seed 4242 + m + n, timed in the rows
-``bidiagonalize``, ``singular_values`` and ``numpy_svdvals``
-(``numpy.linalg.svd`` without vectors, the ceiling).
+``qr_householder``, ``qr_pivoted``, ``bidiagonalize``, ``singular_values``
+and ``numpy_svdvals`` (``numpy.linalg.svd`` without vectors, the ceiling).
 
 A row gives the minimum and the median wall time over ``--repeats`` calls
 (a third as many, at least two, at n = 400).
@@ -91,6 +94,8 @@ def rows(repeats):
         a = np.random.default_rng(SEED + n).standard_normal((n, n))
         _, bid, _ = orthokit.bidiagonalize(a)
         layers = {
+            "qr_householder": lambda: orthokit.qr_householder(a, "r+u"),
+            "qr_pivoted": lambda: orthokit.qr_pivoted(a),
             "bidiagonalize": lambda: orthokit.bidiagonalize(a),
             "phase2_values": lambda: bidiagonal_svd(bid.d, bid.e, False, None),
             "phase2_vectors": lambda: orthokit.bidiag_svd(bid),
@@ -101,6 +106,8 @@ def rows(repeats):
     for m, n in TALL:
         a = np.random.default_rng(SEED + m + n).standard_normal((m, n))
         layers = {
+            "qr_householder": lambda: orthokit.qr_householder(a, "r+u"),
+            "qr_pivoted": lambda: orthokit.qr_pivoted(a),
             "bidiagonalize": lambda: orthokit.bidiagonalize(a),
             "singular_values": lambda: orthokit.singular_values(a),
             "numpy_svdvals": lambda: np.linalg.svd(a, compute_uv=False),

@@ -18,7 +18,7 @@ from .errors import NotPositiveDefiniteError, RankDeficiencyError, ShapeError
 from .matrix import DEFAULT_T_DIGITS, as_matrix, as_vector, back_sub, cholesky, forward_sub, norm_tol
 from .qr import QrMode, qr_householder, qr_pivoted
 from .reflectors import reflect_all, stable_norm
-from .svd import cond2, default_rank_threshold, numerical_rank, svd
+from .svd import cond2, numerical_rank, rank_threshold, svd
 
 __all__ = [
     "LeastSquaresSolution",
@@ -156,7 +156,7 @@ def solve_svd(a, b) -> LeastSquaresSolution:
     a, b = _checked(a, b)
     n = a.shape[1]
     f = svd(a, "reduced")
-    r = numerical_rank(f.sigma, default_rank_threshold(a))
+    r = numerical_rank(f.sigma, rank_threshold(a))
     if r > 0:
         coeff = (f.u[:, :r].T @ b) / f.sigma[:r]
         x = f.vt[:r, :].T @ coeff

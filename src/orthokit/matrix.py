@@ -3,7 +3,10 @@ solves, Cholesky, power-of-two scaling (``prescale``/``unscale``) and CSV.
 
 Matrices are 2-D row-major float64 numpy arrays; vectors are 1-D float64
 arrays.  Public operations never mutate their inputs and never alias an
-input in their output.
+input in their output.  The one exception to the layout is internal: the
+three Householder sweeps (``qr_householder``, ``qr_pivoted`` and
+``bidiagonalize``) update a column-major copy of A in place, since they read
+and update it a column at a time, and return their results row-major.
 """
 
 from __future__ import annotations
@@ -39,13 +42,14 @@ __all__ = [
 TRIANGULAR_PIVOT_RTOL = 1e-14
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce ``a`` to a fresh 2-D row-major float64 array.
+def as_matrix(a, order: str = "C") -> np.ndarray:
+    """Coerce ``a`` to a fresh 2-D row-major float64 array (column-major
+    with ``order="F"``, the working copy of a Householder sweep).
 
     Rejects empty shapes and non-finite entries; this is the validation
     gate for all externally supplied matrix data.
     """
-    m = np.array(a, dtype=float, order="C")
+    m = np.array(a, dtype=float, order=order)
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got array of ndim {m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:

@@ -9,7 +9,9 @@ columns then take the panel's reflectors as one blocked product;
 ``form_q`` applies the reflectors through the same blocked path.
 ``qr_pivoted`` (xGEQP3/xLAQPS) cannot annihilate a panel ahead of time,
 since each pivot depends on the norms the previous columns leave, so it
-delays only the trailing update (see its docstring).
+delays only the trailing update (see its docstring).  Both sweep a
+column-major copy of A, whose columns they read and update one at a time;
+R comes back row-major, like every other result.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .reflectors import (
     givens_params,
     reflect_all,
     rotate,
+    subtract_product,
 )
 
 __all__ = ["QrMode", "QrFactorization", "qr_householder", "form_q", "qr_givens", "qr_hessenberg", "qr_pivoted"]
@@ -86,7 +89,7 @@ def qr_householder(a, mode=QrMode.Q_AND_R) -> QrFactorization:
     when requested.
     """
     mode = QrMode.of(mode)
-    r = as_matrix(a)  # a fresh copy, swept in place
+    r = as_matrix(a, order="F")  # a fresh column-major copy, swept in place
     m, n = r.shape
     # Exact power-of-two prescaling: the sweep cannot overflow, and R
     # overflows only if its true entries do.
@@ -105,6 +108,7 @@ def qr_householder(a, mode=QrMode.Q_AND_R) -> QrFactorization:
             reflect_all(panel, r[:, j1:], transpose=True)
         reflectors += panel
     unscale("qr_householder", scale, r)
+    r = np.ascontiguousarray(r)
     if mode is QrMode.R_ONLY:
         return QrFactorization(r=r)
     if mode is QrMode.R_AND_REFLECTORS:
@@ -189,7 +193,7 @@ def qr_pivoted(a, t_digits: int = DEFAULT_T_DIGITS) -> QrFactorization:
     A norm that needs the exact recompute ends the panel early, since the
     recompute reads the updated trailing columns.
     """
-    r = as_matrix(a)  # a fresh copy, swept in place
+    r = as_matrix(a, order="F")  # a fresh column-major copy, swept in place
     if t_digits < 1:
         raise ValueError(f"t_digits must be >= 1, got {t_digits}")
     m, n = r.shape
@@ -208,8 +212,9 @@ def qr_pivoted(a, t_digits: int = DEFAULT_T_DIGITS) -> QrFactorization:
     while j0 < steps:
         # ft holds F^T.  Row k of v and column k of ft belong to row and
         # column k of r, column i of v and row i of ft to step j0 + i; rows
-        # of v above a reflector's offset stay zero.
-        v = np.zeros((m, min(BLOCK, steps - j0)))
+        # of v above a reflector's offset stay zero.  v is column-major,
+        # like r: each step writes one column of it.
+        v = np.zeros((m, min(BLOCK, steps - j0)), order="F")
         ft = np.zeros((v.shape[1], n))
         for i in range(v.shape[1]):
             k = j0 + i
@@ -232,7 +237,7 @@ def qr_pivoted(a, t_digits: int = DEFAULT_T_DIGITS) -> QrFactorization:
             if stale.any():
                 break
         j1 = k + 1
-        r[j1:, j1:] -= v[j1:, : i + 1] @ ft[: i + 1, j1:]
+        subtract_product(r[j1:, j1:], v[j1:, : i + 1], ft[: i + 1, j1:])
         if stale.any():
             idx = j1 + np.flatnonzero(stale)
             kappa[idx] = (r[j1:, idx] ** 2).sum(axis=0)
@@ -241,7 +246,7 @@ def qr_pivoted(a, t_digits: int = DEFAULT_T_DIGITS) -> QrFactorization:
     if rank is None:
         rank = steps
     unscale("qr_pivoted", scale, r)
-    return QrFactorization(r=r, reflectors=reflectors, perm=perm, rank=rank)
+    return QrFactorization(r=np.ascontiguousarray(r), reflectors=reflectors, perm=perm, rank=rank)
 
 
 def _swap(x: np.ndarray, k: int, j: int) -> None:

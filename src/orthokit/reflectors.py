@@ -9,9 +9,10 @@ loops over ``reflect``, the rank-1 update ``a -= beta u (u^T a)`` on rows
 ``offset:``; otherwise it applies groups of up to ``BLOCK`` reflectors in
 compact WY form ``I - V T V^T`` as three matrix products (Schreiber & Van
 Loan, SIAM J. Sci. Stat. Comput. 1989; LAPACK xLARFT/xLARFB).
-``annihilate`` is the one elimination step of the sweeps, ``givens_params``
-the one rotation-parameter kernel (the identity for the pair (0, 0)), and
-``rotate`` the one plane-rotation update.
+``annihilate`` is the one elimination step of the sweeps,
+``subtract_product`` the one delayed trailing update ``A -= X Y`` of the
+blocked ones, ``givens_params`` the one rotation-parameter kernel (the
+identity for the pair (0, 0)), and ``rotate`` the one plane-rotation update.
 """
 
 from __future__ import annotations
@@ -112,11 +113,19 @@ def reflect(h: HouseholderReflector, a: np.ndarray) -> None:
     """Apply ``h`` in place to the rows of the 2-D array (or view) ``a``:
     rows ``h.offset:`` take the rank-1 update ``a -= beta u (u^T a)``."""
     rows = a[h.offset :]
-    # One temporary, laid out like ``rows`` (column-major for a transposed
-    # view) and scaled in place, so the subtraction streams through memory.
+    # One temporary, laid out like ``rows`` (column-major in a sweep's
+    # working copy, row-major for its transposed views) and scaled in
+    # place, so the subtraction streams through memory.
     update = np.outer(h.u, h.u @ rows, out=np.empty_like(rows))
     update *= h.beta
     rows -= update
+
+
+def subtract_product(target: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """``target -= a @ b`` in place, with the product laid out like
+    ``target`` (column-major in a sweep's working copy), so the
+    subtraction streams through memory."""
+    target -= np.matmul(a, b, out=np.empty_like(target))
 
 
 def _compact_wy(group: list[HouseholderReflector], m: int) -> tuple[int, np.ndarray, np.ndarray]:
@@ -154,7 +163,7 @@ def reflect_all(reflectors, a: np.ndarray, transpose: bool = False) -> None:
     for i in starts if transpose else reversed(starts):
         k0, v, t = _compact_wy(hs[i : i + BLOCK], a.shape[0])
         rows = a[k0:]
-        rows -= v @ ((t.T if transpose else t) @ (v.T @ rows))
+        subtract_product(rows, v, (t.T if transpose else t) @ (v.T @ rows))
 
 
 def annihilate(block: np.ndarray, offset: int) -> HouseholderReflector | None:

@@ -30,7 +30,7 @@ import numpy as np
 from .bidiagonal import bidiagonal_svd
 from .errors import ConvergenceError, ShapeError, SingularMatrixError
 from .matrix import DEFAULT_T_DIGITS, as_matrix, as_vector, norm, norm_tol, pow2_scale, prescale, unscale
-from .reflectors import BLOCK, HouseholderReflector, annihilate, reflect_all, rotate
+from .reflectors import BLOCK, HouseholderReflector, annihilate, reflect_all, rotate, subtract_product
 
 __all__ = [
     "SvdFactorization",
@@ -101,9 +101,11 @@ def bidiagonalize(a):
     While the trailing matrix has at least ``PANEL_CROSSOVER`` entries, the
     sweep runs over panels of ``BLOCK`` columns (``_panel``, LAPACK
     xGEBRD/xLABRD); the rest of the matrix, and every matrix below the
-    crossover, takes one rank-1 update per reflector (xGEBD2).
+    crossover, takes one rank-1 update per reflector (xGEBD2).  The sweep
+    runs on a column-major copy of A, as LAPACK's does; d and e are copied
+    out of it.
     """
-    b = as_matrix(a)  # a fresh copy, swept in place
+    b = as_matrix(a, order="F")  # a fresh column-major copy, swept in place
     m, n = b.shape
     if m < n:
         raise ShapeError(f"bidiagonalize needs m >= n, got {b.shape}; transpose first")
@@ -143,9 +145,10 @@ def _panel(t: np.ndarray, j0: int, nb: int, left: list, right: list) -> None:
     """
     mt, nt = t.shape
     # Stored side by side, so [U X] [Y V]^T is one product; the columns
-    # not yet formed are zero and add nothing.
-    ux = np.zeros((mt, 2 * nb))
-    yv = np.zeros((nt, 2 * nb))
+    # not yet formed are zero and add nothing.  Column-major, like t: each
+    # step writes one column of each.
+    ux = np.zeros((mt, 2 * nb), order="F")
+    yv = np.zeros((nt, 2 * nb), order="F")
     for i in range(nb):
         t[i:, i] -= ux[i:] @ yv[i]
         h = annihilate(t[i:, i : i + 1], j0 + i)
@@ -163,7 +166,7 @@ def _panel(t: np.ndarray, j0: int, nb: int, left: list, right: list) -> None:
             right.append(g)
             yv[i + 1 :, nb + i] = g.u
             ux[i + 1 :, nb + i] = g.beta * (t[i + 1 :, i + 1 :] @ g.u - ux[i + 1 :] @ (g.u @ yv[i + 1 :]))
-    t[nb:, nb:] -= ux[nb:] @ yv[nb:].T
+    subtract_product(t[nb:, nb:], ux[nb:], yv[nb:].T)
 
 
 def bidiag_svd(b: Bidiagonal, max_sweeps: int | None = None):
@@ -223,7 +226,8 @@ def svd(a, shape: str = "reduced", max_sweeps: int | None = None) -> SvdFactoriz
     if wide:
         u, v = v, u
     _fix_signs(u, v)
-    return SvdFactorization(u=u, sigma=sig, vt=np.ascontiguousarray(v.T), shape=shape)
+    # For a wide A, u is the column-major v of bidiagonal_svd.
+    return SvdFactorization(u=np.ascontiguousarray(u), sigma=sig, vt=np.ascontiguousarray(v.T), shape=shape)
 
 
 def singular_values(a, max_sweeps: int | None = None) -> np.ndarray:
@@ -309,7 +313,13 @@ def jacobi_eig(s, max_sweeps: int = 30):
 def default_rank_threshold(a, t_digits: int = DEFAULT_T_DIGITS) -> float:
     """delta = 10^-t * ||A||_inf: singular values at or below delta count
     as zero (entries assumed accurate to t decimal digits)."""
-    return norm_tol(as_matrix(a), 10.0 ** (-t_digits))
+    return rank_threshold(as_matrix(a), t_digits)
+
+
+def rank_threshold(a, t_digits: int = DEFAULT_T_DIGITS) -> float:
+    """``default_rank_threshold`` of an A its caller's factorization has
+    already validated, read in place rather than copied again."""
+    return norm_tol(np.asarray(a, dtype=float), 10.0 ** (-t_digits))
 
 
 def numerical_rank(sigma, threshold: float) -> int:
@@ -325,7 +335,7 @@ def numerical_rank(sigma, threshold: float) -> int:
 
 
 def matrix_rank(a, t_digits: int = DEFAULT_T_DIGITS) -> int:
-    return numerical_rank(singular_values(a), default_rank_threshold(a, t_digits))
+    return numerical_rank(singular_values(a), rank_threshold(a, t_digits))
 
 
 def norm2(a) -> float:
@@ -336,7 +346,7 @@ def norm2(a) -> float:
 def cond2(a) -> float:
     """sigma_1 / sigma_r with r the numerical rank; errors on a zero matrix."""
     sig = singular_values(a)
-    r = numerical_rank(sig, default_rank_threshold(a))
+    r = numerical_rank(sig, rank_threshold(a))
     if r == 0:
         raise SingularMatrixError("condition number of the zero matrix is undefined")
     return float(sig[0] / sig[r - 1])
@@ -347,7 +357,7 @@ def pseudoinverse(a) -> np.ndarray:
     numerical rank.  Works for any shape and rank; the zero matrix maps to
     the zero matrix."""
     f = svd(a, "reduced")
-    r = numerical_rank(f.sigma, default_rank_threshold(a))
+    r = numerical_rank(f.sigma, rank_threshold(a))
     if r == 0:
         return np.zeros((f.vt.shape[1], f.u.shape[0]))
     v1 = f.vt[:r, :].T
@@ -373,7 +383,7 @@ def subspace_bases(a) -> SubspaceBases:
     """Orthonormal bases for range(A), null(A), range(A^T) and null(A^T),
     partitioned at the numerical rank."""
     f = svd(a, "full")
-    r = numerical_rank(f.sigma, default_rank_threshold(a))
+    r = numerical_rank(f.sigma, rank_threshold(a))
     v = f.vt.T
     return SubspaceBases(
         range_basis=f.u[:, :r].copy(),
@@ -404,6 +414,6 @@ def distance_to_singular(a) -> SingularDistance:
     m, n = np.shape(a)
     if m != n:
         raise ShapeError(f"distance_to_singular needs a square matrix, got {(m, n)}")
-    if sig[-1] <= default_rank_threshold(a):
+    if sig[-1] <= rank_threshold(a):
         raise SingularMatrixError("matrix is numerically singular")
     return SingularDistance(float(sig[-1]), float(sig[-1] / sig[0]))

@@ -188,6 +188,15 @@ def written(path, data):
     return path
 
 
+def layouts(a):
+    """The entries of ``a`` in four memory layouts: row-major, column-major,
+    every other row of a taller array, and the transpose of a row-major
+    copy of ``a.T``."""
+    rows = np.zeros((2 * a.shape[0], a.shape[1]))
+    rows[::2] = a
+    return {"C": np.array(a, order="C"), "F": np.array(a, order="F"), "rows": rows[::2], "T": a.T.copy().T}
+
+
 def random_rank_deficient(rng, m, n, r):
     return rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
 
@@ -242,9 +251,11 @@ def pivoted_qr_reference(a, t_digits=12):
 def bidiagonalize_reference(a):
     """Householder bidiagonalization with one rank-1 update per reflector:
     the left reflector of column k and then the right reflector of row k,
-    each applied to the whole trailing matrix at once.  Same prescaling and
-    skip rule as ``bidiagonalize``; returns ``(left, d, e, right)``."""
-    b = np.array(a, dtype=float)
+    each applied to the whole trailing matrix at once.  Same prescaling,
+    skip rule and column-major working copy as ``bidiagonalize`` (the
+    layout decides the summation order of each ``u^T x``); returns
+    ``(left, d, e, right)``."""
+    b = np.array(a, dtype=float, order="F")
     m, n = b.shape
     scale = pow2_scale(float(np.abs(b).max()))
     b /= scale

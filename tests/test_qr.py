@@ -23,6 +23,7 @@ from helpers import (
     ZEROING_A,
     ZEROING_GIVENS,
     fro,
+    layouts,
     pivoted_qr_reference,
     random_rank_deficient,
 )
@@ -390,6 +391,32 @@ class TestBlockedPivotedQr:
         for k in range(n):
             fresh = np.sqrt((f.r[k:, k:] ** 2).sum(axis=0))
             assert abs(f.r[k, k]) >= fresh.max() * (1 - 1e-6)
+
+
+class TestInputLayout:
+    """The sweeps copy A into their own column-major working array, so the
+    input's layout moves no bit of the result, and R and Q come back
+    row-major."""
+
+    @pytest.mark.parametrize("m, n", [(200, 80), (70, 40), (30, 50), (6, 4), (1, 5), (5, 1)])
+    def test_householder_and_pivoted_qr(self, m, n):
+        rng = np.random.default_rng(m + 3 * n)
+        a = random_rank_deficient(rng, m, n, max(1, min(m, n) - 3))
+        results = {}
+        for name, x in layouts(a).items():
+            fs = [qr_householder(x, mode) for mode in QrMode] + [qr_pivoted(x)]
+            for f in fs:
+                assert f.r.flags.c_contiguous and (f.q is None or f.q.flags.c_contiguous)
+            results[name] = fs
+        ref = results.pop("C")
+        for fs in results.values():
+            for f, g in zip(fs, ref):
+                assert np.array_equal(f.r, g.r) and f.rank == g.rank
+                assert (f.q is None) == (g.q is None) and (f.q is None or np.array_equal(f.q, g.q))
+                assert (f.perm is None) == (g.perm is None) and (f.perm is None or np.array_equal(f.perm, g.perm))
+                assert len(f.reflectors or []) == len(g.reflectors or [])
+                for h, k in zip(f.reflectors or [], g.reflectors or []):
+                    assert h.offset == k.offset and h.beta == k.beta and np.array_equal(h.u, k.u)
 
 
 class TestFactorizationInvariants:

@@ -44,6 +44,7 @@ from helpers import (
     fix_signs_reference,
     fro,
     jacobi_reference,
+    layouts,
     random_rank_deficient,
     rank2_factors,
     spectral_norm_oracle,
@@ -699,15 +700,16 @@ class TestWorkingCopy:
             func(a)
         assert info.type is error
 
-    @pytest.mark.parametrize("func, copies", [(lambda a: low_rank(a, 2), 1), (nearest_orthogonal, 1),
-                                              (distance_to_singular, 2)], ids=["low_rank", "nearest", "distance"])
-    def test_checks_after_the_factorization(self, func, copies, monkeypatch):
-        # The factorization validates and copies A; only the rank threshold
-        # of distance_to_singular copies it once more.
+    @pytest.mark.parametrize("func", [lambda a: low_rank(a, 2), nearest_orthogonal, distance_to_singular, cond2,
+                                      matrix_rank, pseudoinverse, subspace_bases],
+                             ids=["low_rank", "nearest", "distance", "cond2", "rank", "pinv", "bases"])
+    def test_checks_after_the_factorization(self, func, monkeypatch):
+        # The factorization validates and copies A; the rank threshold
+        # after it reads A without copying it again.
         calls = []
-        monkeypatch.setattr(svd_mod, "as_matrix", lambda a: calls.append(1) or as_matrix(a))
+        monkeypatch.setattr(svd_mod, "as_matrix", lambda a, **kw: calls.append(1) or as_matrix(a, **kw))
         func(np.eye(3) + 0.1)
-        assert len(calls) == copies
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("func, message", [
         (lambda a: low_rank(a, 3), r"k must be in \[1, 2\], got 3"),
@@ -718,6 +720,24 @@ class TestWorkingCopy:
         for a in (np.ones((2, 3)), np.ones((2, 3)).tolist()):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 func(a)
+
+    @pytest.mark.parametrize("m, n", [(200, 100), (70, 40), (6, 4), (1, 1)])
+    def test_results_do_not_depend_on_the_input_layout(self, m, n):
+        # bidiagonalize sweeps its own column-major copy, so the layout of
+        # A moves no bit; svd's factors (of A and of the wide A^T) come
+        # back row-major.
+        a = np.random.default_rng(m * n).standard_normal((m, n))
+        results = {name: (bidiagonalize(x), svd(x, "full"), svd(x.T)) for name, x in layouts(a).items()}
+        for _, *factors in results.values():
+            for f in factors:
+                assert f.u.flags.c_contiguous and f.vt.flags.c_contiguous
+        ref_left, ref_bid, ref_right = results.pop("C")[0]
+        for (left, bid, right), *_ in results.values():
+            assert np.array_equal(bid.d, ref_bid.d) and np.array_equal(bid.e, ref_bid.e)
+            for got, ref in ((left, ref_left), (right, ref_right)):
+                assert len(got) == len(ref)
+                for h, g in zip(got, ref):
+                    assert h.offset == g.offset and h.beta == g.beta and np.array_equal(h.u, g.u)
 
     def test_singular_values_peak_is_the_bidiagonalization(self):
         a = np.random.default_rng(96).standard_normal((600, 60))
