@@ -1,4 +1,5 @@
-"""Layer timings of the Householder sweeps and the SVD, written to ``BENCH_svd.json``.
+"""Layer timings of the Householder sweeps, the SVD and the two rotation
+sweeps, written to ``BENCH_svd.json``.
 
     python3 scripts/bench_layers.py [--out BENCH_svd.json] [--repeats 5]
 
@@ -20,6 +21,14 @@ from the fixed seed 4242 + n, and each row times one layer on it:
 The single-leaf sizes n in 6, 16 and 25 (one divide-and-conquer leaf each,
 the SVD path of the small-batch workload) get a ``phase2_vectors`` row
 alone, from the seed 4242 + n, over twenty times ``--repeats`` calls.
+
+The small sizes n in 6, 10 and 16 (the rotation sweeps of the small-batch
+workload) get two rows, over twenty times ``--repeats`` calls each, from
+the seed 4242 + n:
+
+- ``jacobi_eig``: a symmetric indefinite n x n matrix, Q diag(d) Q^T - 50 I
+  with d uniform in [1, 100) and Q orthonormal
+- ``qr_givens``: a standard-normal (n+2) x n matrix
 
 Each tall shape m x n in 600 x 60, 1000 x 100 and 1500 x 120 gets one
 standard-normal matrix from the seed 4242 + m + n, timed in the rows
@@ -54,6 +63,7 @@ from orthokit.bidiagonal import bidiagonal_svd  # noqa: E402
 
 SIZES = (44, 81, 118, 156, 400)
 LEAF_SIZES = (6, 16, 25)
+ROTATION_SIZES = (6, 10, 16)
 TALL = ((600, 60), (1000, 100), (1500, 120))
 SEED = 4242
 
@@ -90,6 +100,14 @@ def rows(repeats):
         a = np.random.default_rng(SEED + n).standard_normal((n, n))
         _, bid, _ = orthokit.bidiagonalize(a)
         yield from _rows(n, n, {"phase2_vectors": lambda: orthokit.bidiag_svd(bid)}, 20 * repeats)
+    for n in ROTATION_SIZES:
+        rng = np.random.default_rng(SEED + n)
+        q = orthokit.qr_householder(rng.standard_normal((n, n))).q
+        s = (q * rng.uniform(1.0, 100.0, n)) @ q.T
+        s = 0.5 * (s + s.T) - 50.0 * np.eye(n)
+        g = rng.standard_normal((n + 2, n))
+        yield from _rows(n, n, {"jacobi_eig": lambda: orthokit.jacobi_eig(s)}, 20 * repeats)
+        yield from _rows(n + 2, n, {"qr_givens": lambda: orthokit.qr_givens(g)}, 20 * repeats)
     for n in SIZES:
         a = np.random.default_rng(SEED + n).standard_normal((n, n))
         _, bid, _ = orthokit.bidiagonalize(a)

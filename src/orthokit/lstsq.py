@@ -5,6 +5,8 @@ Four routes are provided.  Normal equations are fast but square the
 condition number and can lose rank information to rounding; the QR route
 is the stable default for full-rank systems; pivoted QR and SVD handle
 rank deficiency, the SVD route returning the norm-minimal solution.
+Every route but the normal equations, and the conditioning report, leaves
+A's validation and its one copy to its factorization and reads A in place.
 """
 
 from __future__ import annotations
@@ -55,16 +57,12 @@ class ConditioningReport:
     matrix_sensitivity_bound: float
 
 
-def _matching(shape, b):
-    b = as_vector(b)
-    if shape[0] != b.size:
-        raise ShapeError(f"matrix {shape} does not match right-hand side of length {b.size}")
-    return b
-
-
-def _checked(a, b):
-    a = as_matrix(a)
-    return a, _matching(a.shape, b)
+def _matching(a, b):
+    """A validated matrix ``a`` read in place, and ``b`` checked against it."""
+    a, b = np.ascontiguousarray(a, dtype=float), as_vector(b)
+    if a.shape[0] != b.size:
+        raise ShapeError(f"matrix {a.shape} does not match right-hand side of length {b.size}")
+    return a, b
 
 
 def solve_normal(a, b) -> LeastSquaresSolution:
@@ -73,7 +71,7 @@ def solve_normal(a, b) -> LeastSquaresSolution:
     Requires full column rank: a Cholesky breakdown is reported as rank
     deficiency with a pointer to the stable routes.
     """
-    a, b = _checked(a, b)
+    a, b = _matching(as_matrix(a), b)  # no factorization validates A here
     m, n = a.shape
     try:
         l = cholesky(a.T @ a)
@@ -90,13 +88,13 @@ def solve_normal(a, b) -> LeastSquaresSolution:
 def solve_qr(a, b) -> LeastSquaresSolution:
     """Solve min ||Ax - b|| for full-column-rank A via Householder QR:
     back-substitute R1 x = Q1^T b; the residual norm is ||Q2^T b||."""
-    a, b = _checked(a, b)
+    f = qr_householder(a, QrMode.R_AND_REFLECTORS)
+    a, b = _matching(a, b)
     m, n = a.shape
     if m < n:
         raise RankDeficiencyError(
             f"system is underdetermined ({m} rows, {n} columns); use solve_qr_pivoted or solve_svd"
         )
-    f = qr_householder(a, QrMode.R_AND_REFLECTORS)
     tol = norm_tol(a, 1e-12)
     diag = np.abs(np.diagonal(f.r)[:n])
     if np.any(diag <= tol):
@@ -119,9 +117,9 @@ def solve_qr_pivoted(a, b, y_hat=None, t_digits: int = DEFAULT_T_DIGITS) -> Leas
     (default zero, the basic solution); every choice gives the same
     residual norm.
     """
-    a, b = _checked(a, b)
-    n = a.shape[1]
     f = qr_pivoted(a, t_digits=t_digits)
+    a, b = _matching(a, b)
+    n = a.shape[1]
     r = f.rank
     if y_hat is None:
         y_hat = np.zeros(n - r)
@@ -153,9 +151,9 @@ def solve_qr_pivoted(a, b, y_hat=None, t_digits: int = DEFAULT_T_DIGITS) -> Leas
 def solve_svd(a, b) -> LeastSquaresSolution:
     """Norm-minimal least-squares solution x = sum_{j<=r} (u_j^T b / sigma_j) v_j,
     truncated at the numerical rank; equals pseudoinverse(a) @ b."""
-    a, b = _checked(a, b)
-    n = a.shape[1]
     f = svd(a, "reduced")
+    a, b = _matching(a, b)
+    n = a.shape[1]
     r = numerical_rank(f.sigma, rank_threshold(a))
     if r > 0:
         coeff = (f.u[:, :r].T @ b) / f.sigma[:r]
@@ -173,11 +171,11 @@ def solve_svd(a, b) -> LeastSquaresSolution:
 
 def solve(a, b) -> LeastSquaresSolution:
     """Default route: QR when the numerical rank is full, SVD otherwise.
-    A is validated, and copied, by the factorizations alone."""
+    A is validated and copied only by the factorizations, as in every route but solve_normal."""
     f = qr_pivoted(a)
-    shape, full_rank = f.r.shape, f.rank == f.r.shape[1]
+    full_rank = f.rank == f.r.shape[1]
     del f  # its R would otherwise stay alive through the second sweep
-    b = _matching(shape, b)
+    a, b = _matching(a, b)
     return solve_qr(a, b) if full_rank else solve_svd(a, b)
 
 
@@ -188,14 +186,14 @@ def conditioning_report(a, b, x, eps_a: float = 0.0) -> ConditioningReport:
     ``eps_a`` is the relative matrix perturbation ||E|| / ||A|| the matrix
     bound should be evaluated at.
     """
-    a, b = _checked(a, b)
+    cond = cond2(a)
+    a, b = _matching(a, b)
     x = as_vector(x)
     if x.size != a.shape[1]:
         raise ShapeError(f"solution of length {x.size} does not match matrix {a.shape}")
     bnorm = stable_norm(b)
     if bnorm == 0.0:
         raise ValueError("conditioning report needs a nonzero right-hand side")
-    cond = cond2(a)
     cos_theta = min(1.0, max(0.0, stable_norm(a @ x) / bnorm))
     theta = math.acos(cos_theta)
     rhs_bound = cond / cos_theta if cos_theta > 0.0 else math.inf

@@ -11,7 +11,8 @@ columns then take the panel's reflectors as one blocked product;
 since each pivot depends on the norms the previous columns leave, so it
 delays only the trailing update (see its docstring).  Both sweep a
 column-major copy of A, whose columns they read and update one at a time;
-R comes back row-major, like every other result.
+R comes back row-major, like every other result.  ``qr_givens`` (and so
+``qr_hessenberg``) sweeps one array [A | I] into [R | Q^T].
 """
 
 from __future__ import annotations
@@ -135,24 +136,24 @@ def qr_givens(a) -> QrFactorization:
 
     Each column is cleared bottom-up against its diagonal entry, so the
     leading diagonal entries come out positive where the Householder route
-    may produce negative ones; |R| agrees between the two routes.
+    may produce negative ones; |R| agrees between the two routes.  Each
+    rotation turns rows k and j of one array, [A | I] swept into [R | Q^T].
     """
-    r = as_matrix(a)
-    m, n = r.shape
-    qt = np.eye(m)  # accumulates Q^T, one rotation of rows at a time
+    a = as_matrix(a)
+    m, n = a.shape
+    w = np.hstack([a, np.eye(m)])
     rotations: list[GivensRotation] = []
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         for k in range(min(m - 1, n)):
             # A rotation changes only rows k and j, so the nonzero entries
             # below the diagonal of column k can be listed up front.
-            for j in (k + 1 + np.flatnonzero(r[k + 1 :, k])[::-1]).tolist():
-                c, s = givens_params(r[k, k], r[j, k])
-                rotate(r[k, k:], r[j, k:], c, s)
-                rotate(qt[k], qt[j], c, s)
-                r[j, k] = 0.0
+            for j in (k + 1 + np.flatnonzero(w[k + 1 :, k])[::-1]).tolist():
+                c, s = givens_params(w[k, k], w[j, k])
+                rotate(w[k, k:], w[j, k:], c, s)
+                w[j, k] = 0.0
                 rotations.append(GivensRotation(c, s, k, j))
-    require_finite("qr_givens", r)
-    return QrFactorization(r=r, q=np.ascontiguousarray(qt.T), rotations=rotations)
+    require_finite("qr_givens", w[:, :n])
+    return QrFactorization(r=w[:, :n].copy(), q=np.ascontiguousarray(w[:, n:].T), rotations=rotations)
 
 
 def qr_hessenberg(h) -> QrFactorization:

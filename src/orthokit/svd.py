@@ -16,7 +16,7 @@ an independent cross-check of the two-phase route (singular values of A
 are the square roots of the eigenvalues of A^T A).  Its rotation angles,
 order and skip threshold are its own; it shares only the plane-rotation
 kernel ``rotate``, which the property suite checks against a dense
-rotation.
+rotation.  It sweeps one array [A | V^T], so each rotation is one call.
 """
 
 from __future__ import annotations
@@ -181,7 +181,8 @@ def bidiag_svd(b: Bidiagonal, max_sweeps: int | None = None):
     carries a partial spectrum of all n values, sorted descending: that
     run's current diagonal on its rows and |B|'s diagonal on the others.
     """
-    return bidiagonal_svd(b.d, b.e, want_uv=True, max_sweeps=max_sweeps)
+    left, sigma, right = bidiagonal_svd(b.d, b.e, want_uv=True, max_sweeps=max_sweeps)
+    return np.ascontiguousarray(left), sigma, np.ascontiguousarray(right)
 
 
 def _peak_sign(x: np.ndarray) -> np.ndarray:
@@ -269,8 +270,8 @@ def jacobi_eig(s, max_sweeps: int = 30):
     s /= scale  # as_matrix returned a fresh copy
     if np.abs(s - s.T).max() > norm_tol(s, 1e-10):
         raise ShapeError("jacobi_eig needs a symmetric matrix")
-    a = 0.5 * (s + s.T)
-    v = np.eye(n)
+    av = np.hstack([0.5 * (s + s.T), np.eye(n)])
+    a = av[:, :n]
     thresh = 1e-14 * norm(s, "frobenius")
     for sweep in range(max_sweeps + 1):
         if np.abs(np.triu(a, 1)).max() <= thresh:
@@ -291,19 +292,18 @@ def jacobi_eig(s, max_sweeps: int = 30):
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 sn = t * c
                 app, aqq = a[p, p], a[q, q]
-                # Rows p and q, then columns p and q copied from them, so A
-                # stays exactly symmetric; the 2x2 block is set last.
-                rotate(a[p], a[q], c, -sn)
+                # Rows p, q of [A | V^T], then A's columns p, q copied from
+                # them, so A stays exactly symmetric; the 2x2 block is last.
+                rotate(av[p], av[q], c, -sn)
                 a[:, p] = a[p]
                 a[:, q] = a[q]
                 a[p, p] = app - t * apq
                 a[q, q] = aqq + t * apq
                 a[p, q] = a[q, p] = 0.0
-                rotate(v[:, p], v[:, q], c, -sn)
     w = np.diagonal(a).copy()
     unscale("jacobi_eig", scale, w)
     order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
+    return w[order], np.ascontiguousarray(av[order, n:].T)
 
 
 # ---------------------------------------------------------------------------

@@ -291,11 +291,13 @@ def fix_signs_reference(u, v):
             u[:, j] = -col
 
 
-def jacobi_reference(s, max_sweeps=30):
+def jacobi_reference(s, max_sweeps=30, angles=None):
     """Cyclic-by-row Jacobi on a symmetric ``s`` with the rotation written
     out inline: the columns off the (p, q) block gathered and scattered
-    through a boolean mask, the row scan one row at a time.  Same angles,
-    order, threshold and sweep limit as ``jacobi_eig``; no input checks."""
+    through a boolean mask, the row scan one row at a time, V accumulated
+    by columns.  Same angles, order, threshold and sweep limit as
+    ``jacobi_eig``; no input checks.  Each rotation's ``(c, -s)``, as
+    passed to ``rotate``, is appended to the list ``angles`` if given."""
     s = np.array(s, dtype=float)
     n = s.shape[0]
     a = 0.5 * (s + s.T)
@@ -324,6 +326,8 @@ def jacobi_reference(s, max_sweeps=30):
                     t = -t
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 sn = t * c
+                if angles is not None:
+                    angles.append((c, -sn))
                 app, aqq = a[p, p], a[q, q]
                 a[p, p] = app - t * apq
                 a[q, q] = aqq + t * apq

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -24,8 +26,11 @@ from helpers import (
     SURVEY_RESIDUAL,
     SURVEY_X,
     fro,
+    layouts,
     random_rank_deficient,
 )
+from orthokit.apps import polyfit
+from orthokit.matrix import as_matrix
 
 ALL_SOLVERS = [solve_normal, solve_qr, solve_qr_pivoted, solve_svd]
 
@@ -235,6 +240,51 @@ class TestSharedInvariants:
                 continue
             worse = np.linalg.norm(b - a @ (sol.x + z))
             assert worse > sol.residual_norm
+
+
+class TestOneCopyOfA:
+    """Every route but solve_normal leaves A's validation, and its one copy,
+    to the factorizations, and reads A in place after them."""
+
+    @pytest.mark.parametrize("route, copies", [
+        ("qr", 1), ("qr_pivoted", 1), ("svd", 1), ("report", 1), ("solve", 2), ("solve-deficient", 2), ("polyfit", 2),
+    ])
+    def test_one_copy_per_factorization(self, route, copies, monkeypatch):
+        rng = np.random.default_rng(120)
+        t, b = rng.standard_normal(8), rng.standard_normal(8)
+        a = np.vander(t, 3, increasing=True)
+        deficient = random_rank_deficient(rng, 8, 3, 2)
+        x = solve_qr(a, b).x
+        call = {
+            "qr": lambda: solve_qr(a, b),
+            "qr_pivoted": lambda: solve_qr_pivoted(a, b),
+            "svd": lambda: solve_svd(a, b),
+            "report": lambda: conditioning_report(a, b, x),
+            "solve": lambda: solve(a, b),
+            "solve-deficient": lambda: solve(deficient, b),
+            "polyfit": lambda: polyfit(t, b, 2),
+        }[route]
+        calls = []
+        for name in ("orthokit.lstsq", "orthokit.qr", "orthokit.svd"):
+            monkeypatch.setattr(importlib.import_module(name), "as_matrix",
+                                lambda a, **kw: calls.append(1) or as_matrix(a, **kw))
+        call()
+        assert len(calls) == copies
+
+    @pytest.mark.parametrize("rank", [4, 2])
+    def test_input_layout_moves_no_bit(self, rank):
+        rng = np.random.default_rng(121 + rank)
+        a = random_rank_deficient(rng, 12, 4, rank)
+        b = rng.standard_normal(12)
+        x = rng.standard_normal(4)
+        solvers = ALL_SOLVERS + [solve] if rank == 4 else [solve_qr_pivoted, solve_svd, solve]
+        results = {}
+        for name, view in layouts(a).items():
+            sols = [solver(view, b) for solver in solvers]
+            results[name] = ([(s.x.tobytes(), s.residual_norm, s.rank, s.method, s.free_params) for s in sols],
+                             conditioning_report(view, b, x, eps_a=1e-8))
+        ref = results.pop("C")
+        assert all(got == ref for got in results.values())
 
 
 class TestNormalEquationFragility:

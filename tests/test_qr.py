@@ -153,18 +153,51 @@ class TestGivensQr:
         assert np.array_equal(f.r, [[5.0]])
 
     def test_q_is_the_replay_of_the_rotations(self):
-        # Q is accumulated during the sweep; replaying the recorded rotations
-        # onto the identity afterwards gives the same bits.
+        # R and Q are accumulated during the sweep; replaying the recorded
+        # rotations onto a copy of A (rows j and k from column j on, then
+        # a zero at (k, j)) and onto the identity gives the same bits.
         rng = np.random.default_rng(53)
         for shape in [(9, 6), (6, 9), (12, 12)]:
             a = rng.standard_normal(shape)
             a[rng.random(shape) < 0.3] = 0.0
             f = qr_givens(a)
+            r = a.copy()
             qt = np.eye(shape[0])
             for g in f.rotations:
+                rotate(r[g.j, g.j :], r[g.k, g.j :], g.c, g.s)
+                r[g.k, g.j] = 0.0
                 rotate(qt[g.j], qt[g.k], g.c, g.s)
+            assert np.array_equal(f.r, r)
+            assert np.array_equal(np.signbit(f.r), np.signbit(r))
             assert np.array_equal(f.q, qt.T)
             assert np.array_equal(np.signbit(f.q), np.signbit(qt.T))
+
+    @pytest.mark.parametrize("route", [qr_givens, qr_hessenberg])
+    def test_one_rotate_call_per_rotation(self, route, monkeypatch):
+        # Each rotation turns rows j and k of [A | I] from column j on, so
+        # R and Q^T take it in one call.
+        calls = []
+
+        def spy(x, y, c, s):
+            calls.append((x.shape, y.shape, c, s))
+            rotate(x, y, c, s)
+
+        rng = np.random.default_rng(54)
+        n = 7
+        a = np.triu(rng.standard_normal((n, n)), -1)
+        if route is qr_givens:
+            a = np.vstack([rng.standard_normal((n, n)), a[:2]])
+        m = a.shape[0]
+        ref = route(a)
+        monkeypatch.setattr(importlib.import_module("orthokit.qr"), "rotate", spy)
+        f = route(a)
+        assert f.r.tobytes() == ref.r.tobytes() and f.q.tobytes() == ref.q.tobytes()
+        assert f.rotations and calls == [((n + m - g.j,), (n + m - g.j,), g.c, g.s) for g in f.rotations]
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (6, 4), (4, 6), (9, 9)])
+    def test_r_and_q_are_row_major(self, m, n):
+        f = qr_givens(np.random.default_rng(55).standard_normal((m, n)))
+        assert f.r.flags.c_contiguous and f.q.flags.c_contiguous
 
     def test_abs_r_matches_householder(self):
         rng = np.random.default_rng(45)

@@ -240,6 +240,12 @@ class TestBidiagSvd:
         dense = left @ np.diag(sigma) @ right.T
         assert np.abs(dense - np.diag([-2.0, 5.0, 1.0])).max() <= 1e-14
 
+    @pytest.mark.parametrize("n", [1, 5, 40])
+    def test_factors_are_row_major(self, n):
+        rng = np.random.default_rng(86)
+        left, _, right = bidiag_svd(Bidiagonal(rng.standard_normal(n), rng.standard_normal(n - 1)))
+        assert left.flags.c_contiguous and right.flags.c_contiguous
+
     def test_3x2_demo_values(self):
         _, bid, _ = bidiagonalize(SVD_3X2)
         _, sigma, _ = bidiag_svd(bid)
@@ -858,20 +864,28 @@ class TestJacobi:
             assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
 
     def test_rotations_go_through_rotate(self, monkeypatch):
-        # Each rotation turns rows p, q of A and columns p, q of V.
+        # Each rotation is one call, on rows p, q of [A | V^T] (length 2n),
+        # with the reference loop's angles and bits.
         calls = []
 
         def spy(x, y, c, s):
-            calls.append((x.shape, c, s))
+            calls.append((x.shape, y.shape, c, s))
             rotate(x, y, c, s)
 
         s = np.random.default_rng(84).standard_normal((5, 5))
         s = s + s.T
-        w_ref, v_ref = jacobi_eig(s)
+        angles = []
+        w_ref, v_ref = jacobi_reference(s, angles=angles)
         monkeypatch.setattr(svd_mod, "rotate", spy)
         w, v = jacobi_eig(s)
         assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
-        assert calls and len(calls) % 2 == 0 and calls[::2] == calls[1::2]
+        assert angles and calls == [((10,), (10,), c, s) for c, s in angles]
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_eigenvectors_are_row_major(self, n):
+        b = np.random.default_rng(85).standard_normal((n, n))
+        _, v = jacobi_eig(b + b.T)
+        assert v.flags.c_contiguous
 
 
 class TestNormsAndRank:
