@@ -37,16 +37,32 @@ and ``numpy_svdvals`` (``numpy.linalg.svd`` without vectors, the ceiling).
 
 A row gives the minimum and the median wall time over ``--repeats`` calls
 (a third as many, at least two, at n = 400).
+
+    python3 scripts/bench_layers.py --against REV
+
+compares the working tree with the git revision REV in one process instead,
+and writes no file.  ``src/orthokit`` at REV is extracted with ``git
+archive`` into a temporary directory as the package ``orthokit_against``
+(the package imports only relatively, so the rename is enough).  For each
+row, PAIRS = 61 pairs of calls alternate between the two copies, the order
+swapped in every other pair, and the row prints the median ratio of the
+tree's time to REV's with its quartiles.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import importlib
+import io
 import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
+import tarfile
+import tempfile
 import time
 from pathlib import Path
 
@@ -59,13 +75,16 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 import orthokit  # noqa: E402
-from orthokit.bidiagonal import bidiagonal_svd  # noqa: E402
 
 SIZES = (44, 81, 118, 156, 400)
 LEAF_SIZES = (6, 16, 25)
 ROTATION_SIZES = (6, 10, 16)
 TALL = ((600, 60), (1000, 100), (1500, 120))
 SEED = 4242
+# Alternating pairs per row with --against: at 61, an unchanged tree read
+# within 1 +- 0.02 on 57 of 59 rows (within 1 +- 0.035 on all) on a noisy
+# 2-core host.
+PAIRS = 61
 
 
 def _time(fn, repeats):
@@ -88,56 +107,98 @@ def _cpu_model() -> str:
     return platform.processor()
 
 
-def _rows(m, n, layers, reps):
-    for layer, fn in layers.items():
+def cases(ok, repeats):
+    """``(layer, m, n, call, calls)`` for every row, on the package ``ok``."""
+    bidiagonal_svd = importlib.import_module(ok.__name__ + ".bidiagonal").bidiagonal_svd
+    for n in LEAF_SIZES:
+        a = np.random.default_rng(SEED + n).standard_normal((n, n))
+        _, bid, _ = ok.bidiagonalize(a)
+        yield "phase2_vectors", n, n, lambda: ok.bidiag_svd(bid), 20 * repeats
+    for n in ROTATION_SIZES:
+        rng = np.random.default_rng(SEED + n)
+        q = ok.qr_householder(rng.standard_normal((n, n))).q
+        s = (q * rng.uniform(1.0, 100.0, n)) @ q.T
+        s = 0.5 * (s + s.T) - 50.0 * np.eye(n)
+        g = rng.standard_normal((n + 2, n))
+        yield "jacobi_eig", n, n, lambda: ok.jacobi_eig(s), 20 * repeats
+        yield "qr_givens", n + 2, n, lambda: ok.qr_givens(g), 20 * repeats
+    for n in SIZES:
+        a = np.random.default_rng(SEED + n).standard_normal((n, n))
+        _, bid, _ = ok.bidiagonalize(a)
+        layers = {
+            "qr_householder": lambda: ok.qr_householder(a, "r+u"),
+            "qr_pivoted": lambda: ok.qr_pivoted(a),
+            "bidiagonalize": lambda: ok.bidiagonalize(a),
+            "phase2_values": lambda: bidiagonal_svd(bid.d, bid.e, False, None),
+            "phase2_vectors": lambda: ok.bidiag_svd(bid),
+            "svd": lambda: ok.svd(a, "reduced"),
+            "numpy_svd": lambda: np.linalg.svd(a, full_matrices=False),
+        }
+        for layer, fn in layers.items():
+            yield layer, n, n, fn, repeats if n < 400 else max(2, repeats // 3)
+    for m, n in TALL:
+        a = np.random.default_rng(SEED + m + n).standard_normal((m, n))
+        layers = {
+            "qr_householder": lambda: ok.qr_householder(a, "r+u"),
+            "qr_pivoted": lambda: ok.qr_pivoted(a),
+            "bidiagonalize": lambda: ok.bidiagonalize(a),
+            "singular_values": lambda: ok.singular_values(a),
+            "numpy_svdvals": lambda: np.linalg.svd(a, compute_uv=False),
+        }
+        for layer, fn in layers.items():
+            yield layer, m, n, fn, repeats
+
+
+def rows(repeats):
+    for layer, m, n, fn, reps in cases(orthokit, repeats):
         fn()  # warm-up
         best, median = _time(fn, reps)
         yield {"layer": layer, "m": m, "n": n, "min_s": best, "median_s": median, "repeats": reps}
 
 
-def rows(repeats):
-    for n in LEAF_SIZES:
-        a = np.random.default_rng(SEED + n).standard_normal((n, n))
-        _, bid, _ = orthokit.bidiagonalize(a)
-        yield from _rows(n, n, {"phase2_vectors": lambda: orthokit.bidiag_svd(bid)}, 20 * repeats)
-    for n in ROTATION_SIZES:
-        rng = np.random.default_rng(SEED + n)
-        q = orthokit.qr_householder(rng.standard_normal((n, n))).q
-        s = (q * rng.uniform(1.0, 100.0, n)) @ q.T
-        s = 0.5 * (s + s.T) - 50.0 * np.eye(n)
-        g = rng.standard_normal((n + 2, n))
-        yield from _rows(n, n, {"jacobi_eig": lambda: orthokit.jacobi_eig(s)}, 20 * repeats)
-        yield from _rows(n + 2, n, {"qr_givens": lambda: orthokit.qr_givens(g)}, 20 * repeats)
-    for n in SIZES:
-        a = np.random.default_rng(SEED + n).standard_normal((n, n))
-        _, bid, _ = orthokit.bidiagonalize(a)
-        layers = {
-            "qr_householder": lambda: orthokit.qr_householder(a, "r+u"),
-            "qr_pivoted": lambda: orthokit.qr_pivoted(a),
-            "bidiagonalize": lambda: orthokit.bidiagonalize(a),
-            "phase2_values": lambda: bidiagonal_svd(bid.d, bid.e, False, None),
-            "phase2_vectors": lambda: orthokit.bidiag_svd(bid),
-            "svd": lambda: orthokit.svd(a, "reduced"),
-            "numpy_svd": lambda: np.linalg.svd(a, full_matrices=False),
-        }
-        yield from _rows(n, n, layers, repeats if n < 400 else max(2, repeats // 3))
-    for m, n in TALL:
-        a = np.random.default_rng(SEED + m + n).standard_normal((m, n))
-        layers = {
-            "qr_householder": lambda: orthokit.qr_householder(a, "r+u"),
-            "qr_pivoted": lambda: orthokit.qr_pivoted(a),
-            "bidiagonalize": lambda: orthokit.bidiagonalize(a),
-            "singular_values": lambda: orthokit.singular_values(a),
-            "numpy_svdvals": lambda: np.linalg.svd(a, compute_uv=False),
-        }
-        yield from _rows(m, n, layers, repeats)
+def package_at(rev: str, into: str):
+    """Import ``src/orthokit`` at the git revision ``rev``, extracted under
+    ``into``, as the package ``orthokit_against``."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src/orthokit"],
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as t:
+        t.extractall(into, filter="data")
+    os.rename(Path(into, "src", "orthokit"), Path(into, "orthokit_against"))
+    sys.path.insert(0, into)
+    return importlib.import_module("orthokit_against")
+
+
+def compare(rev: str, pairs: int) -> None:
+    """Print each row's ratio of the tree's time to ``rev``'s: the median and
+    quartiles over ``pairs`` alternating pairs of calls."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ref = package_at(rev, tmp)
+        gc.disable()  # a collection would land on one side of a pair
+        print(f"time ratio, working tree / {rev}: median [q1, q3] over {pairs} pairs")
+        for (layer, m, n, fn, _), (*_, fn_ref, _) in zip(cases(orthokit, 1), cases(ref, 1)):
+            fn(), fn_ref()  # warm-up
+            ratios = []
+            gc.collect()
+            for i in range(pairs):
+                t = {}
+                for f in (fn, fn_ref) if i % 2 == 0 else (fn_ref, fn):
+                    t0 = time.perf_counter()
+                    f()
+                    t[f] = time.perf_counter() - t0
+                ratios.append(t[fn] / t[fn_ref])
+            q1, median, q3 = statistics.quantiles(ratios, n=4)
+            print(f"{layer:15s} {m:4d}x{n:<4d}  {median:6.3f} [{q1:6.3f}, {q3:6.3f}]", flush=True)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(ROOT / "BENCH_svd.json"))
     parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--against", metavar="REV", help="compare the working tree with this git revision")
     args = parser.parse_args()
+    if args.against:
+        compare(args.against, PAIRS)
+        return 0
     table = []
     for row in rows(args.repeats):
         table.append(row)

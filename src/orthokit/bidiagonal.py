@@ -1,29 +1,29 @@
 """Phase two of the SVD: the singular values and vectors of an
 upper-bidiagonal matrix B.
 
-``bidiagonal_svd`` is the one entry point.  Singular values alone, and the
-vectors of each divide-and-conquer leaf of at most LEAF rows, come from
-implicit-shift QR steps (Wilkinson shift on the trailing 2x2 of B^T B,
-taken with the first rotation on the block over a power of two near its
-largest entry), deflating whenever a superdiagonal entry passes the test
-|e_i| <= eps * (|d_i| + |d_i+1|).  The chase runs on Python floats.  With
-vectors, each sweep's right and left rotation chains are recorded, not
-applied.  A side's record is flushed when the leaf converges, and before a
-rare deflation sweep rotates that side's accumulator directly: all its
-chains become upper-Hessenberg factors at once, multiplied pairwise and
-then in with one GEMM (B. Lang, "Using Level 3 BLAS in Rotation-Based
-Algorithms", SIAM J. Sci. Comput. 1998).
+``bidiagonal_svd`` is the one entry point.  It splits B wherever
+|e_i| <= eps * (|d_i| + |d_i+1|) and divides each piece by its own power of
+two (LAPACK xBDSDC), so a piece far below B's largest entry keeps its
+relative accuracy.  A piece of more than LEAF rows, with vectors or
+without, goes through divide and conquer (M. Gu & S. C. Eisenstat, SIAM J.
+Matrix Anal. Appl. 16, 1995; xLASD0-xLASD4): split at its middle row into
+an upper k x (k+1) block and a lower block, both solved recursively, the
+row between them coupling the halves into an arrow matrix.  Its deflation
+follows xLASD2; the secular equation of each merge is solved for all roots
+at once by R.-C. Li's middle-way iteration (LAPACK Working Note 89, 1994);
+the vectors come from the z-hat of the Loewner formula, orthogonal however
+close the roots lie.  Values alone skip u but keep v, whose boundary rows
+form each merge's z (xLASD6 with ICOMPQ = 0).
 
-The singular vectors come from divide and conquer (M. Gu & S. C.
-Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995; LAPACK xBDSDC,
-xLASD0-xLASD4); a bidiagonal of at most LEAF rows is one leaf.  B is split
-at its middle row into an upper k x (k+1) block and a lower block, both
-solved recursively, and the row between them couples the halves into an
-arrow matrix.  Its deflation follows xLASD2; the secular equation of each
-merge is solved for all roots at once by R.-C. Li's middle-way iteration
-(LAPACK Working Note 89, 1994); the vectors are built from the z-hat of the
-Loewner formula, so they are orthogonal however close the roots lie, and
-two GEMMs take them back to B's bases.
+The leaves, and a values-only piece of at most LEAF rows, run implicit-shift
+QR steps on Python floats (Wilkinson shift on the trailing 2x2 of B^T B,
+taken with the first rotation on the block over a power of two near its
+largest entry), deflating by the same test.  Each sweep's rotation chains
+are recorded, not applied, until the leaf converges or a rare deflation
+sweep rotates that side's accumulator directly: then all of a side's chains
+become upper-Hessenberg factors, multiplied pairwise and then in with one
+GEMM (B. Lang, "Using Level 3 BLAS in Rotation-Based Algorithms", SIAM J.
+Sci. Comput. 1998).
 """
 
 from __future__ import annotations
@@ -182,10 +182,10 @@ def _deflate_zero_tail(d, e, lo, hi, v):
 def _qr_svd(d: list, e: list, u, v, max_sweeps: int | None) -> np.ndarray:
     """Implicit-shift QR on the bidiagonal (d, e), Python lists updated in
     place until e is zero; returns |d| with the signs moved into ``u``.  The
-    rotations go into the columns of ``u`` and ``v`` unless they are None.
-    Raises ``ConvergenceError`` with ``partial`` = |d| (unsorted, in the
-    lists' units) once ``max_sweeps`` sweeps (default 30 per row) are used
-    up."""
+    rotations go into the columns of ``v``, and of ``u`` (given only with
+    ``v``), unless they are None.  Raises ``ConvergenceError`` with
+    ``partial`` = |d| (unsorted, in the lists' units) once ``max_sweeps``
+    sweeps (default 30 per row) are used up."""
     n = len(d)
     if max_sweeps is None:
         max_sweeps = 30 * max(n, 1)
@@ -224,17 +224,17 @@ def _qr_svd(d: list, e: list, u, v, max_sweeps: int | None) -> np.ndarray:
                 f"bidiagonal SVD did not converge within {max_sweeps} sweeps", partial=np.abs(np.array(d))
             )
         rc, rs, lc, ls = _implicit_step(d, e, lo, hi, pow2_scale(scale))
-        if u is not None:
+        if v is not None:
             for m, rec, chain in ((v, rec_v, (lo, rc, rs)), (u, rec_u, (lo, lc, ls))):
-                rec.append(chain)
-                if len(rec) == LEAF:  # at most LEAF factors in a stack
-                    _apply_chains(m, rec)
+                if m is not None:
+                    rec.append(chain)
+                    if len(rec) == LEAF:  # at most LEAF factors in a stack
+                        _apply_chains(m, rec)
+    _apply_chains(v, rec_v)
+    _apply_chains(u, rec_u)
     d = np.array(d)
     if u is not None:
-        _apply_chains(v, rec_v)
-        _apply_chains(u, rec_u)
-        neg = d < 0.0
-        u[:, neg] = -u[:, neg]
+        u[:, d < 0.0] *= -1.0
     return np.abs(d)
 
 
@@ -244,24 +244,25 @@ def _qr_svd(d: list, e: list, u, v, max_sweeps: int | None) -> np.ndarray:
 # (d, e): m = hi - lo rows and m + sqre columns, its last row holding
 # e[hi-1] too when sqre = 1.  Each call returns (u, sigma, v) with
 # block = u [diag(sigma) 0] v^T, sigma >= 0 in no particular order, and with
-# sqre = 1 the last column of v spanning the block's null space.
+# sqre = 1 the last column of v spanning the block's null space; without
+# ``want_u``, u is None.
 
 
-def _dc(d, e, lo, hi, sqre, max_sweeps):
+def _dc(d, e, lo, hi, sqre, max_sweeps, want_u=True):
     m = hi - lo
     if m <= LEAF:
-        return _dc_leaf(d, e, lo, hi, sqre, max_sweeps)
+        return _dc_leaf(d, e, lo, hi, sqre, max_sweeps, want_u)
     # Rows lo:k form a k x (k+1) block (sqre = 1); row k couples it to the
     # lower block through alpha = d[k] and beta = e[k].
     k = lo + m // 2
-    upper = _dc(d, e, lo, k, 1, max_sweeps)
-    lower = _dc(d, e, k + 1, hi, sqre, max_sweeps)
+    upper = _dc(d, e, lo, k, 1, max_sweeps, want_u)
+    lower = _dc(d, e, k + 1, hi, sqre, max_sweeps, want_u)
     return _dc_merge(upper, float(d[k]), float(e[k]), lower, sqre)
 
 
-def _dc_leaf(d, e, lo, hi, sqre, max_sweeps):
+def _dc_leaf(d, e, lo, hi, sqre, max_sweeps, want_u=True):
     m = hi - lo
-    u, v = np.eye(m), np.eye(m + sqre)
+    u, v = np.eye(m) if want_u else None, np.eye(m + sqre)
     dl, el = d[lo:hi].tolist(), e[lo : hi - 1 + sqre].tolist()
     if sqre:
         # m column rotations chase e[hi-1] out: column m becomes zero.
@@ -270,8 +271,7 @@ def _dc_leaf(d, e, lo, hi, sqre, max_sweeps):
     try:
         sigma = _qr_svd(dl, el, u, v[:, :m], max_sweeps)
     except ConvergenceError as err:
-        # The rest of B has not been iterated: its diagonal stands in.
-        full = np.abs(d)
+        full = np.abs(d)  # the diagonal stands in for the rest of the piece
         full[lo:hi] = err.partial
         err.partial = full
         raise
@@ -333,14 +333,16 @@ def _dc_merge(upper, alpha, beta, lower, sqre):
     col = np.empty_like(order)  # where column j of (0, s1, s2) went
     col[order] = np.arange(n)
     nk, cols = len(kept), kept + deflated
-    ub = np.zeros((n, n))
-    ub[k, 0] = 1.0
-    ub[:k, col[1 : k + 1]] = u1
-    ub[k + 1 :, col[k + 1 :]] = u2
-    for a, b, c, s in turns:
-        rotate(ub[:, a], ub[:, b], c, s)
-    ub = ub[:, cols]
-    ub[:, :nk] = ub[:, :nk] @ um
+    ub = None
+    if u1 is not None:
+        ub = np.zeros((n, n))
+        ub[k, 0] = 1.0
+        ub[:k, col[1 : k + 1]] = u1
+        ub[k + 1 :, col[k + 1 :]] = u2
+        for a, b, c, s in turns:
+            rotate(ub[:, a], ub[:, b], c, s)
+        ub = ub[:, cols]
+        ub[:, :nk] = ub[:, :nk] @ um
     del um
     vb = np.zeros((n + sqre, n + sqre))
     vb[: k + 1, 0] = v1[:, k]
@@ -484,29 +486,37 @@ def bidiagonal_svd(d, e, want_uv: bool, max_sweeps: int | None):
     """Singular values of the bidiagonal (d, e), sorted descending, and with
     ``want_uv`` the orthogonal (u, v) of B = u diag(sigma) v^T (None
     otherwise).  ``max_sweeps`` is the sweep budget of each implicit-QR run
-    (default 30 per row of that run)."""
+    (default 30 per row of that run).  B is split and each piece scaled on
+    its own, as above; the values are the same bits with or without u, v."""
     n = d.size
     if max_sweeps is not None and max_sweeps < 1:
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
     require_finite("bidiagonal SVD", d, e)
-    # Exact power-of-two prescaling of B (each implicit-QR step scales its
-    # block again).  The chase runs on Python floats: per-element numpy
-    # indexing would dominate it.
-    de = np.concatenate((d, e))
-    rescale = prescale(de)
-    d, e = de[:n], de[n:]
+    # eps |d_i| + eps |d_i+1| cannot overflow near the float64 maximum.
+    dl, el = d.tolist(), e.tolist()
+    ends = [i + 1 for i in range(n - 1) if abs(el[i]) <= EPS * abs(dl[i]) + EPS * abs(dl[i + 1])] + [n]
+    sigma = np.empty(n)
+    u, v = (np.zeros((n, n)), np.zeros((n, n))) if want_uv else (None, None)
     try:
-        if want_uv:
-            u, d, v = _dc(d, e, 0, n, 0, max_sweeps)
-        else:
-            u = v = None
-            d = _qr_svd(d.tolist(), e.tolist(), None, None, max_sweeps)
+        for lo, hi in zip([0] + ends, ends):
+            m = hi - lo
+            de = np.concatenate((d[lo:hi], e[lo : hi - 1]))
+            scale = prescale(de)
+            if want_uv or m > LEAF:
+                up, sp, vp = _dc(de[:m], de[m:], 0, m, 0, max_sweeps, want_uv)
+            else:
+                sp = _qr_svd(de[:m].tolist(), de[m:].tolist(), None, None, max_sweeps)
+            unscale("bidiagonal SVD", scale, sp)
+            sigma[lo:hi] = sp
+            if want_uv:
+                u[lo:hi, lo:hi], v[lo:hi, lo:hi] = up, vp
     except ConvergenceError as err:
-        err.partial = np.sort(err.partial * rescale)[::-1].copy()
+        full = np.abs(d)  # B's diagonal stands in for the other pieces
+        full[lo:hi] = err.partial * scale
+        err.partial = np.sort(full)[::-1].copy()
         raise
-    unscale("bidiagonal SVD", rescale, d)
-    order = np.argsort(-d, kind="stable")
-    d = d[order]
+    order = np.argsort(-sigma, kind="stable")
+    sigma = sigma[order]
     if want_uv:
         u, v = u[:, order], v[:, order]
-    return u, d, v
+    return u, sigma, v

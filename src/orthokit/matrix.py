@@ -229,9 +229,10 @@ def parse_matrix_csv(text: str, source: str = "<string>") -> np.ndarray:
     if not lines:
         raise CsvFormatError(f"{source}: no data rows")
     try:
-        rows = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+        return as_matrix(np.loadtxt(lines, delimiter=",", ndmin=2, comments=None))
     except ValueError as exc:
-        # Report the first width or number error in file order, else loadtxt's.
+        # Report the first width or number error in file order, else the
+        # error of loadtxt or of as_matrix (a non-finite entry).
         width = lines[0].count(",") + 1
         for lineno, raw in enumerate(text.splitlines(), start=1):
             if raw.strip() == "":
@@ -249,7 +250,6 @@ def parse_matrix_csv(text: str, source: str = "<string>") -> np.ndarray:
                         f"{source}: line {lineno}, column {col}: not a number: {field.strip()!r}"
                     ) from None
         raise CsvFormatError(f"{source}: {exc}") from None
-    return as_matrix(rows)
 
 
 def read_text(path) -> str:

@@ -139,7 +139,10 @@ def qr_givens(a) -> QrFactorization:
     may produce negative ones; |R| agrees between the two routes.  Each
     rotation turns rows k and j of one array, [A | I] swept into [R | Q^T].
     """
-    a = as_matrix(a)
+    return _qr_givens(as_matrix(a))
+
+
+def _qr_givens(a: np.ndarray) -> QrFactorization:
     m, n = a.shape
     w = np.hstack([a, np.eye(m)])
     rotations: list[GivensRotation] = []
@@ -171,7 +174,7 @@ def qr_hessenberg(h) -> QrFactorization:
     if below.size:
         i, j = below[0]
         raise ShapeError(f"not upper Hessenberg: entry ({i}, {j}) = {a[i, j]!r} below subdiagonal")
-    return qr_givens(a)
+    return _qr_givens(a)
 
 
 def qr_pivoted(a, t_digits: int = DEFAULT_T_DIGITS) -> QrFactorization:

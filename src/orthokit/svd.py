@@ -6,8 +6,9 @@ columns whose updates are delayed and applied as one matrix product while
 the trailing matrix has at least ``PANEL_CROSSOVER`` entries (LAPACK
 xGEBRD/xLABRD), then one rank-1 update per reflector; phase two finds the
 singular values, and vectors when wanted, of the bidiagonal B
-(``orthokit.bidiagonal``: implicit-shift QR, and divide and conquer down to
-leaves of at most LEAF rows for the vectors).  The singular vectors of B
+(``orthokit.bidiagonal``: B split at its negligible superdiagonal entries,
+then divide and conquer down to implicit-QR leaves of at most LEAF rows, for
+the values alone too, so they are the bits ``svd`` gives).  The vectors of B
 are then taken back through the stored reflectors in place, one
 ``reflect_all`` per side (LAPACK xORMBR), with no Q formed.
 
@@ -174,10 +175,11 @@ def bidiag_svd(b: Bidiagonal, max_sweeps: int | None = None):
 
     Returns ``(left, sigma, right)`` with orthogonal n x n ``left``/``right``
     such that B = left @ diag(sigma) @ right.T; sigma is nonnegative and
-    sorted descending.  Above ``bidiagonal.LEAF`` rows the factors come from
-    divide and conquer, whose leaves of at most LEAF rows run the implicit
-    QR.  ``max_sweeps`` is the sweep budget of each implicit-QR run (default
-    30 per row of that run); when a run exhausts it, ``ConvergenceError``
+    sorted descending.  B is split at its negligible superdiagonal entries,
+    and a piece of more than ``bidiagonal.LEAF`` rows goes through divide and
+    conquer, whose leaves of at most LEAF rows run the implicit QR.
+    ``max_sweeps`` is the sweep budget of each implicit-QR run (default 30
+    per row of that run); when a run exhausts it, ``ConvergenceError``
     carries a partial spectrum of all n values, sorted descending: that
     run's current diagonal on its rows and |B|'s diagonal on the others.
     """

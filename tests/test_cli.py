@@ -347,6 +347,8 @@ class TestDigitsWorkflow:
 @pytest.mark.parametrize("argv, message", [
     pytest.param(["fit", "{tmp}/three.csv", "--degree", "1"], "input error: {tmp}/three.csv: expected two columns",
                  id="fit-three-columns"),
+    pytest.param(["svd", "{tmp}/non-finite.csv"], "input error: {tmp}/non-finite.csv: matrix entries must be finite",
+                 id="svd-non-finite"),
     pytest.param(["digits", "train", "{tmp}", "--k", "1", "--model", "{tmp}/m"], "usage error: missing class file",
                  id="train-missing-class"),
     pytest.param(["digits", "train", "{tmp}/unlabeled.csv", "--k", "1", "--model", "{tmp}/m"],
@@ -362,6 +364,7 @@ class TestDigitsWorkflow:
 ])
 def test_error_paths(capsys, tmp_path, argv, message):
     write_matrix_csv(np.ones((3, 3)), tmp_path / "three.csv")
+    (tmp_path / "non-finite.csv").write_text("1,nan\ninf,1e400\n")
     (tmp_path / "unlabeled.csv").write_text(",".join(["0"] * 784) + "\n")
     (tmp_path / "one-class.csv").write_text("1," + ",".join(["0"] * 784) + "\n")
     (tmp_path / "latin1.txt").write_bytes("caf\xe9 au lait\n".encode("latin-1"))

@@ -341,6 +341,14 @@ def test_svd_with_structured_spectra(case, shape):
     assert np.abs(np.ldexp(svd(a, shape).sigma, -e) - ref).max() <= tol
 
 
+@PROFILE
+@given(st.one_of(scaled_matrices(max_rows=2 * LEAF + 3, max_cols=2 * LEAF + 3), structured_spectra()))
+def test_singular_values_are_the_bits_of_the_svd_values(case):
+    # One phase two: the values alone run the same pieces and leaves.
+    a, _ = case
+    assert np.array_equal(singular_values(a), svd(a).sigma)
+
+
 @LARGE
 @given(st.integers(LEAF + 1, 3 * LEAF), st.sampled_from(["dense", "zero-d", "zero-e", "repeated"]),
        st.integers(-1000, 1000), st.integers(0, 2**32 - 1))
@@ -447,5 +455,6 @@ def test_hessenberg_qr_is_givens_qr(case, zero_frac, seed):
     h[np.random.default_rng(seed).random((n, n)) < zero_frac] = 0.0
     f, g = qr_hessenberg(h), qr_givens(h)
     assert np.array_equal(f.r, g.r) and np.array_equal(f.q, g.q)
+    assert np.array_equal(np.signbit(f.r), np.signbit(g.r)) and np.array_equal(np.signbit(f.q), np.signbit(g.q))
     assert f.rotations == g.rotations
     assert f.rotation_count <= n - 1

@@ -251,6 +251,25 @@ class TestHessenbergQr:
         with pytest.raises(ShapeError, match="square"):
             qr_hessenberg(np.ones((3, 4)))
 
+    def test_one_validated_copy_is_checked_and_swept(self, monkeypatch):
+        qr_mod = importlib.import_module("orthokit.qr")
+        as_matrix, copies = qr_mod.as_matrix, []
+
+        def spy(a, *args, **kwargs):
+            copies.append(a)
+            return as_matrix(a, *args, **kwargs)
+
+        rng = np.random.default_rng(47)
+        h = np.triu(rng.standard_normal((9, 9)), -1)
+        h[4, 3] = -0.0
+        g = qr_givens(h)
+        monkeypatch.setattr(qr_mod, "as_matrix", spy)
+        f = qr_hessenberg(h)
+        assert len(copies) == 1
+        for x, y in ((f.r, g.r), (f.q, g.q)):
+            assert np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+        assert f.rotations == g.rotations
+
 
 class TestPivotedQr:
     def test_full_rank_survey(self):

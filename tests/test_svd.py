@@ -320,6 +320,38 @@ class TestBidiagSvd:
         left, sigma, right = bidiag_svd(bid, max_sweeps=30 * bd_mod.LEAF)
         assert np.array_equal(sigma, bidiag_svd(bid)[1])
 
+    def test_values_sweep_budget_is_per_leaf_above_the_leaf_size(self):
+        # The same check without vectors: the values run the same leaves.
+        n = 60
+        rng = np.random.default_rng(95)
+        b = np.diag(rng.standard_normal(n)) + np.diag(rng.standard_normal(n - 1), 1)
+        with pytest.raises(ConvergenceError) as err:
+            singular_values(b, max_sweeps=1)
+        partial = err.value.partial
+        assert isinstance(partial, np.ndarray) and len(partial) == n
+        assert (np.diff(partial) <= 0.0).all() and (partial >= 0.0).all()
+        assert np.array_equal(singular_values(b, max_sweeps=30 * bd_mod.LEAF), singular_values(b))
+
+    @pytest.mark.parametrize("m, n", [(26, 26), (60, 60), (156, 156), (400, 400), (200, 156), (120, 300)])
+    def test_values_and_vectors_run_the_same_leaves(self, m, n, monkeypatch):
+        # No implicit-QR run sees more than LEAF rows, and the values alone
+        # are the bits of the SVD's values.
+        rows = []
+        qr_svd = bd_mod._qr_svd
+
+        def spy(d, *args):
+            rows.append(len(d))
+            return qr_svd(d, *args)
+
+        monkeypatch.setattr(bd_mod, "_qr_svd", spy)
+        a = np.random.default_rng(m + n).standard_normal((m, n))
+        sigma = svd(a).sigma
+        assert rows and max(rows) <= bd_mod.LEAF
+        rows.clear()
+        values = singular_values(a)
+        assert rows and max(rows) <= bd_mod.LEAF
+        assert np.array_equal(values, sigma)
+
 
 def _dense_block(d, e, sqre):
     """The m x (m + sqre) upper-bidiagonal block with diagonal d and
@@ -427,9 +459,10 @@ def _rotate_spy(monkeypatch):
 
 
 class TestBlockFarBelowTheLargestEntry:
-    """diag(A1, rho A2) with rho far below 1: each implicit-QR step scales
-    its own block, so the shift of the tiny block does not underflow.  One
-    leaf (n = 6) and divide and conquer (n = 60, 120); normwise bounds."""
+    """diag(A1, rho A2) with rho far below 1: B splits between the blocks and
+    each piece is scaled on its own.  One leaf (n = 6) and divide and
+    conquer (n = 60, 120), in normwise and relative bounds.  A graded B that
+    does not split relies on each implicit-QR step scaling its own block."""
 
     @pytest.mark.parametrize("n", [6, 60, 120])
     @pytest.mark.parametrize("rho", [1e-160, 1e-200, 1e-300])
@@ -447,6 +480,39 @@ class TestBlockFarBelowTheLargestEntry:
         assert fro(f.vt @ f.vt.T - np.eye(n)) <= tol * np.sqrt(n)
         for sigma in (f.sigma, singular_values(a)):
             assert np.abs(sigma - ref).max() <= tol * ref[0]
+
+    @pytest.mark.parametrize("n", [60, 120])
+    @pytest.mark.parametrize("rho", [1e-100, 1e-200, 1e-300, 1e-305, 1e-307])
+    def test_each_block_keeps_its_relative_accuracy(self, n, rho):
+        # B splits at the zero superdiagonal between the blocks, and each
+        # piece is scaled on its own, with or without vectors.
+        rng = np.random.default_rng(n)
+        h = n // 2
+        a1, a2 = rng.standard_normal((h, h)), rng.standard_normal((h, h))
+        a = np.zeros((n, n))
+        a[:h, :h], a[h:, h:] = a1, rho * a2
+        ref = np.concatenate((np.linalg.svd(a1, compute_uv=False), rho * np.linalg.svd(a2, compute_uv=False)))
+        ref = np.sort(ref)[::-1]
+        for sigma in (svd(a).sigma, singular_values(a)):
+            assert (np.abs(sigma - ref) <= 20 * n * EPS * ref).all()
+
+    @pytest.mark.parametrize("n", [40, 120])
+    def test_graded_bidiagonal_in_one_piece(self, n):
+        # No superdiagonal entry is negligible, so B does not split: only
+        # each step's own power of two keeps the shift of the tiny trailing
+        # rows from underflowing.
+        rng = np.random.default_rng(n)
+        d = np.logspace(0, -300, n) * rng.uniform(0.5, 1.0, n)
+        e = d[:-1] / 2 * rng.uniform(0.5, 1.0, n - 1)
+        b = np.diag(d) + np.diag(e, 1)
+        left, sigma, right = bidiag_svd(Bidiagonal(d, e))
+        tol = 20 * n * EPS
+        assert fro((left * sigma) @ right.T - b) <= tol * fro(b)
+        assert fro(left.T @ left - np.eye(n)) <= tol * np.sqrt(n)
+        assert fro(right.T @ right - np.eye(n)) <= tol * np.sqrt(n)
+        ref = np.linalg.svd(b, compute_uv=False)
+        for values in (sigma, singular_values(b)):
+            assert np.abs(values - ref).max() <= tol * ref[0]
 
     def test_bidiagonal_with_a_tiny_trailing_block(self):
         d, e = np.array([1.0, 1.0, 1e-200, 2e-200, 3e-200]), np.array([0.5, 0.0, 1e-200, 1e-200])
