@@ -46,12 +46,15 @@ archive`` into a temporary directory as the package ``orthokit_against``
 (the package imports only relatively, so the rename is enough).  For each
 row, PAIRS = 61 pairs of calls alternate between the two copies, the order
 swapped in every other pair, and the row prints the median ratio of the
-tree's time to REV's with its quartiles.
+tree's time to REV's with its quartiles, then ``identical`` if the two
+copies' results are bit for bit the same (``same_bits``) and ``DIFFERENT``
+if not.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import importlib
 import io
@@ -156,6 +159,23 @@ def rows(repeats):
         yield {"layer": layer, "m": m, "n": n, "min_s": best, "median_s": median, "repeats": reps}
 
 
+def same_bits(x, y) -> bool:
+    """Whether two results hold the same bits: arrays and numbers byte for
+    byte (so NaN payloads and the sign of zero count), None as None, and
+    dataclasses, tuples and lists field by field.  Dataclasses from two
+    package copies match by class name."""
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        names = [f.name for f in dataclasses.fields(x)]
+        return type(x).__name__ == type(y).__name__ and same_bits(
+            [getattr(x, f) for f in names], [getattr(y, f, None) for f in names])
+    if isinstance(x, (tuple, list)):
+        return isinstance(y, (tuple, list)) and len(x) == len(y) and all(map(same_bits, x, y))
+    if x is None or y is None:
+        return x is y
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 def package_at(rev: str, into: str):
     """Import ``src/orthokit`` at the git revision ``rev``, extracted under
     ``into``, as the package ``orthokit_against``."""
@@ -169,14 +189,15 @@ def package_at(rev: str, into: str):
 
 
 def compare(rev: str, pairs: int) -> None:
-    """Print each row's ratio of the tree's time to ``rev``'s: the median and
-    quartiles over ``pairs`` alternating pairs of calls."""
+    """Print each row's ratio of the tree's time to ``rev``'s, the median and
+    quartiles over ``pairs`` alternating pairs of calls, and whether the
+    two results are bit for bit the same."""
     with tempfile.TemporaryDirectory() as tmp:
         ref = package_at(rev, tmp)
         gc.disable()  # a collection would land on one side of a pair
         print(f"time ratio, working tree / {rev}: median [q1, q3] over {pairs} pairs")
         for (layer, m, n, fn, _), (*_, fn_ref, _) in zip(cases(orthokit, 1), cases(ref, 1)):
-            fn(), fn_ref()  # warm-up
+            same = same_bits(fn(), fn_ref())  # also the warm-up
             ratios = []
             gc.collect()
             for i in range(pairs):
@@ -187,7 +208,8 @@ def compare(rev: str, pairs: int) -> None:
                     t[f] = time.perf_counter() - t0
                 ratios.append(t[fn] / t[fn_ref])
             q1, median, q3 = statistics.quantiles(ratios, n=4)
-            print(f"{layer:15s} {m:4d}x{n:<4d}  {median:6.3f} [{q1:6.3f}, {q3:6.3f}]", flush=True)
+            print(f"{layer:15s} {m:4d}x{n:<4d}  {median:6.3f} [{q1:6.3f}, {q3:6.3f}]  "
+                  f"{'identical' if same else 'DIFFERENT'}", flush=True)
 
 
 def main() -> int:

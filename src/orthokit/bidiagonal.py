@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError
-from .matrix import pow2_scale, prescale, require_finite, unscale
+from .matrix import pow2_scale, prescale, unscale
 from .reflectors import givens_params, rotate
 
 # Divide and conquer splits a bidiagonal of more than LEAF rows; its leaves
@@ -189,23 +189,21 @@ def _qr_svd(d: list, e: list, u, v, max_sweeps: int | None) -> np.ndarray:
     n = len(d)
     if max_sweeps is None:
         max_sweeps = 30 * max(n, 1)
-    eps = EPS  # a local: the scans below read it once per entry
+    eps = EPS  # a local: the walk below reads it once per entry
     sweeps = 0
     rec_u, rec_v = [], []  # the chains not yet applied to u and v
-    lo, hi = 0, n - 1
-    while True:
-        # Only e[lo:hi] can have changed since the last scan (all of it on
-        # the first pass); entries above hi stay zero once zeroed.
-        for i in range(lo, hi):
-            if abs(e[i]) <= eps * (abs(d[i]) + abs(d[i + 1])):
-                e[i] = 0.0
-        while hi > 0 and e[hi - 1] == 0.0:
-            hi -= 1
-        if hi == 0:
-            break
-        lo = hi - 1
-        while lo > 0 and e[lo - 1] != 0.0:
+    hi = n - 1
+    while hi > 0:
+        # The unreduced block [lo, hi] ends at the first negligible e above
+        # hi (xBDSQR); rows above it are untouched until hi reaches them.
+        lo = hi
+        while lo > 0 and abs(e[lo - 1]) > eps * (abs(d[lo - 1]) + abs(d[lo])):
             lo -= 1
+        if lo > 0:
+            e[lo - 1] = 0.0
+        if lo == hi:
+            hi -= 1
+            continue
         scale = max(max(map(abs, d[lo : hi + 1])), max(map(abs, e[lo:hi])))
         if abs(d[hi]) <= eps * scale:
             d[hi] = 0.0
@@ -224,12 +222,11 @@ def _qr_svd(d: list, e: list, u, v, max_sweeps: int | None) -> np.ndarray:
                 f"bidiagonal SVD did not converge within {max_sweeps} sweeps", partial=np.abs(np.array(d))
             )
         rc, rs, lc, ls = _implicit_step(d, e, lo, hi, pow2_scale(scale))
-        if v is not None:
-            for m, rec, chain in ((v, rec_v, (lo, rc, rs)), (u, rec_u, (lo, lc, ls))):
-                if m is not None:
-                    rec.append(chain)
-                    if len(rec) == LEAF:  # at most LEAF factors in a stack
-                        _apply_chains(m, rec)
+        for m, rec, chain in ((v, rec_v, (lo, rc, rs)), (u, rec_u, (lo, lc, ls))):
+            if m is not None:
+                rec.append(chain)
+                if len(rec) == LEAF:  # at most LEAF factors in a stack
+                    _apply_chains(m, rec)
     _apply_chains(v, rec_v)
     _apply_chains(u, rec_u)
     d = np.array(d)
@@ -483,15 +480,14 @@ def _secular_roots(d, z):
 
 
 def bidiagonal_svd(d, e, want_uv: bool, max_sweeps: int | None):
-    """Singular values of the bidiagonal (d, e), sorted descending, and with
-    ``want_uv`` the orthogonal (u, v) of B = u diag(sigma) v^T (None
-    otherwise).  ``max_sweeps`` is the sweep budget of each implicit-QR run
-    (default 30 per row of that run).  B is split and each piece scaled on
-    its own, as above; the values are the same bits with or without u, v."""
+    """Singular values of the finite bidiagonal (d, e), sorted descending,
+    and with ``want_uv`` the orthogonal (u, v) of B = u diag(sigma) v^T
+    (None otherwise).  ``max_sweeps`` is the sweep budget of each implicit-QR
+    run (default 30 per row of that run).  B is split and each piece scaled
+    on its own, as above; the values are the same bits with or without u, v."""
     n = d.size
     if max_sweeps is not None and max_sweeps < 1:
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
-    require_finite("bidiagonal SVD", d, e)
     # eps |d_i| + eps |d_i+1| cannot overflow near the float64 maximum.
     dl, el = d.tolist(), e.tolist()
     ends = [i + 1 for i in range(n - 1) if abs(el[i]) <= EPS * abs(dl[i]) + EPS * abs(dl[i + 1])] + [n]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefiniteError, RankDeficiencyError, ShapeError
-from .matrix import DEFAULT_T_DIGITS, as_matrix, as_vector, back_sub, cholesky, forward_sub, norm_tol
+from .matrix import DEFAULT_T_DIGITS, as_matrix, as_vector, back_sub, cholesky, forward_sub, norm_tol, require_finite
 from .qr import QrMode, qr_householder, qr_pivoted
 from .reflectors import reflect_all, stable_norm
 from .svd import cond2, numerical_rank, rank_threshold, svd
@@ -65,6 +65,13 @@ def _matching(a, b):
     return a, b
 
 
+def _solution(a, b, x, method, rank, free_params=None) -> LeastSquaresSolution:
+    """The result of ``method`` with its residual norm ||b - A x||;
+    ``NumericalError`` if x overflowed the float64 range."""
+    require_finite(f"solve_{method}", x)
+    return LeastSquaresSolution(x, float(np.linalg.norm(b - a @ x)), method, rank, free_params)
+
+
 def solve_normal(a, b) -> LeastSquaresSolution:
     """Solve A^T A x = A^T b by Cholesky plus two triangular solves.
 
@@ -72,17 +79,18 @@ def solve_normal(a, b) -> LeastSquaresSolution:
     deficiency with a pointer to the stable routes.
     """
     a, b = _matching(as_matrix(a), b)  # no factorization validates A here
-    m, n = a.shape
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        ata, atb = a.T @ a, a.T @ b
+    require_finite("solve_normal", ata, atb)
     try:
-        l = cholesky(a.T @ a)
+        l = cholesky(ata)
     except NotPositiveDefiniteError as exc:
         raise RankDeficiencyError(
             "normal equations are numerically singular (matrix not of full column rank "
             f"at pivot {exc.index}); use solve_qr_pivoted or solve_svd"
         ) from exc
-    z = forward_sub(l, a.T @ b)
-    x = back_sub(l.T, z)
-    return LeastSquaresSolution(x=x, residual_norm=float(np.linalg.norm(b - a @ x)), method="normal", rank=n)
+    x = back_sub(l.T, forward_sub(l, atb))
+    return _solution(a, b, x, "normal", a.shape[1])
 
 
 def solve_qr(a, b) -> LeastSquaresSolution:
@@ -139,13 +147,7 @@ def solve_qr_pivoted(a, b, y_hat=None, t_digits: int = DEFAULT_T_DIGITS) -> Leas
     y = np.concatenate([y_tilde, y_hat])
     x = np.zeros(n)
     x[f.perm] = y
-    return LeastSquaresSolution(
-        x=x,
-        residual_norm=float(np.linalg.norm(b - a @ x)),
-        method="qr_pivoted",
-        rank=r,
-        free_params=n - r,
-    )
+    return _solution(a, b, x, "qr_pivoted", r, n - r)
 
 
 def solve_svd(a, b) -> LeastSquaresSolution:
@@ -155,18 +157,9 @@ def solve_svd(a, b) -> LeastSquaresSolution:
     a, b = _matching(a, b)
     n = a.shape[1]
     r = numerical_rank(f.sigma, rank_threshold(a))
-    if r > 0:
-        coeff = (f.u[:, :r].T @ b) / f.sigma[:r]
-        x = f.vt[:r, :].T @ coeff
-    else:
-        x = np.zeros(n)
-    return LeastSquaresSolution(
-        x=x,
-        residual_norm=float(np.linalg.norm(b - a @ x)),
-        method="svd",
-        rank=r,
-        free_params=n - r,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # checked in _solution
+        x = f.vt[:r].T @ ((f.u[:, :r].T @ b) / f.sigma[:r])  # zero at rank 0
+    return _solution(a, b, x, "svd", r, n - r)
 
 
 def solve(a, b) -> LeastSquaresSolution:

@@ -169,7 +169,8 @@ def back_sub(u, b) -> np.ndarray:
     """Solve the upper-triangular system ``U x = b``.
 
     Only the upper triangle of ``u`` is read.  Pivots within
-    ``1e-14 * norm(U, inf)`` of zero raise ``SingularTriangularError``.
+    ``1e-14 * norm(U, inf)`` of zero raise ``SingularTriangularError``, and
+    an x past the float64 range ``NumericalError``.
     """
     u = as_matrix(u)
     b = as_vector(b)
@@ -177,8 +178,10 @@ def back_sub(u, b) -> np.ndarray:
     n = u.shape[0]
     _check_pivots(np.diagonal(u), norm_tol(u, TRIANGULAR_PIVOT_RTOL))
     x = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (b[i] - u[i, i + 1 :] @ x[i + 1 :]) / u[i, i]
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        for i in range(n - 1, -1, -1):
+            x[i] = (b[i] - u[i, i + 1 :] @ x[i + 1 :]) / u[i, i]
+    require_finite("back_sub", x)
     return x
 
 
@@ -190,8 +193,10 @@ def forward_sub(l, b) -> np.ndarray:
     n = l.shape[0]
     _check_pivots(np.diagonal(l), norm_tol(l, TRIANGULAR_PIVOT_RTOL))
     x = np.zeros(n)
-    for i in range(n):
-        x[i] = (b[i] - l[i, :i] @ x[:i]) / l[i, i]
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        for i in range(n):
+            x[i] = (b[i] - l[i, :i] @ x[:i]) / l[i, i]
+    require_finite("forward_sub", x)
     return x
 
 

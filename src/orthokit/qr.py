@@ -210,8 +210,7 @@ def qr_pivoted(a, t_digits: int = DEFAULT_T_DIGITS) -> QrFactorization:
     floor = NORM_DOWNDATE_GUARD * kappa
     perm = np.arange(n)
     reflectors: list[HouseholderReflector] = []
-    rank = None
-    steps = min(m, n)
+    steps = rank = min(m, n)
     j0 = 0
     while j0 < steps:
         # ft holds F^T.  Row k of v and column k of ft belong to row and
@@ -227,7 +226,7 @@ def qr_pivoted(a, t_digits: int = DEFAULT_T_DIGITS) -> QrFactorization:
                 for x in (r.T, ft.T, perm, kappa, floor):
                     _swap(x, k, j)
             pivot_norm = math.sqrt(max(kappa[k], 0.0))
-            if rank is None and pivot_norm <= delta:
+            if k < rank and pivot_norm <= delta:
                 rank = k
             r[k:, k] -= v[k:, :i] @ ft[:i, k]
             h = annihilate(r[k:, k : k + 1], k)
@@ -247,8 +246,6 @@ def qr_pivoted(a, t_digits: int = DEFAULT_T_DIGITS) -> QrFactorization:
             kappa[idx] = (r[j1:, idx] ** 2).sum(axis=0)
             floor[idx] = NORM_DOWNDATE_GUARD * kappa[idx]
         j0 = j1
-    if rank is None:
-        rank = steps
     unscale("qr_pivoted", scale, r)
     return QrFactorization(r=np.ascontiguousarray(r), reflectors=reflectors, perm=perm, rank=rank)
 

@@ -30,7 +30,9 @@ import numpy as np
 
 from .bidiagonal import bidiagonal_svd
 from .errors import ConvergenceError, ShapeError, SingularMatrixError
-from .matrix import DEFAULT_T_DIGITS, as_matrix, as_vector, norm, norm_tol, pow2_scale, prescale, unscale
+from .matrix import (
+    DEFAULT_T_DIGITS, as_matrix, as_vector, norm, norm_tol, pow2_scale, prescale, require_finite, unscale,
+)
 from .reflectors import BLOCK, HouseholderReflector, annihilate, reflect_all, rotate, subtract_product
 
 __all__ = [
@@ -357,13 +359,14 @@ def cond2(a) -> float:
 def pseudoinverse(a) -> np.ndarray:
     """Moore-Penrose inverse via the reduced SVD, truncated at the
     numerical rank.  Works for any shape and rank; the zero matrix maps to
-    the zero matrix."""
+    the zero matrix, and entries past the float64 range raise
+    ``NumericalError``."""
     f = svd(a, "reduced")
     r = numerical_rank(f.sigma, rank_threshold(a))
-    if r == 0:
-        return np.zeros((f.vt.shape[1], f.u.shape[0]))
-    v1 = f.vt[:r, :].T
-    return (v1 / f.sigma[:r]) @ f.u[:, :r].T
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        p = (f.vt[:r].T / f.sigma[:r]) @ f.u[:, :r].T  # zero at rank 0
+    require_finite("pseudoinverse", p)
+    return p
 
 
 def low_rank(a, k: int) -> np.ndarray:

@@ -154,6 +154,12 @@ RANK2_PINV = np.array(
 )
 RANK2_MINNORM_X = np.array([1 / 3, 0.0, 1 / 6, 1 / 6])
 
+# Least-squares systems (A, b) past the float64 range: x overflows in the
+# first two, and A^T A in the third, though its x = (1e-200, 1e-200) does not.
+TINY_SYSTEM = (np.diag([1e-310, 1e-310]), np.ones(2))
+TALL_SYSTEM = (np.array([[1e-200, 0.0], [0.0, 1e-200], [1e-200, 1e-200]]), np.array([1e200, 1e200, 0.0]))
+BIG_SYSTEM = (np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]) * 1e200, np.array([1.0, 1.0, 2.0]))
+
 
 def triple_loop_matmul(a, b):
     m, k = a.shape

@@ -4,7 +4,7 @@ import pytest
 from orthokit.cli import run
 from orthokit.matrix import write_matrix_csv
 from orthokit.apps import GrayImage, write_pgm
-from helpers import SURVEY_A, SURVEY_B, SVD_5X3
+from helpers import BIG_SYSTEM, SURVEY_A, SURVEY_B, SVD_5X3, TALL_SYSTEM, TINY_SYSTEM
 
 
 @pytest.fixture
@@ -186,6 +186,22 @@ class TestSolveAtExtremeScale:
         expected = self.report_lines(capsys, tmp_path, 1.0)
         assert len(expected) == len(self.REPORT)
         assert self.report_lines(capsys, tmp_path, 2.0**e) == expected
+
+
+class TestSolutionPastTheFloat64Range:
+    @pytest.mark.parametrize("method, system", [
+        *((m, s) for m in ("auto", "qr", "qr-pivoted", "svd") for s in ("TINY", "TALL")),
+        ("normal", "BIG"),  # A^T A overflows
+    ])
+    def test_exits_2_with_one_error_line(self, capsys, tmp_path, method, system):
+        a, b = {"TINY": TINY_SYSTEM, "TALL": TALL_SYSTEM, "BIG": BIG_SYSTEM}[system]
+        write_matrix_csv(a, tmp_path / "a.csv")
+        write_matrix_csv(b.reshape(-1, 1), tmp_path / "b.csv")
+        code = run(["solve", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"), "--method", method])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: NumericalError")
 
 
 class TestDeterminismAndPrecision:

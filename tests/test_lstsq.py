@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from orthokit import (
+    NumericalError,
     RankDeficiencyError,
     ShapeError,
     cond2,
@@ -17,6 +18,7 @@ from orthokit import (
     transpose,
 )
 from helpers import (
+    BIG_SYSTEM,
     RANK2_A,
     RANK2_MINNORM_X,
     SURVEY_A,
@@ -25,6 +27,8 @@ from helpers import (
     SURVEY_GRAM,
     SURVEY_RESIDUAL,
     SURVEY_X,
+    TALL_SYSTEM,
+    TINY_SYSTEM,
     fro,
     layouts,
     random_rank_deficient,
@@ -385,6 +389,20 @@ class TestConditioning:
         a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         with pytest.raises(ShapeError, match=r"solution of length 3 does not match matrix \(3, 2\)"):
             conditioning_report(a, np.ones(3), np.ones(3))
+
+
+class TestSolutionPastTheFloat64Range:
+    @pytest.mark.parametrize("route", [solve, solve_qr, solve_qr_pivoted, solve_svd])
+    @pytest.mark.parametrize("a, b", [TINY_SYSTEM, TALL_SYSTEM], ids=["tiny", "tall"])
+    def test_every_factoring_route_raises(self, route, a, b):
+        with pytest.raises(NumericalError, match="overflowed the float64 range"):
+            route(a, b)
+
+    def test_normal_equations_past_the_float64_range_raise(self):
+        a, b = BIG_SYSTEM
+        with pytest.raises(NumericalError, match="^solve_normal: "):
+            solve_normal(a, b)
+        assert solve_qr(a, b).x == pytest.approx([1e-200, 1e-200], rel=1e-14)
 
 
 @pytest.mark.parametrize("call, error, match", [

@@ -170,6 +170,17 @@ class TestTriangularSolves:
         xl = forward_sub(u.T.copy(), np.ones(2))
         assert np.abs(xl * 1e308 - [1.0, 0.0]).max() <= 1e-15
 
+    @pytest.mark.parametrize("diag, b", [
+        (1e-310, np.ones(2)),  # x_1 = 1e310 overflows; x_0 then reads 0 * inf = NaN
+        (1e-200, np.full(2, 1e200)),
+    ])
+    def test_solution_past_the_float64_range_raises(self, diag, b):
+        u = np.diag([diag, diag])
+        with pytest.raises(NumericalError, match="^back_sub: "):
+            back_sub(u, b)
+        with pytest.raises(NumericalError, match="^forward_sub: "):
+            forward_sub(u, b)
+
     def test_norm_tol_matches_unscaled_product_in_range(self):
         from orthokit.matrix import norm_tol
 

@@ -11,8 +11,10 @@ is also drawn with min(m, n) on either side of the divide-and-conquer leaf
 size, with graded, clustered, repeated or exactly zero singular values, and
 already bidiagonal.  Every
 comparison is made in units of 2^e, so the oracle's own norms cannot
-overflow.  The profile is derandomized, with bounded examples and no
-example database, so tier-1 stays deterministic.
+overflow.  Subnormal entries come from such a matrix at 2^-k, k in
+[1050, 1070], rounded onto the subnormal grid.  The profile is
+derandomized, with bounded examples and no example database, so tier-1
+stays deterministic.
 """
 
 import math
@@ -28,6 +30,7 @@ from orthokit import (
     QrMode,
     RankDeficiencyError,
     bidiag_svd,
+    bidiagonalize,
     default_rank_threshold,
     form_q,
     givens_apply,
@@ -458,3 +461,58 @@ def test_hessenberg_qr_is_givens_qr(case, zero_frac, seed):
     assert np.array_equal(np.signbit(f.r), np.signbit(g.r)) and np.array_equal(np.signbit(f.q), np.signbit(g.q))
     assert f.rotations == g.rotations
     assert f.rotation_count <= n - 1
+
+
+@st.composite
+def subnormal_matrices(draw):
+    """``(a, k)``: a matrix at scale 2^-k with k in [1050, 1070], its entries
+    rounded onto the subnormal grid, so ``a * 2^k`` is exact."""
+    b, _ = draw(scaled_matrices(max_exp=0))
+    k = draw(st.integers(1050, 1070))
+    return np.ldexp(b, -k), k
+
+
+def _same_bits(x, y):
+    return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+@PROFILE
+@given(subnormal_matrices())
+def test_householder_sweeps_of_subnormal_entries_are_exact_rescalings(case):
+    # Each sweep divides A by a power of two, so A and A 2^k sweep the same
+    # numbers; A's results are rounded onto the subnormal grid once.
+    a, k = case
+    up = np.ldexp(a, k)
+    f, g = qr_householder(a), qr_householder(up)
+    assert _same_bits(f.r, np.ldexp(g.r, -k)) and _same_bits(f.q, g.q)
+    f, g = qr_pivoted(a), qr_pivoted(up)
+    assert _same_bits(f.r, np.ldexp(g.r, -k))
+    assert np.array_equal(f.perm, g.perm) and f.rank == g.rank
+    t = a if a.shape[0] >= a.shape[1] else a.T
+    _, b, _ = bidiagonalize(t)
+    _, bu, _ = bidiagonalize(np.ldexp(t, k))
+    assert _same_bits(b.d, np.ldexp(bu.d, -k)) and _same_bits(b.e, np.ldexp(bu.e, -k))
+
+
+@PROFILE
+@given(subnormal_matrices(), st.sampled_from(["reduced", "full"]))
+def test_svd_and_givens_qr_of_subnormal_entries(case, shape):
+    # Phase two and the Givens sweep round on the subnormal grid itself, so
+    # each error bound gains a few units 2^-1074 per dimension.  In units
+    # of 2^-k, against the values of the exact A 2^k.
+    a, k = case
+    m, n = a.shape
+    up = np.ldexp(a, k)
+    tol = 2 * max(m, n) * (2.0**(k - 1074) + C * EPS * fro(up))
+    f = svd(a, shape)
+    sigma = np.ldexp(f.sigma, k)
+    assert np.abs(sigma - singular_values(up)).max() <= tol
+    assert np.array_equal(singular_values(a), f.sigma)
+    p = min(m, n)
+    assert np.abs((f.u[:, :p] * sigma) @ f.vt[:p] - up).max() <= tol
+    assert fro(f.u.T @ f.u - np.eye(f.u.shape[1])) <= C * max(m, n) * EPS * np.sqrt(m)
+    assert fro(f.vt @ f.vt.T - np.eye(f.vt.shape[0])) <= C * max(m, n) * EPS * np.sqrt(n)
+    g = qr_givens(a)
+    assert np.all(np.tril(g.r, -1) == 0.0)
+    assert np.abs(g.q @ np.ldexp(g.r, k) - up).max() <= tol
+    assert fro(g.q.T @ g.q - np.eye(m)) <= C * max(m, n) * EPS * np.sqrt(m)

@@ -1023,6 +1023,12 @@ class TestPseudoinverse:
     def test_identity(self):
         assert np.abs(pseudoinverse(np.eye(4)) - np.eye(4)).max() <= 1e-13
 
+    @pytest.mark.parametrize("a", [[[1e-310]], np.eye(3) * 1e-310, [[1e-309, 1e-309], [0.0, 1e-309]]])
+    def test_entries_past_the_float64_range_raise(self, a):
+        # 1 / sigma overflows, but every sigma is above the rank threshold.
+        with pytest.raises(NumericalError, match="^pseudoinverse: "):
+            pseudoinverse(a)
+
     def test_moore_penrose_identities(self):
         rng = np.random.default_rng(82)
         for trial in range(100):
