@@ -32,7 +32,9 @@ the seed 4242 + n:
 
 Each tall shape m x n in 600 x 60, 1000 x 100 and 1500 x 120 gets one
 standard-normal matrix from the seed 4242 + m + n, timed in the rows
-``qr_householder``, ``qr_pivoted``, ``bidiagonalize``, ``singular_values``
+``qr_householder``, ``qr_pivoted``, ``form_q`` (the thin m x n Q from the
+``r+u`` reflectors), ``back_sub`` (that R's n x n block, one standard-normal
+right-hand side from the same seed), ``bidiagonalize``, ``singular_values``
 and ``numpy_svdvals`` (``numpy.linalg.svd`` without vectors, the ceiling).
 
 A row gives the minimum and the median wall time over ``--repeats`` calls
@@ -140,10 +142,14 @@ def cases(ok, repeats):
         for layer, fn in layers.items():
             yield layer, n, n, fn, repeats if n < 400 else max(2, repeats // 3)
     for m, n in TALL:
-        a = np.random.default_rng(SEED + m + n).standard_normal((m, n))
+        rng = np.random.default_rng(SEED + m + n)
+        a, b = rng.standard_normal((m, n)), rng.standard_normal(n)
+        f = ok.qr_householder(a, "r+u")
         layers = {
             "qr_householder": lambda: ok.qr_householder(a, "r+u"),
             "qr_pivoted": lambda: ok.qr_pivoted(a),
+            "form_q": lambda: ok.form_q(f.reflectors, m, cols=n),
+            "back_sub": lambda: ok.back_sub(f.r[:n], b),
             "bidiagonalize": lambda: ok.bidiagonalize(a),
             "singular_values": lambda: ok.singular_values(a),
             "numpy_svdvals": lambda: np.linalg.svd(a, compute_uv=False),

@@ -2,81 +2,19 @@
 pivoted QR, two-phase SVD), least-squares solvers for full-rank and
 rank-deficient systems, projector constructions, and SVD applications
 (curve fitting, PCA, image compression, text summarization, digit
-classification)."""
+classification).
 
-from .errors import (
-    ConvergenceError,
-    CsvFormatError,
-    LinAlgError,
-    NotPositiveDefiniteError,
-    NumericalError,
-    RankDeficiencyError,
-    ShapeError,
-    SingularMatrixError,
-    SingularTriangularError,
-)
-from .matrix import (
-    as_matrix,
-    as_vector,
-    back_sub,
-    cholesky,
-    forward_sub,
-    mat_mul,
-    norm,
-    read_matrix_csv,
-    read_vector_csv,
-    transpose,
-    write_matrix_csv,
-)
-from .reflectors import (
-    GivensRotation,
-    HouseholderReflector,
-    givens_apply,
-    givens_params,
-    householder_apply_left,
-    householder_apply_right,
-    householder_matrix,
-    householder_vector,
-)
-from .qr import QrFactorization, QrMode, form_q, qr_givens, qr_hessenberg, qr_householder, qr_pivoted
-from .projectors import (
-    ProjectorCheck,
-    complement,
-    is_projector,
-    projector_from_orthonormal,
-    projector_onto_range,
-    split,
-)
-from .svd import (
-    Bidiagonal,
-    SubspaceBases,
-    SvdFactorization,
-    SingularDistance,
-    bidiag_svd,
-    bidiagonalize,
-    cond2,
-    default_rank_threshold,
-    distance_to_singular,
-    jacobi_eig,
-    low_rank,
-    matrix_rank,
-    nearest_orthogonal,
-    norm2,
-    numerical_rank,
-    pseudoinverse,
-    singular_values,
-    subspace_bases,
-    svd,
-)
-from .lstsq import (
-    ConditioningReport,
-    LeastSquaresSolution,
-    conditioning_report,
-    solve,
-    solve_normal,
-    solve_qr,
-    solve_qr_pivoted,
-    solve_svd,
-)
+Each module's ``__all__`` is the one list of its public names, and the
+package re-exports them all (every name in ``errors`` is public). The
+function ``svd`` shadows its module here: reach the module through
+``importlib.import_module("orthokit.svd")``."""
+
+from .errors import *
+from .matrix import *
+from .reflectors import *
+from .qr import *
+from .projectors import *
+from .svd import *
+from .lstsq import *
 
 __version__ = "0.1.0"

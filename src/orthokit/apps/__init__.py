@@ -1,43 +1,11 @@
 """Applications built on the factorization kernel: polynomial fitting, PCA,
 image compression/denoising, text summarization, and digit classification."""
 
-from .digits import (
-    DigitModel,
-    digits_classify,
-    digits_train,
-    load_digit_model,
-    read_digits_csv,
-    save_digit_model,
-    synth_digit_data,
-    write_digits_csv,
-)
-from .fitting import PolyFit, polyfit
-from .image import GrayImage, image_compress, image_denoise, read_pgm, write_pgm
-from .pca import PcaModel, pca_fit, pca_reduce
-from .text import TermSentenceMatrix, build_term_sentence, stem, summarize_scores, tokenize
+from . import digits, fitting, image, pca, text
+from .digits import *
+from .fitting import *
+from .image import *
+from .pca import *
+from .text import *
 
-__all__ = [
-    "PolyFit",
-    "polyfit",
-    "PcaModel",
-    "pca_fit",
-    "pca_reduce",
-    "GrayImage",
-    "image_compress",
-    "image_denoise",
-    "read_pgm",
-    "write_pgm",
-    "TermSentenceMatrix",
-    "build_term_sentence",
-    "summarize_scores",
-    "stem",
-    "tokenize",
-    "DigitModel",
-    "digits_train",
-    "digits_classify",
-    "synth_digit_data",
-    "read_digits_csv",
-    "write_digits_csv",
-    "save_digit_model",
-    "load_digit_model",
-]
+__all__ = digits.__all__ + fitting.__all__ + image.__all__ + pca.__all__ + text.__all__

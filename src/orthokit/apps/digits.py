@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..matrix import as_matrix, read_matrix_csv, write_matrix_csv
+from ..matrix import as_matrix, prescale, read_matrix_csv, unscale, write_matrix_csv
 from ..qr import form_q, qr_householder, QrMode
 from ..svd import svd
 
@@ -75,11 +75,13 @@ def digits_classify(model: DigitModel, d):
     dim = model.bases[0].shape[0]
     if d.shape[0] != dim:
         raise ValueError(f"test vectors have {d.shape[0]} rows, model expects {dim}")
+    s = prescale(d)  # so the squared remainders cannot overflow
     residuals = np.zeros((NUM_CLASSES, d.shape[1]))
     for c, basis in enumerate(model.bases):
         rem = d - basis @ (basis.T @ d)
         residuals[c, :] = np.sqrt((rem * rem).sum(axis=0))
     labels = np.argmin(residuals, axis=0)
+    unscale("digits_classify", s, residuals)
     return labels, residuals
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..matrix import as_matrix
+from ..matrix import as_matrix, pow2_scale, prescale, unscale
 from ..svd import svd
 
 __all__ = ["PcaModel", "pca_fit", "pca_reduce"]
@@ -41,14 +41,13 @@ def pca_fit(x, k: int, samples_as: str = "cols") -> PcaModel:
         raise ValueError(f"PCA needs at least 2 samples, got {n}")
     if not 1 <= k <= min(d, n):
         raise ValueError(f"k must be in [1, {min(d, n)}], got {k}")
+    s = prescale(x)  # so the mean's sum and the squared sigmas cannot overflow
     mean = x.mean(axis=1)
-    xc = x - mean[:, None]
-    f = svd(xc, "reduced")
-    return PcaModel(
-        mean=mean,
-        components=f.u[:, :k].copy(),
-        variances=(f.sigma[:k] ** 2) / (n - 1),
-    )
+    f = svd(x - mean[:, None], "reduced")
+    variances = (f.sigma[:k] ** 2) / (n - 1)
+    unscale("pca_fit", s, mean, variances)
+    unscale("pca_fit", s, variances)  # the variances scale by s**2
+    return PcaModel(mean=mean, components=f.u[:, :k].copy(), variances=variances)
 
 
 def pca_reduce(model: PcaModel, x, samples_as: str = "cols") -> np.ndarray:
@@ -59,6 +58,9 @@ def pca_reduce(model: PcaModel, x, samples_as: str = "cols") -> np.ndarray:
         raise ValueError(
             f"data dimension {x.shape[0]} does not match model dimension {model.mean.size}"
         )
-    xc = x - model.mean[:, None]
-    xk = model.components @ (model.components.T @ xc) + model.mean[:, None]
+    s = pow2_scale(max(np.abs(x).max(), np.abs(model.mean).max()))
+    x /= s  # exact, and the centered data cannot overflow
+    mean = model.mean[:, None] / s
+    xk = model.components @ (model.components.T @ (x - mean)) + mean
+    unscale("pca_reduce", s, xk)
     return np.ascontiguousarray(xk.T) if samples_as == "rows" else xk

@@ -308,7 +308,7 @@ def _dc_merge(upper, alpha, beta, lower, sqre):
             continue
         if prev and dl[j] - dl[prev] <= tol:
             c, s = givens_params(zl[j], -zl[prev])
-            turns.append((prev, j, c, s))
+            turns.append((order[prev], order[j], c, s))
             zl[j] = c * zl[j] - s * zl[prev]
             deflated.append(prev)
         elif prev:
@@ -325,17 +325,15 @@ def _dc_merge(upper, alpha, beta, lower, sqre):
         zk[0] = tol
     sig, um, vm = _arrow_svd(dk, zk)
     # Each basis is built only now, one at a time, to keep the peak memory
-    # down: the deflation turns, then the kept columns first, turned by the
-    # arrow's vectors.
-    col = np.empty_like(order)  # where column j of (0, s1, s2) went
-    col[order] = np.arange(n)
-    nk, cols = len(kept), kept + deflated
+    # down, in the children's column order (0, s1, s2): the deflation turns,
+    # then the kept columns first, turned by the arrow's vectors.
+    nk, cols = len(kept), order[kept + deflated]
     ub = None
     if u1 is not None:
         ub = np.zeros((n, n))
         ub[k, 0] = 1.0
-        ub[:k, col[1 : k + 1]] = u1
-        ub[k + 1 :, col[k + 1 :]] = u2
+        ub[:k, 1 : k + 1] = u1
+        ub[k + 1 :, k + 1 :] = u2
         for a, b, c, s in turns:
             rotate(ub[:, a], ub[:, b], c, s)
         ub = ub[:, cols]
@@ -343,14 +341,13 @@ def _dc_merge(upper, alpha, beta, lower, sqre):
     del um
     vb = np.zeros((n + sqre, n + sqre))
     vb[: k + 1, 0] = v1[:, k]
-    vb[: k + 1, col[1 : k + 1]] = v1[:, :k]
-    vb[k + 1 :, col[k + 1 :]] = v2[:, :m2]
+    vb[: k + 1, 1 : k + 1] = v1[:, :k]
+    vb[k + 1 :, k + 1 :] = v2
     if sqre:
-        vb[k + 1 :, n] = v2[:, m2]
         rotate(vb[:, 0], vb[:, n], c0, s0)
     for a, b, c, s in turns:
         rotate(vb[:, a], vb[:, b], c, s)
-    vb = vb[:, cols + list(range(n, n + sqre))]
+    vb = vb[:, np.r_[cols, n : n + sqre]]
     vb[:, :nk] = vb[:, :nk] @ vm
     return ub, np.concatenate((sig, d[deflated])) * scale, vb
 

@@ -179,19 +179,14 @@ def _cmd_solve(args, prec):
         "svd": solve_svd,
     }[args.method]
     sol = solver(a, b)
-    print(f"method = {sol.method}")
-    print("x =", _fmt_vec(sol.x, prec))
-    print("residual_norm =", _fmt(sol.residual_norm, prec))
-    print(f"rank = {sol.rank}")
+    lines = [f"method = {sol.method}", f"x = {_fmt_vec(sol.x, prec)}",
+             f"residual_norm = {_fmt(sol.residual_norm, prec)}", f"rank = {sol.rank}"]
     if sol.free_params is not None:
-        print(f"free_params = {sol.free_params}")
-    if b.any():
+        lines.append(f"free_params = {sol.free_params}")
+    if b.any() and sol.rank > 0:  # cond is undefined at rank 0, where x = 0
         rep = conditioning_report(a, b, sol.x)
-        print("cond =", _fmt(rep.cond, prec))
-        print("cos_theta =", _fmt(rep.cos_theta, prec))
-        print("theta =", _fmt(rep.theta, prec))
-        print("rhs_sensitivity_bound =", _fmt(rep.rhs_sensitivity_bound, prec))
-        print("matrix_sensitivity_bound =", _fmt(rep.matrix_sensitivity_bound, prec))
+        lines += [f"{name} = {_fmt(value, prec)}" for name, value in vars(rep).items()]
+    print("\n".join(lines))  # built first, so a failure leaves stdout empty
     return 0
 
 
@@ -209,9 +204,10 @@ def _cmd_fit(args, prec):
 def _cmd_pca(args, prec):
     x = read_matrix_csv(args.matrix)
     model = pca_fit(x, args.k, samples_as=args.samples_as)
+    reduced = pca_reduce(model, x, samples_as=args.samples_as)
     _print_matrix("components", model.components, prec)
     print("variances =", _fmt_vec(model.variances, prec))
-    _print_matrix("reduced", pca_reduce(model, x, samples_as=args.samples_as), prec)
+    _print_matrix("reduced", reduced, prec)
     return 0
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from orthokit import jacobi_eig, low_rank, norm2, singular_values
+from orthokit import NumericalError, jacobi_eig, low_rank, norm2, singular_values
 from orthokit.apps import (
     GrayImage,
     build_term_sentence,
@@ -120,6 +120,29 @@ class TestPca:
         # reconstruction error in the 2-norm is the next singular value
         sig = singular_values(xc)
         assert norm2(xc - (got)) == pytest.approx(sig[2], abs=1e-8 * max(1, sig[0]))
+
+    @pytest.mark.parametrize("k", [-1000, -500, 500, 1000])
+    def test_power_of_two_scaling_is_exact(self, k):
+        # Components are unchanged; mean and reconstruction scale by 2^k and
+        # the variances by 2^2k.
+        x = np.random.default_rng(130).standard_normal((4, 9))
+        ref, xs = pca_fit(x, 2), np.ldexp(x, k)
+        if k > 512:  # the variances, about 2^2k, pass the float64 range
+            with pytest.raises(NumericalError, match="^pca_fit: "):
+                pca_fit(xs, 2)
+            return
+        model = pca_fit(xs, 2)
+        assert np.array_equal(model.components, ref.components)
+        assert np.array_equal(model.mean, np.ldexp(ref.mean, k))
+        assert np.array_equal(model.variances, np.ldexp(ref.variances, 2 * k))
+        assert np.array_equal(pca_reduce(model, xs), np.ldexp(pca_reduce(ref, x), k))
+
+    def test_mean_near_the_float64_maximum(self):
+        x = np.array([[1.7e308] * 2, [-1.5e308] * 2])  # the sums overflow, the means fit
+        model = pca_fit(x, 1)
+        assert np.array_equal(model.mean, x[:, 0])
+        assert np.array_equal(model.variances, [0.0])
+        assert np.array_equal(pca_reduce(model, x), x)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(129)

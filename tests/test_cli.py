@@ -23,6 +23,15 @@ def run_lines(capsys, argv, expect=0):
     return captured.out.splitlines(), captured.err
 
 
+def assert_exits_2(capsys, argv, error="NumericalError"):
+    """Exit 2, nothing on stdout and one ``error: <error>`` line on stderr."""
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: {error}")
+
+
 class TestSolve:
     def test_survey_golden_line(self, capsys, survey_files):
         a, b = survey_files
@@ -124,11 +133,7 @@ class TestNearOverflowInput:
     def test_overflowing_factorization_exits_2(self, capsys, tmp_path, argv, a):
         path = tmp_path / "big.csv"
         write_matrix_csv(a, path, precision=17)
-        code = run(argv + [str(path)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1 and captured.err.startswith("error: NumericalError")
+        assert_exits_2(capsys, argv + [str(path)])
 
     def test_representable_factors_are_printed(self, capsys, tmp_path):
         path = tmp_path / "big.csv"
@@ -197,11 +202,29 @@ class TestSolutionPastTheFloat64Range:
         a, b = {"TINY": TINY_SYSTEM, "TALL": TALL_SYSTEM, "BIG": BIG_SYSTEM}[system]
         write_matrix_csv(a, tmp_path / "a.csv")
         write_matrix_csv(b.reshape(-1, 1), tmp_path / "b.csv")
-        code = run(["solve", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"), "--method", method])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1 and captured.err.startswith("error: NumericalError")
+        assert_exits_2(capsys, ["solve", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"), "--method", method])
+
+
+class TestSolveOnZeroMatrix:
+    """At rank 0, x = 0 is the minimum-norm answer and cond is undefined: the
+    rank-revealing routes print the answer without the report and exit 0,
+    the full-rank routes exit 2 with nothing on stdout."""
+
+    @pytest.mark.parametrize("method, tag", [("auto", "svd"), ("qr-pivoted", "qr_pivoted"), ("svd", "svd")])
+    def test_rank_revealing_routes_answer_without_report(self, capsys, tmp_path, method, tag):
+        write_matrix_csv(np.zeros((3, 2)), tmp_path / "a.csv")
+        write_matrix_csv(np.array([[1.0], [2.0], [3.0]]), tmp_path / "b.csv")
+        out, err = run_lines(capsys, ["solve", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"), "--method", method])
+        assert err == ""
+        assert out == [f"method = {tag}", "x = 0.000000, 0.000000", "residual_norm = 3.741657",
+                       "rank = 0", "free_params = 2"]
+
+    @pytest.mark.parametrize("method", ["qr", "normal"])
+    def test_full_rank_routes_exit_2_with_empty_stdout(self, capsys, tmp_path, method):
+        write_matrix_csv(np.zeros((3, 2)), tmp_path / "a.csv")
+        write_matrix_csv(np.array([[1.0], [2.0], [3.0]]), tmp_path / "b.csv")
+        argv = ["solve", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"), "--method", method]
+        assert_exits_2(capsys, argv, "RankDeficiencyError")
 
 
 class TestDeterminismAndPrecision:
@@ -252,6 +275,48 @@ class TestFitAndPca:
         assert "components =" in out
         assert any(line.startswith("variances = ") for line in out)
         assert "reduced =" in out
+
+
+class TestAppsAtExtremeScale:
+    """Results that fit in float64 come out finite; one past its range exits 2
+    with one error line and nothing on stdout."""
+
+    @pytest.fixture(scope="class")
+    def model(self, tmp_path_factory):
+        from orthokit.apps import digits_train, save_digit_model, synth_digit_data
+
+        x, labels = synth_digit_data(per_class=3, seed=4)
+        path = tmp_path_factory.mktemp("model") / "m.okdm"
+        save_digit_model(digits_train([x[:, labels == c] for c in range(10)], 2), path)
+        return str(path)
+
+    def classify(self, capsys, tmp_path, model, test):
+        write_matrix_csv(test, tmp_path / "t.csv")
+        out, err = run_lines(capsys, ["digits", "classify", str(tmp_path / "t.csv"), "--model", model])
+        assert err == ""
+        return out
+
+    def test_digits_classify_near_the_float64_maximum(self, capsys, tmp_path, model):
+        test = np.random.default_rng(143).uniform(-1.0, 1.0, (3, 784))  # one sample a row
+        out = self.classify(capsys, tmp_path, model, 2.5e302 * test)
+        assert out[-1] == self.classify(capsys, tmp_path, model, test)[-1]  # the labels
+        assert not any("inf" in line or "nan" in line for line in out)
+
+    def test_digits_residual_past_the_float64_range(self, capsys, tmp_path, model):
+        write_matrix_csv(np.full((2, 784), 1e308), tmp_path / "t.csv")
+        assert_exits_2(capsys, ["digits", "classify", str(tmp_path / "t.csv"), "--model", model])
+
+    def test_pca_variance_past_the_float64_range(self, capsys, tmp_path):
+        write_matrix_csv(1e200 * np.random.default_rng(142).standard_normal((3, 6)), tmp_path / "x.csv")
+        assert_exits_2(capsys, ["pca", str(tmp_path / "x.csv"), "--k", "2"])
+
+    def test_pca_mean_near_the_float64_maximum(self, capsys, tmp_path):
+        x = np.array([[1e308] * 3, [1.5e308] * 3])
+        write_matrix_csv(x, tmp_path / "x.csv")
+        out, err = run_lines(capsys, ["pca", str(tmp_path / "x.csv"), "--k", "1"])
+        assert err == ""
+        assert "variances = 0.000000" in out
+        assert [[float(v) for v in line.split(",")] for line in out[-2:]] == x.tolist()  # reduced = x
 
 
 class TestImageCommands:

@@ -15,6 +15,7 @@ from orthokit.apps import (
     synth_digit_data,
     write_digits_csv,
 )
+from orthokit.errors import NumericalError
 from helpers import fro, written
 
 
@@ -95,6 +96,22 @@ class TestClassification:
         pred2, res2 = digits_classify(model, 3.5 * d)
         assert np.abs(res2 - 3.5 * res1).max() <= 1e-9
         assert pred1[0] == pred2[0]
+
+    @pytest.mark.parametrize("k", [-1000, 1000])
+    def test_power_of_two_scaling_is_exact(self, k):
+        x, labels = small_synthetic()
+        model = digits_train(split_classes(x, labels), 3)
+        d = np.random.default_rng(13).standard_normal((40, 5))
+        pred, residuals = digits_classify(model, d)
+        pred_k, residuals_k = digits_classify(model, np.ldexp(d, k))
+        assert np.array_equal(pred_k, pred)
+        assert np.array_equal(residuals_k, np.ldexp(residuals, k))
+
+    def test_residual_past_the_float64_range_raises(self):
+        x, labels = small_synthetic()
+        model = digits_train(split_classes(x, labels), 3)
+        with pytest.raises(NumericalError, match="^digits_classify: "):
+            digits_classify(model, np.full((40, 2), 1e308))
 
     def test_residuals_bounded_by_input_norm(self):
         x, labels = small_synthetic()
