@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..lstsq import solve_qr
-from ..matrix import as_vector
+from ..matrix import as_vector, require_finite
 from ..svd import cond2
 
 __all__ = ["PolyFit", "polyfit"]
@@ -37,6 +37,8 @@ def polyfit(t, y, degree: int) -> PolyFit:
         raise ValueError(f"need at least degree + 1 = {degree + 1} points, got {t.size}")
     if np.unique(t).size < degree + 1:
         raise ValueError("duplicate t nodes make the design matrix rank-deficient for this degree")
-    a = np.vander(t, degree + 1, increasing=True)
+    with np.errstate(over="ignore"):  # reported just below
+        a = np.vander(t, degree + 1, increasing=True)
+    require_finite("polyfit", a)
     sol = solve_qr(a, y)
     return PolyFit(coeffs=sol.x, residual_norm=sol.residual_norm, cond=cond2(a))

@@ -60,7 +60,7 @@ def image_denoise(img: GrayImage, threshold: float) -> GrayImage:
     """Drop every singular component at or below ``threshold`` and
     reconstruct.  A threshold at or above sigma_1 yields the flat zero
     image."""
-    if threshold < 0:
+    if not threshold >= 0:  # NaN too
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
     f = svd(img.pixels, "reduced")
     k = int(np.sum(f.sigma > threshold))

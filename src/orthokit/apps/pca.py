@@ -43,6 +43,8 @@ def pca_fit(x, k: int, samples_as: str = "cols") -> PcaModel:
         raise ValueError(f"k must be in [1, {min(d, n)}], got {k}")
     s = prescale(x)  # so the mean's sum and the squared sigmas cannot overflow
     mean = x.mean(axis=1)
+    # Corrected two-pass mean, so a row of equal samples centres to exact zeros.
+    mean += (x - mean[:, None]).mean(axis=1)
     f = svd(x - mean[:, None], "reduced")
     variances = (f.sigma[:k] ** 2) / (n - 1)
     unscale("pca_fit", s, mean, variances)

@@ -6,6 +6,9 @@ All numeric output is fixed-point at a configurable number of decimals
 variable) with a '.' separator, so identical inputs produce byte-identical
 output.  Exit codes: 0 success, 1 usage or input-format problems, 2
 numerical failure (one machine-parseable reason line on stderr).
+
+Each ``_cmd_<name>`` returns the output lines of subcommand <name>; ``run``
+alone prints them, once the command has finished, and picks the exit code.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CsvFormatError, NumericalError, ShapeError
+from .errors import NumericalError, ShapeError
 from .lstsq import conditioning_report, solve, solve_normal, solve_qr, solve_qr_pivoted, solve_svd
 from .matrix import DEFAULT_T_DIGITS, read_matrix_csv, read_text, read_vector_csv
 from .qr import QrMode, form_q, qr_givens, qr_householder, qr_pivoted
@@ -40,6 +43,11 @@ from .apps.text import build_term_sentence, summarize_scores
 
 __all__ = ["run", "main"]
 
+# The choices of `solve --method` and the lstsq function each one calls,
+# looked up by name at call time (as every library call here is).
+_SOLVERS = {"auto": "solve", "normal": "solve_normal", "qr": "solve_qr",
+            "qr-pivoted": "solve_qr_pivoted", "svd": "solve_svd"}
+
 
 class UsageError(Exception):
     pass
@@ -59,10 +67,10 @@ def _fmt_vec(v, prec: int) -> str:
     return ", ".join(_fmt(x, prec) for x in np.asarray(v, dtype=float).ravel())
 
 
-def _print_matrix(name: str, a, prec: int) -> None:
-    print(f"{name} =")
+def _matrix_lines(name: str, a, prec: int):
+    yield f"{name} ="
     for row in np.asarray(a, dtype=float):
-        print(_fmt_vec(row, prec))
+        yield _fmt_vec(row, prec)
 
 
 def _build_parser() -> _Parser:
@@ -84,7 +92,7 @@ def _build_parser() -> _Parser:
     so = sub.add_parser("solve", help="least squares solve of A x ~= b")
     so.add_argument("matrix")
     so.add_argument("rhs")
-    so.add_argument("--method", choices=["auto", "normal", "qr", "qr-pivoted", "svd"], default="auto")
+    so.add_argument("--method", choices=_SOLVERS, default="auto")
 
     f = sub.add_parser("fit", help="polynomial fit to (t, y) rows of a CSV file")
     f.add_argument("data")
@@ -127,11 +135,15 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _resolve_precision(args) -> int:
+def _precision(args) -> int:
+    """--precision, else OK_PRECISION, else 6, checked to lie in 1..17."""
     prec = args.precision
     if prec is None:
-        env = os.environ.get("OK_PRECISION")
-        prec = int(env) if env else 6
+        env = os.environ.get("OK_PRECISION") or "6"
+        try:
+            prec = int(env)
+        except ValueError:
+            raise UsageError(f"OK_PRECISION must be an integer, got {env!r}") from None
     if not 1 <= prec <= 17:
         raise UsageError(f"precision must be in [1, 17], got {prec}")
     return prec
@@ -145,49 +157,40 @@ def _cmd_qr(args, prec):
         fact = qr_givens(a)
     else:
         fact = qr_pivoted(a, t_digits=args.t_digits)
-    _print_matrix("R", fact.r, prec)
+    yield from _matrix_lines("R", fact.r, prec)
     if args.mode == "qr":
         q = fact.q if fact.q is not None else form_q(fact.reflectors, a.shape[0])
-        _print_matrix("Q", q, prec)
+        yield from _matrix_lines("Q", q, prec)
     if fact.perm is not None:
-        print("perm =", ", ".join(str(int(i)) for i in fact.perm))
+        yield "perm = " + ", ".join(str(int(i)) for i in fact.perm)
     if fact.rank is not None:
-        print(f"rank = {fact.rank}")
-    return 0
+        yield f"rank = {fact.rank}"
 
 
 def _cmd_svd(args, prec):
     a = read_matrix_csv(args.matrix)
     if args.values_only:
-        print(_fmt_vec(singular_values(a), prec))
-        return 0
-    f = svd(a, "reduced" if args.reduced else "full")
-    print("sigma =", _fmt_vec(f.sigma, prec))
-    _print_matrix("U", f.u, prec)
-    _print_matrix("Vt", f.vt, prec)
-    return 0
+        yield _fmt_vec(singular_values(a), prec)
+    else:
+        f = svd(a, "reduced" if args.reduced else "full")
+        yield f"sigma = {_fmt_vec(f.sigma, prec)}"
+        yield from _matrix_lines("U", f.u, prec)
+        yield from _matrix_lines("Vt", f.vt, prec)
 
 
 def _cmd_solve(args, prec):
     a = read_matrix_csv(args.matrix)
     b = read_vector_csv(args.rhs)
-    solver = {
-        "auto": solve,
-        "normal": solve_normal,
-        "qr": solve_qr,
-        "qr-pivoted": solve_qr_pivoted,
-        "svd": solve_svd,
-    }[args.method]
-    sol = solver(a, b)
-    lines = [f"method = {sol.method}", f"x = {_fmt_vec(sol.x, prec)}",
-             f"residual_norm = {_fmt(sol.residual_norm, prec)}", f"rank = {sol.rank}"]
+    sol = globals()[_SOLVERS[args.method]](a, b)
+    yield f"method = {sol.method}"
+    yield f"x = {_fmt_vec(sol.x, prec)}"
+    yield f"residual_norm = {_fmt(sol.residual_norm, prec)}"
+    yield f"rank = {sol.rank}"
     if sol.free_params is not None:
-        lines.append(f"free_params = {sol.free_params}")
+        yield f"free_params = {sol.free_params}"
     if b.any() and sol.rank > 0:  # cond is undefined at rank 0, where x = 0
-        rep = conditioning_report(a, b, sol.x)
-        lines += [f"{name} = {_fmt(value, prec)}" for name, value in vars(rep).items()]
-    print("\n".join(lines))  # built first, so a failure leaves stdout empty
-    return 0
+        for name, value in vars(conditioning_report(a, b, sol.x)).items():
+            yield f"{name} = {_fmt(value, prec)}"
 
 
 def _cmd_fit(args, prec):
@@ -195,37 +198,29 @@ def _cmd_fit(args, prec):
     if data.shape[1] != 2:
         raise ShapeError(f"{args.data}: expected two columns (t, y), got {data.shape[1]}")
     fit = polyfit(data[:, 0], data[:, 1], args.degree)
-    print("coefficients =", _fmt_vec(fit.coeffs, prec))
-    print("residual_norm =", _fmt(fit.residual_norm, prec))
-    print("cond =", _fmt(fit.cond, prec))
-    return 0
+    yield f"coefficients = {_fmt_vec(fit.coeffs, prec)}"
+    yield f"residual_norm = {_fmt(fit.residual_norm, prec)}"
+    yield f"cond = {_fmt(fit.cond, prec)}"
 
 
 def _cmd_pca(args, prec):
     x = read_matrix_csv(args.matrix)
     model = pca_fit(x, args.k, samples_as=args.samples_as)
-    reduced = pca_reduce(model, x, samples_as=args.samples_as)
-    _print_matrix("components", model.components, prec)
-    print("variances =", _fmt_vec(model.variances, prec))
-    _print_matrix("reduced", reduced, prec)
-    return 0
+    yield from _matrix_lines("components", model.components, prec)
+    yield f"variances = {_fmt_vec(model.variances, prec)}"
+    yield from _matrix_lines("reduced", pca_reduce(model, x, samples_as=args.samples_as), prec)
 
 
 def _cmd_compress(args, prec):
-    img = read_pgm(args.input)
-    recon, ratio, sigma = _image_compress(img.pixels, args.k)
+    recon, ratio, sigma = _image_compress(read_pgm(args.input).pixels, args.k)
     write_pgm(GrayImage(recon), args.output)
-    print("storage_ratio =", _fmt(ratio, prec))
-    tail = sigma[args.k :]
-    print("sigma_tail =", _fmt_vec(tail, prec) if tail.size else "")
-    return 0
+    yield f"storage_ratio = {_fmt(ratio, prec)}"
+    yield f"sigma_tail = {_fmt_vec(sigma[args.k :], prec)}"
 
 
 def _cmd_denoise(args, prec):
-    img = read_pgm(args.input)
-    out = image_denoise(img, args.threshold)
-    write_pgm(out, args.output)
-    return 0
+    write_pgm(image_denoise(read_pgm(args.input), args.threshold), args.output)
+    return ()
 
 
 def _cmd_summarize(args, prec):
@@ -238,12 +233,10 @@ def _cmd_summarize(args, prec):
     term_scores, sentence_scores = summarize_scores(ts)
     top = max(1, args.top)
     term_order = np.argsort(-term_scores, kind="stable")[:top]
-    print("top_terms =", ", ".join(ts.terms[i] for i in term_order))
-    sent_order = np.argsort(-sentence_scores, kind="stable")[:top]
-    print("top_sentences:")
-    for rank, j in enumerate(sent_order, start=1):
-        print(f"{rank}: {_fmt(sentence_scores[j], prec)}: {sentences[j]}")
-    return 0
+    yield "top_terms = " + ", ".join(ts.terms[i] for i in term_order)
+    yield "top_sentences:"
+    for rank, j in enumerate(np.argsort(-sentence_scores, kind="stable")[:top], start=1):
+        yield f"{rank}: {_fmt(sentence_scores[j], prec)}: {sentences[j]}"
 
 
 def _load_training_classes(source):
@@ -270,62 +263,43 @@ def _cmd_digits(args, prec):
         classes = _load_training_classes(args.source)
         model = digits_train(classes, args.k)
         save_digit_model(model, args.model)
-        print(f"classes = {len(classes)}")
-        print(f"k = {model.k}")
-        print("class_counts =", ", ".join(str(c.shape[1]) for c in classes))
-        print(f"model = {args.model}")
-        return 0
-    if args.digits_command == "classify":
+        yield f"classes = {len(classes)}"
+        yield f"k = {model.k}"
+        yield "class_counts = " + ", ".join(str(c.shape[1]) for c in classes)
+        yield f"model = {args.model}"
+    elif args.digits_command == "classify":
         model = load_digit_model(args.model)
         x, labels = read_digits_csv(args.test)
         pred, residuals = digits_classify(model, x)
         for j in range(x.shape[1]):
-            print(f"residuals[{j}] =", _fmt_vec(residuals[:, j], prec))
-        print("labels =", ", ".join(str(int(v)) for v in pred))
+            yield f"residuals[{j}] = {_fmt_vec(residuals[:, j], prec)}"
+        yield "labels = " + ", ".join(str(int(v)) for v in pred)
         if labels is not None:
-            accuracy = float(np.mean(pred == labels))
-            print("accuracy =", _fmt(accuracy, prec))
-        return 0
-    # synth
-    x, labels = synth_digit_data(per_class=args.per_class, classes=args.classes, seed=args.seed)
-    write_digits_csv(args.out, x, labels)
-    print(f"samples = {x.shape[1]}")
-    print(f"out = {args.out}")
-    return 0
-
-
-_COMMANDS = {
-    "qr": _cmd_qr,
-    "svd": _cmd_svd,
-    "solve": _cmd_solve,
-    "fit": _cmd_fit,
-    "pca": _cmd_pca,
-    "compress": _cmd_compress,
-    "denoise": _cmd_denoise,
-    "summarize": _cmd_summarize,
-    "digits": _cmd_digits,
-}
+            yield f"accuracy = {_fmt(np.mean(pred == labels), prec)}"
+    else:  # synth
+        x, labels = synth_digit_data(per_class=args.per_class, classes=args.classes, seed=args.seed)
+        write_digits_csv(args.out, x, labels)
+        yield f"samples = {x.shape[1]}"
+        yield f"out = {args.out}"
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        prec = _resolve_precision(args)
+        args = _build_parser().parse_args(argv)
+        prec = _precision(args)
+        lines = list(globals()[f"_cmd_{args.command}"](args, prec))
+        if lines:
+            print("\n".join(lines))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    try:
-        return _COMMANDS[args.command](args, prec)
     except NumericalError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (CsvFormatError, ShapeError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # CsvFormatError and ShapeError are ValueErrors
         print(f"input error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

@@ -123,12 +123,16 @@ def as_vector(b) -> np.ndarray:
 
 
 def mat_mul(a, b) -> np.ndarray:
-    """Matrix product ``a @ b`` with eager shape validation."""
+    """Matrix product ``a @ b`` with eager shape validation; a product past
+    the float64 range raises ``NumericalError``."""
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        p = a @ b
+    require_finite("mat_mul", p)
+    return p
 
 
 def transpose(a) -> np.ndarray:
@@ -138,17 +142,19 @@ def transpose(a) -> np.ndarray:
 
 def norm(a, kind: str = "frobenius") -> float:
     """Matrix norm: ``frobenius``, ``inf`` (max abs row sum) or ``one``
-    (max abs column sum).  The Frobenius sum of squares is taken on
-    ``a / pow2_scale(max|a|)``, so it cannot overflow or underflow."""
+    (max abs column sum).  Each is taken on ``a / pow2_scale(max|a|)``, so
+    its sums cannot overflow or underflow; a norm past the float64 range
+    raises ``NumericalError``."""
     a = as_matrix(a)
     if kind == "frobenius":
         s = prescale(a)
-        return float(np.sqrt((a * a).sum())) * s
-    if kind == "inf":
-        return float(np.abs(a).sum(axis=1).max())
-    if kind == "one":
-        return float(np.abs(a).sum(axis=0).max())
-    raise ValueError(f"unknown norm kind {kind!r}; expected frobenius, inf or one")
+        value = float(np.sqrt((a * a).sum())) * s
+    elif kind in ("inf", "one"):
+        value = norm_tol(a if kind == "inf" else a.T, 1.0)
+    else:
+        raise ValueError(f"unknown norm kind {kind!r}; expected frobenius, inf or one")
+    require_finite("norm", value)
+    return value
 
 
 def _check_square_system(a, b, what):

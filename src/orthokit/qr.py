@@ -123,6 +123,8 @@ def form_q(reflectors, m: int, cols: int | None = None) -> np.ndarray:
 
     ``cols`` restricts the result to the leading columns (thin Q).
     """
+    if cols is not None and not 1 <= cols <= m:
+        raise ShapeError(f"cols must be in [1, {m}], got {cols}")
     reflectors = list(reflectors)
     for h in reflectors:
         check_length(h, m, "rows")

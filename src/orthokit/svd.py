@@ -323,6 +323,8 @@ def default_rank_threshold(a, t_digits: int = DEFAULT_T_DIGITS) -> float:
 def rank_threshold(a, t_digits: int = DEFAULT_T_DIGITS) -> float:
     """``default_rank_threshold`` of an A its caller's factorization has
     already validated, read in place rather than copied again."""
+    if t_digits < 1:
+        raise ValueError(f"t_digits must be >= 1, got {t_digits}")
     return norm_tol(np.asarray(a, dtype=float), 10.0 ** (-t_digits))
 
 
@@ -331,6 +333,10 @@ def numerical_rank(sigma, threshold: float) -> int:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 1:
         raise ShapeError("sigma must be a 1-D vector")
+    if not np.isfinite(sigma).all():
+        raise ValueError("singular values must be finite (no NaN/Inf)")
+    if np.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
     if np.any(sigma < 0.0):
         raise ValueError("singular values must be nonnegative")
     if np.any(np.diff(sigma) > 0.0):

@@ -53,6 +53,11 @@ class TestPolyfit:
         y = np.sin(t)
         assert polyfit(t, y, 8).cond > polyfit(t, y, 2).cond * 100
 
+    def test_design_matrix_past_the_float64_range(self):
+        t = 1e200 * np.arange(1.0, 6.0)  # t^3 is past the float64 maximum
+        with pytest.raises(NumericalError, match="^polyfit: "):
+            polyfit(t, np.arange(5.0), 3)
+
 
 class TestPca:
     def test_line_through_origin(self):
@@ -143,6 +148,15 @@ class TestPca:
         assert np.array_equal(model.mean, x[:, 0])
         assert np.array_equal(model.variances, [0.0])
         assert np.array_equal(pca_reduce(model, x), x)
+
+    @pytest.mark.parametrize("x", [[[0.1] * 3, [0.7] * 3], [[1.7e308] * 3, [-1.5e308] * 3]],
+                             ids=["normal", "near-overflow"])
+    def test_constant_rows_have_zero_variance(self, x):
+        # The one-pass mean of three equal samples is off by an ulp; the
+        # corrected two-pass mean leaves no residue to report as variance.
+        model = pca_fit(x, 1)
+        assert np.array_equal(model.variances, [0.0])
+        assert np.array_equal(model.mean, np.asarray(x)[:, 0])
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(129)
@@ -336,6 +350,8 @@ class TestText:
                  id="pca-samples_as"),
     pytest.param(lambda tmp: image_denoise(GrayImage(np.ones((3, 3))), -1.0), ValueError, "nonnegative",
                  id="denoise-threshold"),
+    pytest.param(lambda tmp: image_denoise(GrayImage(np.ones((3, 3))), float("nan")), ValueError,
+                 "nonnegative, got nan", id="denoise-nan-threshold"),
     pytest.param(lambda tmp: read_pgm(written(tmp / "a.pgm", b"P3 2 2 255\n")), ValueError,
                  "a.pgm: not a PGM", id="pgm-magic"),
     pytest.param(lambda tmp: read_pgm(written(tmp / "a.pgm", b"P5 x 2 255\n")), ValueError,

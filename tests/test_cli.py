@@ -245,6 +245,13 @@ class TestDeterminismAndPrecision:
         out, _ = run_lines(capsys, ["solve", a, b])
         assert "x = 1236.000, 1943.000, 2416.000" in out
 
+    @pytest.mark.parametrize("env", ["abc", " "])
+    def test_malformed_env_precision_usage_error(self, capsys, survey_files, monkeypatch, env):
+        monkeypatch.setenv("OK_PRECISION", env)
+        out, err = run_lines(capsys, ["solve", *survey_files], expect=1)
+        assert out == []
+        assert err == f"usage error: OK_PRECISION must be an integer, got {env!r}\n"
+
     def test_bad_precision_usage_error(self, capsys, survey_files):
         a, b = survey_files
         code = run(["--precision", "40", "solve", a, b])
@@ -310,6 +317,11 @@ class TestAppsAtExtremeScale:
         write_matrix_csv(1e200 * np.random.default_rng(142).standard_normal((3, 6)), tmp_path / "x.csv")
         assert_exits_2(capsys, ["pca", str(tmp_path / "x.csv"), "--k", "2"])
 
+    def test_fit_design_matrix_past_the_float64_range(self, capsys, tmp_path):
+        t = 1e200 * np.arange(1.0, 6.0)  # t^3 is past the float64 maximum
+        write_matrix_csv(np.column_stack([t, np.arange(5.0)]), tmp_path / "d.csv")
+        assert_exits_2(capsys, ["fit", str(tmp_path / "d.csv"), "--degree", "3"])
+
     def test_pca_mean_near_the_float64_maximum(self, capsys, tmp_path):
         x = np.array([[1e308] * 3, [1.5e308] * 3])
         write_matrix_csv(x, tmp_path / "x.csv")
@@ -332,6 +344,13 @@ class TestImageCommands:
         assert dst.exists()
         out2, _ = run_lines(capsys, ["denoise", str(src), str(tmp_path / "d.pgm"), "--threshold", "10"])
         assert (tmp_path / "d.pgm").exists()
+
+    def test_denoise_nan_threshold_is_an_input_error(self, capsys, tmp_path):
+        write_pgm(GrayImage(np.full((4, 3), 100.0)), tmp_path / "in.pgm")
+        argv = ["denoise", str(tmp_path / "in.pgm"), str(tmp_path / "out.pgm"), "--threshold", "nan"]
+        out, err = run_lines(capsys, argv, expect=1)
+        assert out == [] and err == "input error: threshold must be nonnegative, got nan\n"
+        assert not (tmp_path / "out.pgm").exists()
 
     def test_malformed_p2_raster_names_the_file(self, capsys, tmp_path):
         src = tmp_path / "bad.pgm"

@@ -54,6 +54,10 @@ class TestMatMul:
             rhs = mat_mul(a, mat_mul(b, c))
             assert np.abs(lhs - rhs).max() <= 1e-10
 
+    def test_product_past_the_float64_range(self):
+        with pytest.raises(NumericalError, match="^mat_mul: "):
+            mat_mul([[1e200]], [[1e200]])
+
 
 class TestTranspose:
     def test_involution(self):
@@ -105,6 +109,18 @@ class TestNorm:
 
     def test_frobenius_of_tiny_entries_is_not_zero(self):
         assert norm(np.full((2, 2), 1e-200)) == 2e-200
+
+    @pytest.mark.parametrize("kind, a", [("inf", [[1e308, 1e308]]), ("one", [[1e308], [1e308]]),
+                                         ("frobenius", [[1.7e308, 1.7e308]])])
+    def test_norm_past_the_float64_range(self, kind, a):
+        with pytest.raises(NumericalError, match="^norm: "):
+            norm(a, kind)
+
+    def test_sums_near_the_float64_maximum(self):
+        # Each norm is taken on the prescaled |a|: its sums cannot overflow.
+        a = np.ldexp([[1.0, -0.5], [0.25, 0.0]], 1023)
+        assert norm(a, "inf") == np.ldexp(1.5, 1023)
+        assert norm(a, "one") == np.ldexp(1.25, 1023)
 
 
 class TestTriangularSolves:

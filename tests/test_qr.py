@@ -139,6 +139,12 @@ class TestFormQ:
         with pytest.raises(ShapeError, match="inconsistent"):
             form_q([h], 5)
 
+    @pytest.mark.parametrize("cols", [0, 7])
+    def test_cols_outside_one_to_m_rejected(self, cols):
+        f = qr_householder(SURVEY_A, QrMode.R_AND_REFLECTORS)
+        with pytest.raises(ShapeError, match=rf"cols must be in \[1, 6\], got {cols}"):
+            form_q(f.reflectors, 6, cols)
+
 
 class TestGivensQr:
     def test_zeroing_demo_column_golden(self):

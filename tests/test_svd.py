@@ -980,6 +980,18 @@ class TestNormsAndRank:
         with pytest.raises(ValueError, match="nonnegative"):
             numerical_rank(np.array([1.0, -1.0]), 0.1)
 
+    @pytest.mark.parametrize("sigma, threshold, match", [
+        ([np.nan], 0.0, "finite"), ([np.inf, 1.0], 0.0, "finite"), ([1.0], np.nan, "threshold")])
+    def test_numerical_rank_rejects_non_finite_input(self, sigma, threshold, match):
+        with pytest.raises(ValueError, match=match):
+            numerical_rank(np.array(sigma), threshold)
+
+    @pytest.mark.parametrize("f", [matrix_rank, default_rank_threshold])
+    def test_rank_threshold_needs_a_digit(self, f):
+        # The same check as qr_pivoted's, which takes the same t_digits.
+        with pytest.raises(ValueError, match="t_digits must be >= 1, got 0"):
+            f(np.eye(2), 0)
+
     def test_rank_from_duplicated_columns_matches_pivoted_qr(self):
         from orthokit import qr_pivoted
 
