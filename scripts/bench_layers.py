@@ -59,14 +59,11 @@ import argparse
 import dataclasses
 import gc
 import importlib
-import io
 import json
 import os
 import platform
 import statistics
-import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
@@ -80,6 +77,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 import orthokit  # noqa: E402
+from cli_bytes import package_source_at  # noqa: E402
 
 SIZES = (44, 81, 118, 156, 400)
 LEAF_SIZES = (6, 16, 25)
@@ -185,11 +183,7 @@ def same_bits(x, y) -> bool:
 def package_at(rev: str, into: str):
     """Import ``src/orthokit`` at the git revision ``rev``, extracted under
     ``into``, as the package ``orthokit_against``."""
-    tar = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src/orthokit"],
-                         check=True, capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as t:
-        t.extractall(into, filter="data")
-    os.rename(Path(into, "src", "orthokit"), Path(into, "orthokit_against"))
+    os.rename(package_source_at(rev, into) / "orthokit", Path(into, "orthokit_against"))
     sys.path.insert(0, into)
     return importlib.import_module("orthokit_against")
 

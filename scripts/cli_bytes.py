@@ -70,6 +70,14 @@ def pytest_configure(config):
     orthokit.cli.run = recorded
 
 
+def package_source_at(rev: str, into: Path) -> Path:
+    """``src/orthokit`` at git revision ``rev``, extracted under ``into``: the directory holding it."""
+    git = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src/orthokit"], check=True, capture_output=True)
+    with tarfile.open(fileobj=io.BytesIO(git.stdout)) as t:
+        t.extractall(into, filter="data")
+    return Path(into, "src")
+
+
 def record(src: Path, work: Path, name: str) -> dict:
     """Run the CLI tests on the package under ``src``; their calls by key."""
     out = work / f"{name}.jsonl"
@@ -93,12 +101,9 @@ def main() -> int:
     rev = sys.argv[1]
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        tar = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src/orthokit"],
-                             check=True, capture_output=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(tar)) as t:
-            t.extractall(work / "rev", filter="data")
+        src = package_source_at(rev, work / "rev")
         tree = record(ROOT / "src", work, "working tree")
-        ref = record(work / "rev" / "src", work, rev)
+        ref = record(src, work, rev)
     same = sum(1 for k in tree if tree[k] == ref.get(k))
     print(f"{same} of {len(tree.keys() | ref.keys())} cli.run calls byte-identical")
     bad = 0

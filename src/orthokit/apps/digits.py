@@ -75,7 +75,7 @@ def digits_classify(model: DigitModel, d):
     dim = model.bases[0].shape[0]
     if d.shape[0] != dim:
         raise ValueError(f"test vectors have {d.shape[0]} rows, model expects {dim}")
-    s = prescale(d)  # so the squared remainders cannot overflow
+    s = prescale(d, axis=0)  # each column on its own: a small one cannot underflow
     residuals = np.zeros((NUM_CLASSES, d.shape[1]))
     for c, basis in enumerate(model.bases):
         rem = d - basis @ (basis.T @ d)

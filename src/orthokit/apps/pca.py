@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..matrix import as_matrix, pow2_scale, prescale, unscale
+from ..matrix import as_matrix, prescale, require_finite, unscale
 from ..svd import svd
 
 __all__ = ["PcaModel", "pca_fit", "pca_reduce"]
@@ -41,13 +41,15 @@ def pca_fit(x, k: int, samples_as: str = "cols") -> PcaModel:
         raise ValueError(f"PCA needs at least 2 samples, got {n}")
     if not 1 <= k <= min(d, n):
         raise ValueError(f"k must be in [1, {min(d, n)}], got {k}")
-    s = prescale(x)  # so the mean's sum and the squared sigmas cannot overflow
+    r = prescale(x, axis=1)  # each row's mean on that row's own scale
     mean = x.mean(axis=1)
     # Corrected two-pass mean, so a row of equal samples centres to exact zeros.
     mean += (x - mean[:, None]).mean(axis=1)
-    f = svd(x - mean[:, None], "reduced")
+    s = float(r.max())  # sigma is global: the centred rows on the largest row scale
+    f = svd((x - mean[:, None]) * (r / s), "reduced")
     variances = (f.sigma[:k] ** 2) / (n - 1)
-    unscale("pca_fit", s, mean, variances)
+    unscale("pca_fit", r[:, 0], mean)
+    unscale("pca_fit", s, variances)
     unscale("pca_fit", s, variances)  # the variances scale by s**2
     return PcaModel(mean=mean, components=f.u[:, :k].copy(), variances=variances)
 
@@ -60,9 +62,14 @@ def pca_reduce(model: PcaModel, x, samples_as: str = "cols") -> np.ndarray:
         raise ValueError(
             f"data dimension {x.shape[0]} does not match model dimension {model.mean.size}"
         )
-    s = pow2_scale(max(np.abs(x).max(), np.abs(model.mean).max()))
-    x /= s  # exact, and the centered data cannot overflow
-    mean = model.mean[:, None] / s
-    xk = model.components @ (model.components.T @ (x - mean)) + mean
-    unscale("pca_reduce", s, xk)
+    # Each row centred on its own scale and its mean's, then all on the
+    # largest of them; the exact mean is added back at the end.
+    xm = np.column_stack((x, model.mean))
+    r = prescale(xm, axis=1)
+    s = float(r.max())
+    centred = (xm[:, :-1] - xm[:, -1:]) * (r / s)
+    xk = model.components @ (model.components.T @ centred)
+    with np.errstate(over="ignore"):  # reported just below
+        xk = xk * s + model.mean[:, None]
+    require_finite("pca_reduce", xk)
     return np.ascontiguousarray(xk.T) if samples_as == "rows" else xk

@@ -139,44 +139,28 @@ def _implicit_step(d: list, e: list, lo: int, hi: int, w: float):
     return rc, rs, lc, ls
 
 
-def _deflate_zero_diagonal(d, e, i, hi, u):
-    """d[i] = 0 with i < hi: row rotations (i, j) sweep e[i] off to the
-    right, zeroing row i entirely."""
-    # Both deflation sweeps keep d[j] = hypot >= 0: givens_params's signs
-    # and rounding differ, so the bits of U and V would move.
-    bulge = e[i]
-    e[i] = 0.0
-    for j in range(i + 1, hi + 1):
-        r = math.hypot(d[j], bulge)
-        if r == 0.0:
-            break
-        c = d[j] / r
-        s = -bulge / r
-        d[j] = r
-        if u is not None:
-            rotate(u[:, i], u[:, j], c, s)
-        if j < hi:
-            bulge = s * e[j]
-            e[j] = c * e[j]
-
-
-def _deflate_zero_tail(d, e, lo, hi, v):
-    """d[hi] = 0: column rotations (j, hi) sweep e[hi-1] up and out,
-    zeroing column hi entirely."""
-    bulge = e[hi - 1]
-    e[hi - 1] = 0.0
-    for j in range(hi - 1, lo - 1, -1):
+def _chase_zero_d(d, e, f, end, m):
+    """d[f] = 0: rotations (j, f), j from f toward ``end``, sweep the e beside
+    d[f] along the block and out.  Toward a larger ``end`` they rotate rows
+    and zero row f (turning u); toward a smaller one, columns and column f
+    (turning v).  d[f] itself is not read."""
+    # d[j] stays hypot >= 0: givens_params's signs and rounding differ, so
+    # the bits of U and V would move.
+    step = 1 if end > f else -1
+    side = min(step, 0)  # e[j + side] lies between d[j] and d[j + step]
+    bulge, e[f + side] = e[f + side], 0.0
+    for j in range(f + step, end + step, step):
         r = math.hypot(d[j], bulge)
         if r == 0.0:
             break
         c = d[j] / r
         s = bulge / r
         d[j] = r
-        if v is not None:
-            rotate(v[:, j], v[:, hi], c, s)
-        if j > lo:
-            bulge = -s * e[j - 1]
-            e[j - 1] = c * e[j - 1]
+        if m is not None:
+            rotate(m[:, j], m[:, f], c, s)
+        if j != end:
+            bulge = -s * e[j + side]
+            e[j + side] = c * e[j + side]
 
 
 def _qr_svd(d: list, e: list, u, v, max_sweeps: int | None) -> np.ndarray:
@@ -196,25 +180,34 @@ def _qr_svd(d: list, e: list, u, v, max_sweeps: int | None) -> np.ndarray:
     while hi > 0:
         # The unreduced block [lo, hi] ends at the first negligible e above
         # hi (xBDSQR); rows above it are untouched until hi reaches them.
-        lo = hi
-        while lo > 0 and abs(e[lo - 1]) > eps * (abs(d[lo - 1]) + abs(d[lo])):
-            lo -= 1
-        if lo > 0:
-            e[lo - 1] = 0.0
+        # The walk also finds the block's largest |d| and |e| and smallest |d|.
+        lo, top, emax = hi, abs(d[hi]), 0.0
+        dmax = dmin = top
+        while lo > 0:
+            a, b = abs(d[lo - 1]), abs(e[lo - 1])
+            if b <= eps * (a + top):
+                e[lo - 1] = 0.0
+                break
+            lo, top = lo - 1, a
+            if a > dmax:
+                dmax = a
+            if a < dmin:
+                dmin = a
+            if b > emax:
+                emax = b
         if lo == hi:
             hi -= 1
             continue
-        scale = max(max(map(abs, d[lo : hi + 1])), max(map(abs, e[lo:hi])))
-        if abs(d[hi]) <= eps * scale:
-            d[hi] = 0.0
-            _apply_chains(v, rec_v)
-            _deflate_zero_tail(d, e, lo, hi, v)
-            continue
-        zero_i = next((i for i in range(lo, hi) if abs(d[i]) <= eps * scale), -1)
-        if zero_i >= 0:
-            d[zero_i] = 0.0
-            _apply_chains(u, rec_u)
-            _deflate_zero_diagonal(d, e, zero_i, hi, u)
+        scale = dmax if dmax >= emax else emax
+        tol = eps * scale
+        if dmin <= tol:
+            # A zero d[hi] is chased up through the columns, else the first
+            # negligible d from the top down through the rows.
+            f = hi if abs(d[hi]) <= tol else next(i for i in range(lo, hi) if abs(d[i]) <= tol)
+            m, rec, end = (v, rec_v, lo) if f == hi else (u, rec_u, hi)
+            d[f] = 0.0
+            _apply_chains(m, rec)
+            _chase_zero_d(d, e, f, end, m)
             continue
         sweeps += 1
         if sweeps > max_sweeps:
@@ -263,7 +256,7 @@ def _dc_leaf(d, e, lo, hi, sqre, max_sweeps, want_u=True):
     dl, el = d[lo:hi].tolist(), e[lo : hi - 1 + sqre].tolist()
     if sqre:
         # m column rotations chase e[hi-1] out: column m becomes zero.
-        _deflate_zero_tail(dl, el, 0, m, v)
+        _chase_zero_d(dl, el, m, 0, v)
         el.pop()
     try:
         sigma = _qr_svd(dl, el, u, v[:, :m], max_sweeps)
@@ -325,31 +318,37 @@ def _dc_merge(upper, alpha, beta, lower, sqre):
         zk[0] = tol
     sig, um, vm = _arrow_svd(dk, zk)
     # Each basis is built only now, one at a time, to keep the peak memory
-    # down, in the children's column order (0, s1, s2): the deflation turns,
-    # then the kept columns first, turned by the arrow's vectors.
-    nk, cols = len(kept), order[kept + deflated]
+    # down, in the children's column order (0, s1, s2).
+    cols = order[kept + deflated]
     ub = None
     if u1 is not None:
-        ub = np.zeros((n, n))
+        ub = np.zeros((n, n), order="F")
         ub[k, 0] = 1.0
         ub[:k, 1 : k + 1] = u1
         ub[k + 1 :, k + 1 :] = u2
-        for a, b, c, s in turns:
-            rotate(ub[:, a], ub[:, b], c, s)
-        ub = ub[:, cols]
-        ub[:, :nk] = ub[:, :nk] @ um
+        _merged_basis(ub, turns, cols, um)
     del um
-    vb = np.zeros((n + sqre, n + sqre))
+    vb = np.zeros((n + sqre, n + sqre), order="F")
     vb[: k + 1, 0] = v1[:, k]
     vb[: k + 1, 1 : k + 1] = v1[:, :k]
     vb[k + 1 :, k + 1 :] = v2
     if sqre:
         rotate(vb[:, 0], vb[:, n], c0, s0)
-    for a, b, c, s in turns:
-        rotate(vb[:, a], vb[:, b], c, s)
-    vb = vb[:, np.r_[cols, n : n + sqre]]
-    vb[:, :nk] = vb[:, :nk] @ vm
+    _merged_basis(vb, turns, cols, vm)
     return ub, np.concatenate((sig, d[deflated])) * scale, vb
+
+
+def _merged_basis(w, turns, cols, vecs):
+    """Turn w, the children's columns side by side and any null column last,
+    in place into the merge's basis: the deflation turns, the columns in
+    ``cols`` order, then the first len(vecs) times the arrow's vectors.  w
+    is column-major, like the bases ``bidiagonal_svd`` returns: the product
+    of a row-major w has other bits."""
+    for a, b, c, s in turns:
+        rotate(w[:, a], w[:, b], c, s)
+    w[:, : cols.size] = w[:, cols]
+    nk = len(vecs)
+    w[:, :nk] = w[:, :nk] @ vecs
 
 
 def _sq_gaps(d, o, t):

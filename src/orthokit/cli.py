@@ -53,9 +53,16 @@ class UsageError(Exception):
     pass
 
 
+class _Help(Exception):
+    """-h: the help text, raised for ``run`` to print."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
 
 def _fmt(value: float, prec: int) -> str:
@@ -290,6 +297,9 @@ def run(argv) -> int:
         lines = list(globals()[f"_cmd_{args.command}"](args, prec))
         if lines:
             print("\n".join(lines))
+    except _Help as exc:  # -h, at any level
+        print(exc, end="")
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

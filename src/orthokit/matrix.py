@@ -85,10 +85,15 @@ def norm_tol(a: np.ndarray, rtol: float) -> float:
     return rtol * float(mag.sum(axis=1).max()) * s
 
 
-def prescale(a: np.ndarray) -> float:
+def prescale(a: np.ndarray, axis: int | None = None):
     """Divide ``a`` in place by s = pow2_scale(max|a|) and return s: exact,
-    and the squares of the scaled entries cannot overflow."""
-    s = pow2_scale(float(np.abs(a).max()))
+    and the squares of the scaled entries cannot overflow.  With ``axis``,
+    the max is taken along that axis only, so each row (axis=1) or column
+    (axis=0) has its own s, returned as an array keeping that axis."""
+    if axis is None:
+        s = pow2_scale(float(np.abs(a).max()))
+    else:
+        s = np.vectorize(pow2_scale, otypes=[float])(np.abs(a).max(axis=axis, keepdims=True))
     a /= s
     return s
 
@@ -182,7 +187,7 @@ def back_sub(u, b) -> np.ndarray:
     b = as_vector(b)
     _check_square_system(u, b, "back substitution")
     n = u.shape[0]
-    _check_pivots(np.diagonal(u), norm_tol(u, TRIANGULAR_PIVOT_RTOL))
+    _check_pivots(np.diagonal(u), norm_tol(np.triu(u), TRIANGULAR_PIVOT_RTOL))
     x = np.zeros(n)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         for i in range(n - 1, -1, -1):
@@ -197,7 +202,7 @@ def forward_sub(l, b) -> np.ndarray:
     b = as_vector(b)
     _check_square_system(l, b, "forward substitution")
     n = l.shape[0]
-    _check_pivots(np.diagonal(l), norm_tol(l, TRIANGULAR_PIVOT_RTOL))
+    _check_pivots(np.diagonal(l), norm_tol(np.tril(l), TRIANGULAR_PIVOT_RTOL))
     x = np.zeros(n)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         for i in range(n):

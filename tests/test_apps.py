@@ -158,6 +158,23 @@ class TestPca:
         assert np.array_equal(model.variances, [0.0])
         assert np.array_equal(model.mean, np.asarray(x)[:, 0])
 
+    def test_rows_far_apart_keep_their_means(self):
+        # One scale for all rows would underflow the 1e-300 row to a mean of 0.
+        x = np.array([[1e-300] * 3, [1e100, 2e100, 3e100]])
+        model = pca_fit(x, 1)
+        assert np.array_equal(model.mean, [1e-300, 2e100])
+        assert np.array_equal(pca_reduce(model, x), x)
+
+    def test_constant_rows_at_any_scale(self):
+        rng = np.random.default_rng(131)
+        for _ in range(300):
+            d, n = int(rng.integers(2, 6)), int(rng.integers(2, 7))
+            rows = rng.uniform(1, 10, d) * 10.0 ** rng.integers(-300, 301, d)
+            x = np.repeat(rows[:, None], n, axis=1)
+            model = pca_fit(x, 1)
+            assert np.array_equal(model.mean, rows)
+            assert np.array_equal(pca_reduce(model, x), x)
+
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(129)
         model = pca_fit(rng.standard_normal((4, 9)), 2)

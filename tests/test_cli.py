@@ -1,6 +1,10 @@
+import io
+from contextlib import redirect_stdout
+
 import numpy as np
 import pytest
 
+from orthokit import cli
 from orthokit.cli import run
 from orthokit.matrix import write_matrix_csv
 from orthokit.apps import GrayImage, write_pgm
@@ -442,6 +446,20 @@ class TestDigitsWorkflow:
                              expect=1)
         assert out == [] and err.count("\n") == 1
         assert err.startswith(f"input error: {data}: ") and reason in err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["svd", "-h"]], ids=["top", "svd"])
+def test_help_is_output_with_exit_code_0(monkeypatch, argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert run(argv) == 0
+    assert out.getvalue().startswith(f"usage: orthokit {' '.join(argv[:-1])}".rstrip())
+    # the bytes argparse prints itself before it exits
+    monkeypatch.delattr(cli._Parser, "print_help")
+    stock = io.StringIO()
+    with redirect_stdout(stock), pytest.raises(SystemExit, match="^0$"):
+        cli._build_parser().parse_args(argv)
+    assert out.getvalue() == stock.getvalue()
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -107,6 +107,20 @@ class TestClassification:
         assert np.array_equal(pred_k, pred)
         assert np.array_equal(residuals_k, np.ldexp(residuals, k))
 
+    def test_each_column_keeps_its_own_scale(self):
+        # Test columns alternately 1e300 and 1e-300 apart: one scale for the
+        # batch would underflow the small ones to all-zero residuals.
+        x, labels = synth_digit_data(per_class=10, seed=1)
+        train = [np.ascontiguousarray(x[:, labels == c][:, :8]) for c in range(10)]
+        test = np.hstack([x[:, labels == c][:, 8:] for c in range(10)])
+        model = digits_train(train, 3)
+        pred, residuals = digits_classify(model, test)
+        assert (pred == np.repeat(np.arange(10), 2)).all()
+        k = np.where(np.arange(20) % 2 == 0, 996, -996)  # 2^996 ~ 1e300
+        pred_k, residuals_k = digits_classify(model, np.ldexp(test, k))
+        assert np.array_equal(pred_k, pred)
+        assert np.array_equal(residuals_k, np.ldexp(residuals, k))
+
     def test_residual_past_the_float64_range_raises(self):
         x, labels = small_synthetic()
         model = digits_train(split_classes(x, labels), 3)

@@ -186,6 +186,16 @@ class TestTriangularSolves:
         xl = forward_sub(u.T.copy(), np.ones(2))
         assert np.abs(xl * 1e308 - [1.0, 0.0]).max() <= 1e-15
 
+    def test_only_the_triangle_is_read(self):
+        # An entry of 1e20 outside the triangle would put the pivot
+        # tolerance at 1e6, above every pivot of the triangle itself.
+        u = np.array([[1.0, 2.0, 3.0], [0.0, 4.0, 5.0], [0.0, 0.0, 6.0]])
+        b = np.array([1.0, 2.0, 3.0])
+        junk = u.copy()
+        junk[2, 0] = 1e20
+        assert np.array_equal(back_sub(junk, b), back_sub(u, b))
+        assert np.array_equal(forward_sub(junk.T.copy(), b), forward_sub(u.T.copy(), b))
+
     @pytest.mark.parametrize("diag, b", [
         (1e-310, np.ones(2)),  # x_1 = 1e310 overflows; x_0 then reads 0 * inf = NaN
         (1e-200, np.full(2, 1e200)),

@@ -447,11 +447,17 @@ def _random_chain(rng, length):
 
 
 def _rotate_spy(monkeypatch):
-    """Replace the leaves' ``rotate`` by one that logs its caller's name."""
+    """Replace the leaves' ``rotate`` by one that logs its caller's name, and
+    the zero-d chase's by its direction: "row" for an interior zero (turning
+    u), "column" for a zero at the tail or the sqre pre-rotation (turning v)."""
     callers = []
 
     def spy(x, y, c, s):
-        callers.append(sys._getframe(1).f_code.co_name)
+        frame = sys._getframe(1)
+        name = frame.f_code.co_name
+        if name == "_chase_zero_d":
+            name = "row" if frame.f_locals["end"] > frame.f_locals["f"] else "column"
+        callers.append(name)
         rotate(x, y, c, s)
 
     monkeypatch.setattr(bd_mod, "rotate", spy)
@@ -592,7 +598,7 @@ class TestRotationChains:
         monkeypatch.setattr(bd_mod, "_apply_chains", flush_spy)
         u, sigma, v = bd_mod._dc_leaf(d, e, 0, m, 0, None)
         kinds = {ev for ev in events if isinstance(ev, str)}
-        assert kinds == {"_deflate_zero_tail", "_deflate_zero_diagonal"}
+        assert kinds == {"column", "row"}
         for name in kinds:
             # the event before each deflation sweep is the flush of a record
             first = [i for i, ev in enumerate(events) if ev == name and events[i - 1] != name]
@@ -613,7 +619,7 @@ class TestRotationChains:
         d, e = rng.standard_normal(m), rng.standard_normal(m - 1 + sqre)
         bd_mod._dc_leaf(d, e, 0, m, sqre, None)
         # only the sqre pre-rotation: the random leaf never deflates
-        assert callers == ["_deflate_zero_tail"] * (m * sqre)
+        assert callers == ["column"] * (m * sqre)
 
 
 class TestSvd:
