@@ -34,8 +34,11 @@ Each tall shape m x n in 600 x 60, 1000 x 100 and 1500 x 120 gets one
 standard-normal matrix from the seed 4242 + m + n, timed in the rows
 ``qr_householder``, ``qr_pivoted``, ``form_q`` (the thin m x n Q from the
 ``r+u`` reflectors), ``back_sub`` (that R's n x n block, one standard-normal
-right-hand side from the same seed), ``bidiagonalize``, ``singular_values``
-and ``numpy_svdvals`` (``numpy.linalg.svd`` without vectors, the ceiling).
+right-hand side from the same seed), ``forward_sub`` (the transpose of that
+block, the same right-hand side), ``solve`` (the default least-squares route
+on A, a standard-normal m-vector drawn after A and b), ``bidiagonalize``,
+``singular_values`` and ``numpy_svdvals`` (``numpy.linalg.svd`` without
+vectors, the ceiling).
 
 A row gives the minimum and the median wall time over ``--repeats`` calls
 (a third as many, at least two, at n = 400).
@@ -142,12 +145,15 @@ def cases(ok, repeats):
     for m, n in TALL:
         rng = np.random.default_rng(SEED + m + n)
         a, b = rng.standard_normal((m, n)), rng.standard_normal(n)
+        c = rng.standard_normal(m)
         f = ok.qr_householder(a, "r+u")
         layers = {
             "qr_householder": lambda: ok.qr_householder(a, "r+u"),
             "qr_pivoted": lambda: ok.qr_pivoted(a),
             "form_q": lambda: ok.form_q(f.reflectors, m, cols=n),
             "back_sub": lambda: ok.back_sub(f.r[:n], b),
+            "forward_sub": lambda: ok.forward_sub(f.r[:n].T, b),
+            "solve": lambda: ok.solve(a, c),
             "bidiagonalize": lambda: ok.bidiagonalize(a),
             "singular_values": lambda: ok.singular_values(a),
             "numpy_svdvals": lambda: np.linalg.svd(a, compute_uv=False),

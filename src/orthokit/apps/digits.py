@@ -153,8 +153,8 @@ def _checked_labels(path, values: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Model container: magic "OKDM", u32 version, u32 k, ten row-major
-# 784 x k blocks of little-endian float64.
+# Model container: magic "OKDM", u32 version, u32 k >= 1, ten row-major
+# 784 x k blocks of finite little-endian float64.
 
 
 def save_digit_model(model: DigitModel, path) -> None:
@@ -181,9 +181,13 @@ def load_digit_model(path) -> DigitModel:
         version, k = struct.unpack("<II", header)
         if version != MODEL_VERSION:
             raise ValueError(f"{path}: unsupported model version {version}")
+        if k < 1:
+            raise ValueError(f"{path}: model k must be >= 1, got {k}")
         # k comes from the file: check the size before allocating any block.
         count = NUM_CLASSES * MODEL_DIM * k
         if os.fstat(f.fileno()).st_size < 12 + 8 * count:
             raise ValueError(f"{path}: truncated model file")
         data = np.fromfile(f, dtype="<f8", count=count)
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: model entries must be finite (no NaN/Inf)")
     return DigitModel(bases=list(data.reshape(NUM_CLASSES, MODEL_DIM, k)), k=k)

@@ -44,9 +44,12 @@ def pca_fit(x, k: int, samples_as: str = "cols") -> PcaModel:
     r = prescale(x, axis=1)  # each row's mean on that row's own scale
     mean = x.mean(axis=1)
     # Corrected two-pass mean, so a row of equal samples centres to exact zeros.
-    mean += (x - mean[:, None]).mean(axis=1)
+    c = x - mean[:, None]
+    mean += c.mean(axis=1)
     s = float(r.max())  # sigma is global: the centred rows on the largest row scale
-    f = svd((x - mean[:, None]) * (r / s), "reduced")
+    np.subtract(x, mean[:, None], out=c)
+    c *= r / s
+    f = svd(c, "reduced")
     variances = (f.sigma[:k] ** 2) / (n - 1)
     unscale("pca_fit", r[:, 0], mean)
     unscale("pca_fit", s, variances)

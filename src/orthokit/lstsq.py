@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefiniteError, RankDeficiencyError, ShapeError
-from .matrix import DEFAULT_T_DIGITS, as_matrix, as_vector, back_sub, cholesky, forward_sub, norm_tol, require_finite
+from .matrix import DEFAULT_T_DIGITS, as_matrix, as_vector, back_sub, cholesky, forward_sub, require_finite
 from .qr import QrMode, qr_householder, qr_pivoted
 from .reflectors import reflect_all, stable_norm
 from .svd import cond2, numerical_rank, rank_threshold, svd
@@ -103,7 +103,7 @@ def solve_qr(a, b) -> LeastSquaresSolution:
         raise RankDeficiencyError(
             f"system is underdetermined ({m} rows, {n} columns); use solve_qr_pivoted or solve_svd"
         )
-    tol = norm_tol(a, 1e-12)
+    tol = rank_threshold(a)
     diag = np.abs(np.diagonal(f.r)[:n])
     if np.any(diag <= tol):
         i = int(np.argmax(diag <= tol))
@@ -164,11 +164,8 @@ def solve_svd(a, b) -> LeastSquaresSolution:
 
 def solve(a, b) -> LeastSquaresSolution:
     """Default route: QR when the numerical rank is full, SVD otherwise.
-    A is validated and copied only by the factorizations, as in every route but solve_normal."""
-    f = qr_pivoted(a)
-    full_rank = f.rank == f.r.shape[1]
-    del f  # its R would otherwise stay alive through the second sweep
-    a, b = _matching(a, b)
+    The pivoted QR only picks the route, which validates A and b itself."""
+    full_rank = qr_pivoted(a).rank == np.shape(a)[1]
     return solve_qr(a, b) if full_rank else solve_svd(a, b)
 
 

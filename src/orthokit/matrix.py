@@ -162,18 +162,35 @@ def norm(a, kind: str = "frobenius") -> float:
     return value
 
 
-def _check_square_system(a, b, what):
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"{what} solve needs a square matrix, got {a.shape}")
-    if b.size != a.shape[0]:
-        raise ShapeError(f"right-hand side length {b.size} does not match matrix {a.shape}")
-
-
-def _check_pivots(diag, tol):
-    small = np.abs(diag) <= tol
+def _triangular_solve(t, b, lower: bool) -> np.ndarray:
+    """Solve ``T x = b`` reading only T's lower or upper triangle: the
+    shared validation, pivot test and overflow check of both solves."""
+    kind = "forward" if lower else "back"
+    t = as_matrix(t)
+    b = as_vector(b)
+    n = t.shape[0]
+    if t.shape[1] != n:
+        raise ShapeError(f"{kind} substitution solve needs a square matrix, got {t.shape}")
+    if b.size != n:
+        raise ShapeError(f"right-hand side length {b.size} does not match matrix {t.shape}")
+    mag = np.tril(t) if lower else np.triu(t)  # abs and prescale work on this copy in place
+    np.abs(mag, out=mag)
+    s = prescale(mag)
+    tol = TRIANGULAR_PIVOT_RTOL * float(mag.sum(axis=1).max()) * s
+    small = np.abs(np.diagonal(t)) <= tol
     if small.any():
         i = int(np.argmax(small))
-        raise SingularTriangularError(i, diag[i], tol)
+        raise SingularTriangularError(i, t[i, i], tol)
+    x = np.zeros(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        if lower:
+            for i in range(n):
+                x[i] = (b[i] - t[i, :i] @ x[:i]) / t[i, i]
+        else:
+            for i in range(n - 1, -1, -1):
+                x[i] = (b[i] - t[i, i + 1 :] @ x[i + 1 :]) / t[i, i]
+    require_finite(f"{kind}_sub", x)
+    return x
 
 
 def back_sub(u, b) -> np.ndarray:
@@ -183,32 +200,12 @@ def back_sub(u, b) -> np.ndarray:
     ``1e-14 * norm(U, inf)`` of zero raise ``SingularTriangularError``, and
     an x past the float64 range ``NumericalError``.
     """
-    u = as_matrix(u)
-    b = as_vector(b)
-    _check_square_system(u, b, "back substitution")
-    n = u.shape[0]
-    _check_pivots(np.diagonal(u), norm_tol(np.triu(u), TRIANGULAR_PIVOT_RTOL))
-    x = np.zeros(n)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        for i in range(n - 1, -1, -1):
-            x[i] = (b[i] - u[i, i + 1 :] @ x[i + 1 :]) / u[i, i]
-    require_finite("back_sub", x)
-    return x
+    return _triangular_solve(u, b, lower=False)
 
 
 def forward_sub(l, b) -> np.ndarray:
     """Solve the lower-triangular system ``L x = b`` (mirror of back_sub)."""
-    l = as_matrix(l)
-    b = as_vector(b)
-    _check_square_system(l, b, "forward substitution")
-    n = l.shape[0]
-    _check_pivots(np.diagonal(l), norm_tol(np.tril(l), TRIANGULAR_PIVOT_RTOL))
-    x = np.zeros(n)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        for i in range(n):
-            x[i] = (b[i] - l[i, :i] @ x[:i]) / l[i, i]
-    require_finite("forward_sub", x)
-    return x
+    return _triangular_solve(l, b, lower=True)
 
 
 def cholesky(s) -> np.ndarray:

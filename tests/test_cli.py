@@ -1,4 +1,5 @@
 import io
+import struct
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -420,6 +421,23 @@ class TestDigitsWorkflow:
         out, err = run_lines(capsys, ["digits", "classify", str(test), "--model", str(model)], expect=1)
         assert out == []
         assert err.count("\n") == 1 and err.startswith("input error: ") and "truncated model file" in err
+
+    @pytest.mark.parametrize("k, entry, reason", [
+        (0, 0.0, "model k must be >= 1, got 0"),
+        (1, np.nan, "model entries must be finite (no NaN/Inf)"),
+        (1, np.inf, "model entries must be finite (no NaN/Inf)"),
+    ], ids=["k-0", "nan", "inf"])
+    def test_model_classify_cannot_use_is_an_input_error(self, capsys, tmp_path, k, entry, reason):
+        # At k = 0 every residual would be ||d|| and every label 0; a NaN or
+        # Inf entry would reach the residuals and read as an overflow.
+        blocks = np.zeros(10 * 784 * k)
+        blocks[:1] = entry
+        model = tmp_path / "bad.okdm"
+        model.write_bytes(b"OKDM" + struct.pack("<II", 1, k) + blocks.astype("<f8").tobytes())
+        test = tmp_path / "t.csv"
+        test.write_text("1," + ",".join(["7"] * 784) + "\n")
+        out, err = run_lines(capsys, ["digits", "classify", str(test), "--model", str(model)], expect=1)
+        assert out == [] and err == f"input error: {model}: {reason}\n"
 
     @pytest.mark.parametrize("argv, seed", [(["--seed", "3"], 3), ([], 0)], ids=["seed-3", "default-0"])
     def test_synth_seed(self, capsys, tmp_path, argv, seed):

@@ -193,6 +193,17 @@ class TestPersistence:
             tracemalloc.stop()
         assert peak < 2**20
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_entry_rejected(self, tmp_path, entry):
+        x, labels = synth_digit_data(3, classes=10, seed=4)
+        path = tmp_path / "m.okdm"
+        save_digit_model(digits_train(split_classes(x, labels), 1), path)
+        raw = bytearray(path.read_bytes())
+        raw[-8:] = np.array([entry], dtype="<f8").tobytes()  # the last entry of class 9
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=r"m\.okdm: model entries must be finite \(no NaN/Inf\)$"):
+            load_digit_model(path)
+
     def test_wrong_dimension_rejected(self, tmp_path):
         model = DigitModel(bases=[np.eye(8)[:, :2] for _ in range(10)], k=2)
         with pytest.raises(ValueError, match="784"):
@@ -274,6 +285,13 @@ def _row(label, width=784):
     pytest.param(lambda tmp: load_digit_model(written(tmp / "m.okdm", b"OKDM" + struct.pack("<II", 2, 1))),
                  "m.okdm: unsupported model version 2", id="model-version"),
     pytest.param(lambda tmp: digits_train([np.ones((4, 2))] * 10, 0), "k must be >= 1", id="train-k"),
+    pytest.param(lambda tmp: load_digit_model(written(tmp / "m.okdm", b"OKDM" + struct.pack("<II", 1, 0))),
+                 "m.okdm: model k must be >= 1, got 0", id="model-k-0"),
+    pytest.param(lambda tmp: digits_train([np.ones((4, 2))] * 9 + [np.ones((5, 2))], 1),
+                 "class 9 has 5 rows, expected 4", id="train-rows"),
+    pytest.param(lambda tmp: synth_digit_data(0), "per_class and classes must be positive", id="synth-per-class"),
+    pytest.param(lambda tmp: synth_digit_data(2, classes=0), "per_class and classes must be positive",
+                 id="synth-classes"),
 ])
 def test_error_paths(call, match, tmp_path):
     with pytest.raises(ValueError, match=match):
