@@ -22,13 +22,16 @@ The single-leaf sizes n in 6, 16 and 25 (one divide-and-conquer leaf each,
 the SVD path of the small-batch workload) get a ``phase2_vectors`` row
 alone, from the seed 4242 + n, over twenty times ``--repeats`` calls.
 
-The small sizes n in 6, 10 and 16 (the rotation sweeps of the small-batch
-workload) get two rows, over twenty times ``--repeats`` calls each, from
-the seed 4242 + n:
+The small sizes n in 6, 10 and 16 (the rotation sweeps and triangular
+solves of the small-batch workload) get four rows, over twenty times
+``--repeats`` calls each, from the seed 4242 + n:
 
 - ``jacobi_eig``: a symmetric indefinite n x n matrix, Q diag(d) Q^T - 50 I
   with d uniform in [1, 100) and Q orthonormal
 - ``qr_givens``: a standard-normal (n+2) x n matrix
+- ``back_sub``: the n x n R of that matrix's Householder QR, with a
+  standard-normal right-hand side drawn after it
+- ``forward_sub``: the transpose of that R, the same right-hand side
 
 Each tall shape m x n in 600 x 60, 1000 x 100 and 1500 x 120 gets one
 standard-normal matrix from the seed 4242 + m + n, timed in the rows
@@ -126,8 +129,11 @@ def cases(ok, repeats):
         s = (q * rng.uniform(1.0, 100.0, n)) @ q.T
         s = 0.5 * (s + s.T) - 50.0 * np.eye(n)
         g = rng.standard_normal((n + 2, n))
+        r, b = ok.qr_householder(g, "r+u").r[:n], rng.standard_normal(n)
         yield "jacobi_eig", n, n, lambda: ok.jacobi_eig(s), 20 * repeats
         yield "qr_givens", n + 2, n, lambda: ok.qr_givens(g), 20 * repeats
+        yield "back_sub", n, n, lambda: ok.back_sub(r, b), 20 * repeats
+        yield "forward_sub", n, n, lambda: ok.forward_sub(r.T, b), 20 * repeats
     for n in SIZES:
         a = np.random.default_rng(SEED + n).standard_normal((n, n))
         _, bid, _ = ok.bidiagonalize(a)

@@ -97,15 +97,13 @@ def synth_digit_data(per_class: int, classes: int = NUM_CLASSES, seed: int = 0,
         raise ValueError("per_class and classes must be positive")
     rng = np.random.default_rng(seed)
     blocks = []
-    labels = []
-    for c in range(classes):
+    for _ in range(classes):
         f = qr_householder(rng.standard_normal((dim, subspace_dim)), QrMode.R_AND_REFLECTORS)
         basis = form_q(f.reflectors, dim, cols=subspace_dim)
         coeff = rng.standard_normal((subspace_dim, per_class))
         block = basis @ coeff + noise * rng.standard_normal((dim, per_class))
         blocks.append(block)
-        labels.extend([c] * per_class)
-    return np.hstack(blocks), np.array(labels, dtype=int)
+    return np.hstack(blocks), np.repeat(np.arange(classes), per_class)
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +152,22 @@ def _checked_labels(path, values: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Model container: magic "OKDM", u32 version, u32 k >= 1, ten row-major
-# 784 x k blocks of finite little-endian float64.
+# 784 x k blocks of finite little-endian float64.  The writer checks a model
+# before it opens the file, and rejects what the reader rejects.
 
 
 def save_digit_model(model: DigitModel, path) -> None:
+    if model.k < 1:
+        raise ValueError(f"{path}: model k must be >= 1, got {model.k}")
+    if len(model.bases) != NUM_CLASSES:
+        raise ValueError(f"expected {NUM_CLASSES} class bases, got {len(model.bases)}")
     for c, basis in enumerate(model.bases):
         if basis.shape != (MODEL_DIM, model.k):
             raise ValueError(
                 f"class {c} basis has shape {basis.shape}; the container stores {MODEL_DIM} x {model.k}"
             )
+        if not np.isfinite(basis).all():
+            raise ValueError(f"{path}: model entries must be finite (no NaN/Inf)")
     with open(path, "wb") as f:
         f.write(MODEL_MAGIC)
         f.write(struct.pack("<II", MODEL_VERSION, model.k))

@@ -3,6 +3,7 @@ value denoising, and PGM (P2/P5, maxval 255) input/output."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,25 +72,20 @@ def image_denoise(img: GrayImage, threshold: float) -> GrayImage:
 
 # ---------------------------------------------------------------------------
 # PGM: P2 is ASCII, P5 binary; maxval must be 255.  The writer emits P5.
+# The header is four tokens between whitespace and '#' comments, each comment
+# running to the end of its line; a P5 raster starts one byte after maxval.
+_PGM_TOKEN = re.compile(rb"#[^\r\n]*|[^\s#]+")
 
 
 def _pgm_tokens(data: bytes):
-    # Header tokens with '#' comments stripped; stops after maxval.
-    pos = 0
+    # The header tokens up to maxval, comments skipped, and the offset past them.
     tokens = []
-    while len(tokens) < 4 and pos < len(data):
-        ch = data[pos : pos + 1]
-        if ch == b"#":
-            while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            start = pos
-            while pos < len(data) and not data[pos : pos + 1].isspace() and data[pos : pos + 1] != b"#":
-                pos += 1
-            tokens.append(data[start:pos])
-    return tokens, pos
+    for match in _PGM_TOKEN.finditer(data):
+        if not match[0].startswith(b"#"):
+            tokens.append(match[0])
+            if len(tokens) == 4:
+                return tokens, match.end()
+    return tokens, len(data)
 
 
 def read_pgm(path) -> GrayImage:

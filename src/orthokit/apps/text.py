@@ -11,6 +11,7 @@ matrix.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,21 +54,12 @@ def build_term_sentence(sentences, stopwords=frozenset()) -> TermSentenceMatrix:
     vocabulary).
     """
     stopwords = {w.lower() for w in stopwords}
-    sentences = list(sentences)
-    index: dict[str, int] = {}
-    columns = []
-    for sentence in sentences:
-        counts: dict[int, int] = {}
-        for word in tokenize(sentence):
-            if word in stopwords:
-                continue
-            s = stem(word)
-            i = index.setdefault(s, len(index))
-            counts[i] = counts.get(i, 0) + 1
-        columns.append(counts)
+    index: dict[str, int] = {}  # stem -> row, in order of first appearance
+    columns = [Counter(index.setdefault(stem(w), len(index)) for w in tokenize(sentence) if w not in stopwords)
+               for sentence in sentences]
     if not index:
         raise ValueError("no terms left after stopword removal; vocabulary is empty")
-    a = np.zeros((len(index), len(sentences)))
+    a = np.zeros((len(index), len(columns)))
     for j, counts in enumerate(columns):
         for i, c in counts.items():
             a[i, j] = float(c)

@@ -173,10 +173,9 @@ def _triangular_solve(t, b, lower: bool) -> np.ndarray:
         raise ShapeError(f"{kind} substitution solve needs a square matrix, got {t.shape}")
     if b.size != n:
         raise ShapeError(f"right-hand side length {b.size} does not match matrix {t.shape}")
-    mag = np.tril(t) if lower else np.triu(t)  # abs and prescale work on this copy in place
-    np.abs(mag, out=mag)
-    s = prescale(mag)
-    tol = TRIANGULAR_PIVOT_RTOL * float(mag.sum(axis=1).max()) * s
+    below = np.tri(n, n, -1, dtype=bool)
+    t[below.T if lower else below] = 0.0  # t is our copy, and the loops never read this triangle
+    tol = norm_tol(t, TRIANGULAR_PIVOT_RTOL)
     small = np.abs(np.diagonal(t)) <= tol
     if small.any():
         i = int(np.argmax(small))

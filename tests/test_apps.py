@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthokit import NumericalError, jacobi_eig, low_rank, norm2, singular_values
 from orthokit.apps import (
@@ -15,6 +17,7 @@ from orthokit.apps import (
     summarize_scores,
     write_pgm,
 )
+from orthokit.apps.image import _pgm_tokens
 from helpers import fro, written
 
 
@@ -190,6 +193,29 @@ class TestPca:
             pca_fit(np.ones((3, 5)), 4)
 
 
+# PGM header separators: runs of ASCII whitespace and '#' comments that run
+# to the end of their line.
+_PGM_SPACE = st.text(" \t\n\r\v\f", min_size=1, max_size=3).map(str.encode)
+_PGM_COMMENT = st.builds(lambda text, end: b"#" + text.translate(None, b"\r\n") + end,
+                         st.binary(max_size=8), st.sampled_from([b"\n", b"\r"]))
+_PGM_GAP = st.lists(st.one_of(_PGM_SPACE, _PGM_COMMENT), min_size=1, max_size=3).map(b"".join)
+
+
+@st.composite
+def _pgm_files(draw):
+    """The bytes of a P2 or P5 file with random separators between its
+    header tokens (a comment may follow a token directly), and its pixels."""
+    height, width = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pixels = draw(st.lists(st.integers(0, 255), min_size=height * width, max_size=height * width))
+    magic = draw(st.sampled_from([b"P2", b"P5"]))
+    data = magic + b"".join(draw(_PGM_GAP) + b"%d" % token for token in (width, height, 255))
+    if magic == b"P5":  # exactly one whitespace byte, then the raster
+        data += draw(st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\v", b"\f"])) + bytes(pixels)
+    else:
+        data += b"".join(draw(_PGM_SPACE) + b"%d" % p for p in pixels) + draw(_PGM_SPACE)
+    return data, np.reshape(pixels, (height, width))
+
+
 class TestImage:
     def test_full_rank_compression_is_near_exact(self):
         rng = np.random.default_rng(130)
@@ -266,6 +292,33 @@ class TestImage:
         img = read_pgm(path)
         assert np.array_equal(img.pixels, [[0.0, 10.0, 20.0], [30.0, 40.0, 255.0]])
 
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(_pgm_files())
+    def test_pgm_header_between_whitespace_and_comments(self, tmp_path_factory, file):
+        data, pixels = file
+        path = tmp_path_factory.mktemp("pgm") / "img.pgm"
+        path.write_bytes(data)
+        assert np.array_equal(read_pgm(path).pixels, pixels)
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.lists(st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\v", b"\f", b"#", b"\x85", b"\x00",
+                                     b"P", b"5", b"x"]), max_size=24).map(b"".join))
+    def test_pgm_tokens_match_a_byte_loop(self, data):
+        # Reference: the header scanned a byte at a time.
+        pos, tokens = 0, []
+        while len(tokens) < 4 and pos < len(data):
+            if data[pos : pos + 1] == b"#":
+                while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
+                    pos += 1
+            elif data[pos : pos + 1].isspace():
+                pos += 1
+            else:
+                start = pos
+                while pos < len(data) and not data[pos : pos + 1].isspace() and data[pos : pos + 1] != b"#":
+                    pos += 1
+                tokens.append(data[start:pos])
+        assert _pgm_tokens(data) == (tokens, pos)
+
     def test_pgm_bad_maxval(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_text("P2\n2 2\n15\n0 1 2 3\n")
@@ -278,6 +331,12 @@ class TestText:
         ts = build_term_sentence(["a a b"])
         assert ts.terms == ["a", "b"]
         assert np.array_equal(ts.a, [[2.0], [1.0]])
+
+    def test_terms_in_order_of_first_appearance_across_sentences(self):
+        ts = build_term_sentence(["b a", "c b b", "", "The a"], stopwords={"the"})
+        assert ts.terms == ["b", "a", "c"]
+        assert ts.a.tobytes() == np.array([[1.0, 2.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0],
+                                           [0.0, 1.0, 0.0, 0.0]]).tobytes()
 
     def test_stopword_removal(self):
         ts = build_term_sentence(["the cat sat"], stopwords={"the"})

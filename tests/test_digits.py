@@ -209,6 +209,21 @@ class TestPersistence:
         with pytest.raises(ValueError, match="784"):
             save_digit_model(model, tmp_path / "m.okdm")
 
+    @pytest.mark.parametrize("k, entry, count, match", [
+        (0, 0.0, 10, r"m\.okdm: model k must be >= 1, got 0$"),
+        (1, np.nan, 10, r"m\.okdm: model entries must be finite \(no NaN/Inf\)$"),
+        (1, np.inf, 10, r"m\.okdm: model entries must be finite \(no NaN/Inf\)$"),
+        (1, 0.0, 9, r"expected 10 class bases, got 9$"),
+    ], ids=["k-0", "nan", "inf", "nine-bases"])
+    def test_writer_rejects_what_the_loader_rejects(self, tmp_path, k, entry, count, match):
+        bases = [np.zeros((784, k)) for _ in range(count)]
+        if k:
+            bases[-1][-1, -1] = entry
+        path = tmp_path / "m.okdm"
+        with pytest.raises(ValueError, match=match):
+            save_digit_model(DigitModel(bases=bases, k=k), path)
+        assert not path.exists()
+
     def test_csv_roundtrip(self, tmp_path):
         x, labels = synth_digit_data(3, classes=10, seed=5)
         path = tmp_path / "digits.csv"
