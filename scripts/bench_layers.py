@@ -22,16 +22,23 @@ The single-leaf sizes n in 6, 16 and 25 (one divide-and-conquer leaf each,
 the SVD path of the small-batch workload) get a ``phase2_vectors`` row
 alone, from the seed 4242 + n, over twenty times ``--repeats`` calls.
 
-The small sizes n in 6, 10 and 16 (the rotation sweeps and triangular
-solves of the small-batch workload) get four rows, over twenty times
-``--repeats`` calls each, from the seed 4242 + n:
+The small sizes n in 6, 10 and 16 (the rotation sweeps, triangular
+solves, Cholesky and projector splits of the small-batch workload) get
+these rows, over twenty times ``--repeats`` calls each, from the seed
+4242 + n:
 
-- ``jacobi_eig``: a symmetric indefinite n x n matrix, Q diag(d) Q^T - 50 I
-  with d uniform in [1, 100) and Q orthonormal
+- ``jacobi_eig``: a symmetric indefinite n x n matrix, S - 50 I with
+  S = Q diag(d) Q^T, d uniform in [1, 100) and Q orthonormal
 - ``qr_givens``: a standard-normal (n+2) x n matrix
 - ``back_sub``: the n x n R of that matrix's Householder QR, with a
   standard-normal right-hand side drawn after it
 - ``forward_sub``: the transpose of that R, the same right-hand side
+- ``cholesky``: the symmetric positive definite S above
+- ``qr_hessenberg``: the upper-Hessenberg part of a standard-normal n x n
+  matrix drawn after the right-hand side
+- ``split`` (n = 6 and 16 only): a standard-normal 2n-vector split by the
+  ``projector_onto_range`` of a standard-normal 2n x n matrix, both drawn
+  after the Hessenberg matrix
 
 Each tall shape m x n in 600 x 60, 1000 x 100 and 1500 x 120 gets one
 standard-normal matrix from the seed 4242 + m + n, timed in the rows
@@ -39,7 +46,8 @@ standard-normal matrix from the seed 4242 + m + n, timed in the rows
 ``r+u`` reflectors), ``back_sub`` (that R's n x n block, one standard-normal
 right-hand side from the same seed), ``forward_sub`` (the transpose of that
 block, the same right-hand side), ``solve`` (the default least-squares route
-on A, a standard-normal m-vector drawn after A and b), ``bidiagonalize``,
+on A, a standard-normal m-vector drawn after A and b), ``split`` (that
+m-vector split by the ``projector_onto_range`` of A), ``bidiagonalize``,
 ``singular_values`` and ``numpy_svdvals`` (``numpy.linalg.svd`` without
 vectors, the ceiling).
 
@@ -127,13 +135,20 @@ def cases(ok, repeats):
         rng = np.random.default_rng(SEED + n)
         q = ok.qr_householder(rng.standard_normal((n, n))).q
         s = (q * rng.uniform(1.0, 100.0, n)) @ q.T
-        s = 0.5 * (s + s.T) - 50.0 * np.eye(n)
+        spd = 0.5 * (s + s.T)
+        s = spd - 50.0 * np.eye(n)
         g = rng.standard_normal((n + 2, n))
         r, b = ok.qr_householder(g, "r+u").r[:n], rng.standard_normal(n)
+        h = np.triu(rng.standard_normal((n, n)), -1)
         yield "jacobi_eig", n, n, lambda: ok.jacobi_eig(s), 20 * repeats
         yield "qr_givens", n + 2, n, lambda: ok.qr_givens(g), 20 * repeats
         yield "back_sub", n, n, lambda: ok.back_sub(r, b), 20 * repeats
         yield "forward_sub", n, n, lambda: ok.forward_sub(r.T, b), 20 * repeats
+        yield "cholesky", n, n, lambda: ok.cholesky(spd), 20 * repeats
+        yield "qr_hessenberg", n, n, lambda: ok.qr_hessenberg(h), 20 * repeats
+        if n in (6, 16):
+            p, v = ok.projector_onto_range(rng.standard_normal((2 * n, n))), rng.standard_normal(2 * n)
+            yield "split", 2 * n, n, lambda: ok.split(v, p), 20 * repeats
     for n in SIZES:
         a = np.random.default_rng(SEED + n).standard_normal((n, n))
         _, bid, _ = ok.bidiagonalize(a)
@@ -153,6 +168,7 @@ def cases(ok, repeats):
         a, b = rng.standard_normal((m, n)), rng.standard_normal(n)
         c = rng.standard_normal(m)
         f = ok.qr_householder(a, "r+u")
+        p = ok.projector_onto_range(a)
         layers = {
             "qr_householder": lambda: ok.qr_householder(a, "r+u"),
             "qr_pivoted": lambda: ok.qr_pivoted(a),
@@ -160,6 +176,7 @@ def cases(ok, repeats):
             "back_sub": lambda: ok.back_sub(f.r[:n], b),
             "forward_sub": lambda: ok.forward_sub(f.r[:n].T, b),
             "solve": lambda: ok.solve(a, c),
+            "split": lambda: ok.split(c, p),
             "bidiagonalize": lambda: ok.bidiagonalize(a),
             "singular_values": lambda: ok.singular_values(a),
             "numpy_svdvals": lambda: np.linalg.svd(a, compute_uv=False),

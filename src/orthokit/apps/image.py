@@ -64,10 +64,7 @@ def image_denoise(img: GrayImage, threshold: float) -> GrayImage:
     if not threshold >= 0:  # NaN too
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
     f = svd(img.pixels, "reduced")
-    k = int(np.sum(f.sigma > threshold))
-    if k == 0:
-        return GrayImage(np.zeros_like(img.pixels))
-    return GrayImage(_truncated(k, f))
+    return GrayImage(_truncated(int(np.sum(f.sigma > threshold)), f))
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,7 @@ def solve_qr(a, b) -> LeastSquaresSolution:
     qtb = b.copy()
     reflect_all(f.reflectors, qtb[:, None], transpose=True)
     x = back_sub(f.r[:n, :n], qtb[:n])
-    residual = float(np.linalg.norm(qtb[n:])) if m > n else 0.0
+    residual = float(np.linalg.norm(qtb[n:]))
     return LeastSquaresSolution(x=x, residual_norm=residual, method="qr", rank=n)
 
 

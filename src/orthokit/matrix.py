@@ -59,12 +59,18 @@ def as_matrix(a, order: str = "C") -> np.ndarray:
     return m
 
 
+def as_square(a, what: str) -> np.ndarray:
+    """``as_matrix(a)``, or ``ShapeError`` naming ``what`` if it is not square."""
+    m = as_matrix(a)
+    if m.shape[0] != m.shape[1]:
+        raise ShapeError(f"{what} needs a square matrix, got {m.shape}")
+    return m
+
+
 def pow2_scale(top: float) -> float:
     """Power of two to divide by before squaring: the least 2^k >= ``top``,
     capped at 2^1023 so it never overflows (``top / scale`` then lies in
     (0.5, 2)); 1.0 for ``top == 0``.  Dividing by it is exact."""
-    if top == 0.0:
-        return 1.0
     mant, exp = math.frexp(top)
     if mant == 0.5:
         exp -= 1
@@ -81,7 +87,8 @@ def norm_tol(a: np.ndarray, rtol: float) -> float:
     sum past the float64 maximum cannot overflow it; on normal-range
     input, the same bits as the unscaled product."""
     mag = np.abs(a)
-    s = prescale(mag)
+    s = pow2_scale(float(mag.max()))
+    mag /= s
     return rtol * float(mag.sum(axis=1).max()) * s
 
 
@@ -166,11 +173,9 @@ def _triangular_solve(t, b, lower: bool) -> np.ndarray:
     """Solve ``T x = b`` reading only T's lower or upper triangle: the
     shared validation, pivot test and overflow check of both solves."""
     kind = "forward" if lower else "back"
-    t = as_matrix(t)
+    t = as_square(t, f"{kind} substitution solve")
     b = as_vector(b)
     n = t.shape[0]
-    if t.shape[1] != n:
-        raise ShapeError(f"{kind} substitution solve needs a square matrix, got {t.shape}")
     if b.size != n:
         raise ShapeError(f"right-hand side length {b.size} does not match matrix {t.shape}")
     below = np.tri(n, n, -1, dtype=bool)
@@ -214,12 +219,11 @@ def cholesky(s) -> np.ndarray:
     diagonal pivot is not strictly positive, and ``ShapeError`` when ``S``
     is not symmetric to ``1e-12 * norm(S, inf)``.
     """
-    s = as_matrix(s)
+    s = as_square(s, "cholesky")
     n = s.shape[0]
-    if n != s.shape[1]:
-        raise ShapeError(f"cholesky needs a square matrix, got {s.shape}")
-    sym_tol = norm_tol(s, 1e-12)
-    if np.abs(s - s.T).max() > sym_tol:
+    with np.errstate(over="ignore"):  # an infinite asymmetry fails the test below
+        asym = np.abs(s - s.T).max()
+    if asym > norm_tol(s, 1e-12):
         raise ShapeError("cholesky needs a symmetric matrix")
     l = np.zeros((n, n))
     for j in range(n):

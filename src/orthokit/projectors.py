@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficiencyError, ShapeError
-from .matrix import as_matrix, as_vector, norm
+from .matrix import as_matrix, as_square, as_vector, norm, require_finite
 from .qr import form_q, qr_pivoted
 
 __all__ = [
@@ -37,18 +37,17 @@ class ProjectorCheck:
 def is_projector(p, tol: float) -> ProjectorCheck:
     """Test idempotency: true iff ||P @ P - P||_F <= tol; the defect value
     is reported either way."""
-    p = as_matrix(p)
-    if p.shape[0] != p.shape[1]:
-        raise ShapeError(f"a projector must be square, got {p.shape}")
-    defect = norm(p @ p - p, "frobenius")
+    p = as_square(p, "a projector")
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        d = p @ p - p
+    require_finite("is_projector", d)
+    defect = norm(d, "frobenius")
     return ProjectorCheck(defect <= tol, defect)
 
 
 def complement(p) -> np.ndarray:
     """I - P: the complementary projector (range and null space swap)."""
-    p = as_matrix(p)
-    if p.shape[0] != p.shape[1]:
-        raise ShapeError(f"a projector must be square, got {p.shape}")
+    p = as_square(p, "a projector")
     return np.eye(p.shape[0]) - p
 
 
@@ -74,7 +73,9 @@ def projector_onto_range(a) -> np.ndarray:
 def projector_from_orthonormal(q1) -> np.ndarray:
     """Orthogonal projector Q1 @ Q1^T onto the span of orthonormal columns."""
     q1 = as_matrix(q1)
-    gram_defect = norm(q1.T @ q1 - np.eye(q1.shape[1]), "frobenius")
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite defect is not orthonormal
+        g = q1.T @ q1 - np.eye(q1.shape[1])
+    gram_defect = norm(g, "frobenius") if np.isfinite(g).all() else np.inf
     if gram_defect > 1e-10:
         raise ValueError(f"columns are not orthonormal (||Q^T Q - I||_F = {gram_defect:.3e})")
     return q1 @ q1.T
@@ -87,5 +88,8 @@ def split(b, p) -> tuple[np.ndarray, np.ndarray]:
     p = as_matrix(p)
     if p.shape[0] != p.shape[1] or p.shape[1] != b.size:
         raise ShapeError(f"projector {p.shape} does not match vector of length {b.size}")
-    pb = p @ b
-    return pb, b - pb
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        pb = p @ b
+        rest = b - pb
+    require_finite("split", rest)  # an Inf or NaN in pb carries into rest
+    return pb, rest

@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ShapeError
-from .matrix import DEFAULT_T_DIGITS, as_matrix, prescale, require_finite, unscale
+from .matrix import DEFAULT_T_DIGITS, as_matrix, as_square, prescale, require_finite, unscale
 from .reflectors import (
     BLOCK,
     GivensRotation,
@@ -169,9 +169,7 @@ def qr_hessenberg(h) -> QrFactorization:
     nonzero subdiagonal entries.  ``rotation_count`` on the result counts
     the non-identity rotations actually applied.
     """
-    a = as_matrix(h)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"Hessenberg QR needs a square matrix, got {a.shape}")
+    a = as_square(h, "Hessenberg QR")
     below = np.argwhere(np.tril(a, -2))
     if below.size:
         i, j = below[0]

@@ -31,7 +31,7 @@ import numpy as np
 from .bidiagonal import bidiagonal_svd
 from .errors import ConvergenceError, ShapeError, SingularMatrixError
 from .matrix import (
-    DEFAULT_T_DIGITS, as_matrix, as_vector, norm, norm_tol, pow2_scale, prescale, require_finite, unscale,
+    DEFAULT_T_DIGITS, as_matrix, as_square, as_vector, norm, norm_tol, pow2_scale, prescale, require_finite, unscale,
 )
 from .reflectors import BLOCK, HouseholderReflector, annihilate, reflect_all, rotate, subtract_product
 
@@ -262,16 +262,14 @@ def jacobi_eig(s, max_sweeps: int = 30):
     of diagonal entries stay finite; eigenvalues past the float64 range
     raise ``NumericalError``.
     """
-    s = as_matrix(s)
+    s = as_square(s, "jacobi_eig")
     n = s.shape[0]
-    if n != s.shape[1]:
-        raise ShapeError(f"jacobi_eig needs a square matrix, got {s.shape}")
     # |a_ij| <= ||S||_2 <= n max|S| throughout, so below the factor 4n
     # nothing can overflow and the sweep runs on S itself (not ``prescale``:
     # that would push entries far below max|S| into gradual underflow).
     top = float(np.abs(s).max())
     scale = pow2_scale(top) if top > np.finfo(float).max / (4 * n) else 1.0
-    s /= scale  # as_matrix returned a fresh copy
+    s /= scale  # as_square returned a fresh copy
     if np.abs(s - s.T).max() > norm_tol(s, 1e-10):
         raise ShapeError("jacobi_eig needs a symmetric matrix")
     av = np.hstack([0.5 * (s + s.T), np.eye(n)])

@@ -256,6 +256,9 @@ class TestCholesky:
         assert np.abs(l @ l.T / 1e308 - s / 1e308).max() <= 1e-15
         with pytest.raises(ShapeError, match="symmetric"):
             cholesky(np.array([[1e308, 0.9e308], [0.5e308, 1e308]]))
+        # S - S^T is +-3.4e308, past the float64 range: no RuntimeWarning.
+        with pytest.raises(ShapeError, match="symmetric"):
+            cholesky(np.array([[1e308, 1.7e308], [-1.7e308, 1e308]]))
 
 
 class TestPow2Scale:

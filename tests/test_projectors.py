@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from orthokit import (
+    NumericalError,
     QrMode,
     RankDeficiencyError,
     ShapeError,
@@ -223,8 +224,22 @@ class TestProjectorGeometry:
             assert norm2(obl) >= 1.0 - 1e-10
 
 
+BIG_P = 2.0**1020 * (np.eye(2) + 1.0)  # P @ P passes the float64 range
+
+
 @pytest.mark.parametrize("call, error, match", [
     pytest.param(lambda: complement(np.ones((2, 3))), ShapeError, "square", id="complement-shape"),
+    pytest.param(lambda: split(2.0**1020 * np.ones(2), BIG_P), NumericalError, "split", id="split-overflow"),
+    pytest.param(lambda: is_projector(BIG_P, 1.0), NumericalError, "is_projector", id="product-overflow"),
+    # P @ P is finite here; P @ P - P is not.
+    pytest.param(
+        lambda: is_projector([[-0.55, 1.5e308], [0.0, -0.55]], 1.0), NumericalError, "is_projector",
+        id="difference-overflow",
+    ),
+    pytest.param(
+        lambda: projector_from_orthonormal(2.0**1000 * np.ones((6, 2))), ValueError, "orthonormal",
+        id="gram-overflow",
+    ),
 ])
 def test_error_paths(call, error, match):
     with pytest.raises(error, match=match):

@@ -259,17 +259,17 @@ class TestHessenbergQr:
 
     def test_one_validated_copy_is_checked_and_swept(self, monkeypatch):
         qr_mod = importlib.import_module("orthokit.qr")
-        as_matrix, copies = qr_mod.as_matrix, []
+        as_square, copies = qr_mod.as_square, []
 
         def spy(a, *args, **kwargs):
             copies.append(a)
-            return as_matrix(a, *args, **kwargs)
+            return as_square(a, *args, **kwargs)
 
         rng = np.random.default_rng(47)
         h = np.triu(rng.standard_normal((9, 9)), -1)
         h[4, 3] = -0.0
         g = qr_givens(h)
-        monkeypatch.setattr(qr_mod, "as_matrix", spy)
+        monkeypatch.setattr(qr_mod, "as_square", spy)
         f = qr_hessenberg(h)
         assert len(copies) == 1
         for x, y in ((f.r, g.r), (f.q, g.q)):
