@@ -37,6 +37,7 @@ NUM_CLASSES = 10
 MODEL_MAGIC = b"OKDM"
 MODEL_VERSION = 1
 MODEL_DIM = 784  # the container format is fixed to 784-pixel images
+PIXEL_OFFSET, PIXEL_SCALE = 128.0, 48.0  # the CSV writer's pixels from unit-scale samples
 
 
 @dataclass
@@ -123,19 +124,16 @@ def read_digits_csv(path):
     raise ValueError(f"{path}: expected {MODEL_DIM} or {MODEL_DIM + 1} fields per row, got {raw.shape[1]}")
 
 
-def write_digits_csv(path, x, labels, offset: float = 128.0, scale: float = 48.0) -> None:
-    """Write samples in the labeled CSV format, quantized to 0..255.
-
-    Raw synthetic samples are roughly unit scale, so they are mapped
-    through ``offset + scale * value`` before rounding and clipping.
-    """
+def write_digits_csv(path, x, labels) -> None:
+    """Write samples in the labeled CSV format, mapped through
+    ``PIXEL_OFFSET + PIXEL_SCALE * value`` and quantized to 0..255."""
     x = as_matrix(x)
     labels = np.asarray(labels, dtype=float)
     if labels.size != x.shape[1]:
         raise ValueError(f"{labels.size} labels for {x.shape[1]} samples")
     if x.shape[0] != MODEL_DIM:
         raise ValueError(f"digit CSV requires {MODEL_DIM}-pixel samples, got {x.shape[0]}")
-    pixels = np.rint(offset + scale * x).clip(0, 255).astype(int)
+    pixels = np.rint(PIXEL_OFFSET + PIXEL_SCALE * x).clip(0, 255).astype(int)
     write_matrix_csv(np.column_stack((_checked_labels(path, labels), pixels.T)), path)
 
 

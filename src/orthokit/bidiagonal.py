@@ -40,6 +40,7 @@ from .reflectors import givens_params, rotate
 # of at most LEAF rows run the implicit QR.  Timed on bidiag_svd over
 # n = 40-160: leaves of 16, 20, 25 and 32 rows were within 4% of each other.
 LEAF = 25
+SWEEPS = 30  # the sweep budget of each implicit-QR run, per row of that run
 
 EPS = float(np.finfo(float).eps)
 
@@ -163,16 +164,14 @@ def _chase_zero_d(d, e, f, end, m):
             e[j + side] = c * e[j + side]
 
 
-def _qr_svd(d: list, e: list, u, v, max_sweeps: int | None) -> np.ndarray:
+def _qr_svd(d: list, e: list, u, v) -> np.ndarray:
     """Implicit-shift QR on the bidiagonal (d, e), Python lists updated in
     place until e is zero; returns |d| with the signs moved into ``u``.  The
     rotations go into the columns of ``v``, and of ``u`` (given only with
     ``v``), unless they are None.  Raises ``ConvergenceError`` with
-    ``partial`` = |d| (unsorted, in the lists' units) once ``max_sweeps``
-    sweeps (default 30 per row) are used up."""
+    ``partial`` = |d| (unsorted, in the lists' units) once SWEEPS sweeps
+    per row are used up."""
     n = len(d)
-    if max_sweeps is None:
-        max_sweeps = 30 * max(n, 1)
     eps = EPS  # a local: the walk below reads it once per entry
     sweeps = 0
     rec_u, rec_v = [], []  # the chains not yet applied to u and v
@@ -210,9 +209,9 @@ def _qr_svd(d: list, e: list, u, v, max_sweeps: int | None) -> np.ndarray:
             _chase_zero_d(d, e, f, end, m)
             continue
         sweeps += 1
-        if sweeps > max_sweeps:
+        if sweeps > SWEEPS * n:
             raise ConvergenceError(
-                f"bidiagonal SVD did not converge within {max_sweeps} sweeps", partial=np.abs(np.array(d))
+                f"bidiagonal SVD did not converge within {SWEEPS * n} sweeps", partial=np.abs(np.array(d))
             )
         rc, rs, lc, ls = _implicit_step(d, e, lo, hi, pow2_scale(scale))
         for m, rec, chain in ((v, rec_v, (lo, rc, rs)), (u, rec_u, (lo, lc, ls))):
@@ -238,19 +237,19 @@ def _qr_svd(d: list, e: list, u, v, max_sweeps: int | None) -> np.ndarray:
 # ``want_u``, u is None.
 
 
-def _dc(d, e, lo, hi, sqre, max_sweeps, want_u=True):
+def _dc(d, e, lo, hi, sqre, want_u=True):
     m = hi - lo
     if m <= LEAF:
-        return _dc_leaf(d, e, lo, hi, sqre, max_sweeps, want_u)
+        return _dc_leaf(d, e, lo, hi, sqre, want_u)
     # Rows lo:k form a k x (k+1) block (sqre = 1); row k couples it to the
     # lower block through alpha = d[k] and beta = e[k].
     k = lo + m // 2
-    upper = _dc(d, e, lo, k, 1, max_sweeps, want_u)
-    lower = _dc(d, e, k + 1, hi, sqre, max_sweeps, want_u)
+    upper = _dc(d, e, lo, k, 1, want_u)
+    lower = _dc(d, e, k + 1, hi, sqre, want_u)
     return _dc_merge(upper, float(d[k]), float(e[k]), lower, sqre)
 
 
-def _dc_leaf(d, e, lo, hi, sqre, max_sweeps, want_u=True):
+def _dc_leaf(d, e, lo, hi, sqre, want_u=True):
     m = hi - lo
     u, v = np.eye(m) if want_u else None, np.eye(m + sqre)
     dl, el = d[lo:hi].tolist(), e[lo : hi - 1 + sqre].tolist()
@@ -259,7 +258,7 @@ def _dc_leaf(d, e, lo, hi, sqre, max_sweeps, want_u=True):
         _chase_zero_d(dl, el, m, 0, v)
         el.pop()
     try:
-        sigma = _qr_svd(dl, el, u, v[:, :m], max_sweeps)
+        sigma = _qr_svd(dl, el, u, v[:, :m])
     except ConvergenceError as err:
         full = np.abs(d)  # the diagonal stands in for the rest of the piece
         full[lo:hi] = err.partial
@@ -475,15 +474,13 @@ def _secular_roots(d, z):
     return org, tau
 
 
-def bidiagonal_svd(d, e, want_uv: bool, max_sweeps: int | None):
+def bidiagonal_svd(d, e, want_uv: bool):
     """Singular values of the finite bidiagonal (d, e), sorted descending,
     and with ``want_uv`` the orthogonal (u, v) of B = u diag(sigma) v^T
-    (None otherwise).  ``max_sweeps`` is the sweep budget of each implicit-QR
-    run (default 30 per row of that run).  B is split and each piece scaled
-    on its own, as above; the values are the same bits with or without u, v."""
+    (None otherwise).  Each implicit-QR run has SWEEPS sweeps per row.  B is
+    split and each piece scaled on its own, as above; the values are the
+    same bits with or without u, v."""
     n = d.size
-    if max_sweeps is not None and max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
     # eps |d_i| + eps |d_i+1| cannot overflow near the float64 maximum.
     dl, el = d.tolist(), e.tolist()
     ends = [i + 1 for i in range(n - 1) if abs(el[i]) <= EPS * abs(dl[i]) + EPS * abs(dl[i + 1])] + [n]
@@ -495,9 +492,9 @@ def bidiagonal_svd(d, e, want_uv: bool, max_sweeps: int | None):
             de = np.concatenate((d[lo:hi], e[lo : hi - 1]))
             scale = prescale(de)
             if want_uv or m > LEAF:
-                up, sp, vp = _dc(de[:m], de[m:], 0, m, 0, max_sweeps, want_uv)
+                up, sp, vp = _dc(de[:m], de[m:], 0, m, 0, want_uv)
             else:
-                sp = _qr_svd(de[:m].tolist(), de[m:].tolist(), None, None, max_sweeps)
+                sp = _qr_svd(de[:m].tolist(), de[m:].tolist(), None, None)
             unscale("bidiagonal SVD", scale, sp)
             sigma[lo:hi] = sp
             if want_uv:

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import NumericalError, ShapeError
 from .lstsq import conditioning_report, solve, solve_normal, solve_qr, solve_qr_pivoted, solve_svd
 from .matrix import DEFAULT_T_DIGITS, read_matrix_csv, read_text, read_vector_csv
-from .qr import QrMode, form_q, qr_givens, qr_householder, qr_pivoted
+from .qr import form_q, qr_givens, qr_householder, qr_pivoted
 from .svd import singular_values, svd
 from .apps.digits import (
     NUM_CLASSES,
@@ -159,7 +159,7 @@ def _precision(args) -> int:
 def _cmd_qr(args, prec):
     a = read_matrix_csv(args.matrix)
     if args.method == "householder":
-        fact = qr_householder(a, QrMode.Q_AND_R if args.mode == "qr" else QrMode.R_ONLY)
+        fact = qr_householder(a, args.mode)
     elif args.method == "givens":
         fact = qr_givens(a)
     else:

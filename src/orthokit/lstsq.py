@@ -135,7 +135,7 @@ def solve_qr_pivoted(a, b, y_hat=None, t_digits: int = DEFAULT_T_DIGITS) -> Leas
         y_hat = np.asarray(y_hat, dtype=float).reshape(-1)
         if y_hat.size != n - r:
             raise ShapeError(f"y_hat must have length n - rank = {n - r}, got {y_hat.size}")
-        if y_hat.size and not np.isfinite(y_hat).all():
+        if not np.isfinite(y_hat).all():
             raise ValueError("y_hat entries must be finite")
     qtb = b.copy()
     reflect_all(f.reflectors, qtb[:, None], transpose=True)
@@ -184,7 +184,10 @@ def conditioning_report(a, b, x, eps_a: float = 0.0) -> ConditioningReport:
     bnorm = stable_norm(b)
     if bnorm == 0.0:
         raise ValueError("conditioning report needs a nonzero right-hand side")
-    cos_theta = min(1.0, max(0.0, stable_norm(a @ x) / bnorm))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        ax = a @ x
+    require_finite("conditioning_report", ax)
+    cos_theta = min(1.0, max(0.0, stable_norm(ax) / bnorm))
     theta = math.acos(cos_theta)
     rhs_bound = cond / cos_theta if cos_theta > 0.0 else math.inf
     matrix_bound = (cond * cond * math.tan(theta) + cond) * eps_a

@@ -92,6 +92,12 @@ def norm_tol(a: np.ndarray, rtol: float) -> float:
     return rtol * float(mag.sum(axis=1).max()) * s
 
 
+def frobenius(a: np.ndarray) -> float:
+    """||a||_F of a finite array, summed after ``prescale`` divides it in
+    place; Inf past the float64 range, for the caller to report."""
+    return prescale(a) * float(np.sqrt((a * a).sum()))
+
+
 def prescale(a: np.ndarray, axis: int | None = None):
     """Divide ``a`` in place by s = pow2_scale(max|a|) and return s: exact,
     and the squares of the scaled entries cannot overflow.  With ``axis``,
@@ -159,8 +165,7 @@ def norm(a, kind: str = "frobenius") -> float:
     raises ``NumericalError``."""
     a = as_matrix(a)
     if kind == "frobenius":
-        s = prescale(a)
-        value = float(np.sqrt((a * a).sum())) * s
+        value = frobenius(a)
     elif kind in ("inf", "one"):
         value = norm_tol(a if kind == "inf" else a.T, 1.0)
     else:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficiencyError, ShapeError
-from .matrix import as_matrix, as_square, as_vector, norm, require_finite
+from .matrix import as_matrix, as_square, as_vector, frobenius, require_finite
 from .qr import form_q, qr_pivoted
 
 __all__ = [
@@ -40,8 +40,8 @@ def is_projector(p, tol: float) -> ProjectorCheck:
     p = as_square(p, "a projector")
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         d = p @ p - p
-    require_finite("is_projector", d)
-    defect = norm(d, "frobenius")
+    defect = frobenius(d) if np.isfinite(d).all() else np.inf
+    require_finite("is_projector", defect)
     return ProjectorCheck(defect <= tol, defect)
 
 
@@ -75,7 +75,7 @@ def projector_from_orthonormal(q1) -> np.ndarray:
     q1 = as_matrix(q1)
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite defect is not orthonormal
         g = q1.T @ q1 - np.eye(q1.shape[1])
-    gram_defect = norm(g, "frobenius") if np.isfinite(g).all() else np.inf
+    gram_defect = frobenius(g) if np.isfinite(g).all() else np.inf
     if gram_defect > 1e-10:
         raise ValueError(f"columns are not orthonormal (||Q^T Q - I||_F = {gram_defect:.3e})")
     return q1 @ q1.T

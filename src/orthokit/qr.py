@@ -51,14 +51,10 @@ class QrMode(Enum):
 
     @classmethod
     def of(cls, mode) -> "QrMode":
-        if isinstance(mode, cls):
-            return mode
-        key = str(mode).strip().lower()
-        aliases = {"r": cls.R_ONLY, "r+u": cls.R_AND_REFLECTORS, "r&u": cls.R_AND_REFLECTORS,
-                   "ru": cls.R_AND_REFLECTORS, "qr": cls.Q_AND_R, "q&r": cls.Q_AND_R}
-        if key not in aliases:
-            raise ValueError(f"unknown QR mode {mode!r}; expected one of r, r+u, qr")
-        return aliases[key]
+        try:
+            return mode if isinstance(mode, cls) else cls(str(mode).strip().lower())
+        except ValueError:
+            raise ValueError(f"unknown QR mode {mode!r}; expected one of r, r+u, qr") from None
 
 
 @dataclass

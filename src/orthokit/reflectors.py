@@ -79,8 +79,6 @@ def _sign_nonneg(t: float) -> float:
 def stable_norm(x) -> float:
     """Euclidean norm with exact power-of-two prescaling, safe against
     overflow/underflow of the squared entries."""
-    if len(x) == 0:
-        return 0.0
     y = np.array(x, dtype=float)
     s = prescale(y)
     return float(s * np.sqrt(y @ y))

@@ -172,20 +172,20 @@ def _panel(t: np.ndarray, j0: int, nb: int, left: list, right: list) -> None:
     subtract_product(t[nb:, nb:], ux[nb:], yv[nb:].T)
 
 
-def bidiag_svd(b: Bidiagonal, max_sweeps: int | None = None):
+def bidiag_svd(b: Bidiagonal):
     """Singular values and rotation accumulations of a bidiagonal matrix.
 
     Returns ``(left, sigma, right)`` with orthogonal n x n ``left``/``right``
     such that B = left @ diag(sigma) @ right.T; sigma is nonnegative and
     sorted descending.  B is split at its negligible superdiagonal entries,
     and a piece of more than ``bidiagonal.LEAF`` rows goes through divide and
-    conquer, whose leaves of at most LEAF rows run the implicit QR.
-    ``max_sweeps`` is the sweep budget of each implicit-QR run (default 30
-    per row of that run); when a run exhausts it, ``ConvergenceError``
-    carries a partial spectrum of all n values, sorted descending: that
-    run's current diagonal on its rows and |B|'s diagonal on the others.
+    conquer, whose leaves of at most LEAF rows run the implicit QR.  Each
+    implicit-QR run has ``bidiagonal.SWEEPS`` (30) sweeps per row; when a
+    run exhausts them, ``ConvergenceError`` carries a partial spectrum of
+    all n values, sorted descending: that run's current diagonal on its
+    rows and |B|'s diagonal on the others.
     """
-    left, sigma, right = bidiagonal_svd(b.d, b.e, want_uv=True, max_sweeps=max_sweeps)
+    left, sigma, right = bidiagonal_svd(b.d, b.e, want_uv=True)
     return np.ascontiguousarray(left), sigma, np.ascontiguousarray(right)
 
 
@@ -207,7 +207,7 @@ def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
         u[:, k:] *= _peak_sign(u[:, k:])
 
 
-def svd(a, shape: str = "reduced", max_sweeps: int | None = None) -> SvdFactorization:
+def svd(a, shape: str = "reduced") -> SvdFactorization:
     """Singular value decomposition of any real matrix.
 
     ``shape`` selects the full (square u, vt) or reduced factors.  Wide
@@ -221,7 +221,7 @@ def svd(a, shape: str = "reduced", max_sweeps: int | None = None) -> SvdFactoriz
     a = np.asarray(a, dtype=float)
     wide = a.ndim == 2 and 0 < a.shape[0] < a.shape[1]
     left, bid, right = bidiagonalize(a.T if wide else a)
-    ub, sig, v = bidiagonal_svd(bid.d, bid.e, want_uv=True, max_sweeps=max_sweeps)
+    ub, sig, v = bidiagonal_svd(bid.d, bid.e, want_uv=True)
     m, n = max(a.shape), min(a.shape)
     # U = Q_L [U_B 0; 0 I] and V = Q_R V_B, for A^T if A is wide.
     u = np.eye(m, m if shape == "full" else n)
@@ -235,12 +235,12 @@ def svd(a, shape: str = "reduced", max_sweeps: int | None = None) -> SvdFactoriz
     return SvdFactorization(u=np.ascontiguousarray(u), sigma=sig, vt=np.ascontiguousarray(v.T), shape=shape)
 
 
-def singular_values(a, max_sweeps: int | None = None) -> np.ndarray:
+def singular_values(a) -> np.ndarray:
     """Singular values only (no factor accumulation)."""
     a = np.asarray(a, dtype=float)
     wide = a.ndim == 2 and 0 < a.shape[0] < a.shape[1]
     _, bid, _ = bidiagonalize(a.T if wide else a)
-    _, sig, _ = bidiagonal_svd(bid.d, bid.e, want_uv=False, max_sweeps=max_sweeps)
+    _, sig, _ = bidiagonal_svd(bid.d, bid.e, want_uv=False)
     return sig
 
 

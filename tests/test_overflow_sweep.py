@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import orthokit as ok
-from orthokit import LinAlgError, QrMode
+from orthokit import LinAlgError, NumericalError, QrMode
 from orthokit.apps import GrayImage, digits_classify, digits_train, image_compress, image_denoise
 from orthokit.apps import pca_fit, pca_reduce, polyfit
 
@@ -126,3 +126,9 @@ def test_finite_result_or_a_library_error(name, scale):
     except (LinAlgError, ValueError):
         return
     assert nonfinite(result) == []
+
+
+def test_conditioning_report_names_itself_when_ax_overflows():
+    x = inputs(SCALES["2^1015"])
+    with pytest.raises(NumericalError, match="^conditioning_report: "):
+        ok.conditioning_report(x.tall, x.v6, x.solution * SCALES["2^1015"])

@@ -225,6 +225,8 @@ class TestProjectorGeometry:
 
 
 BIG_P = 2.0**1020 * (np.eye(2) + 1.0)  # P @ P passes the float64 range
+BIG_DEFECT = np.zeros((4, 4))  # P @ P = 0, and ||P @ P - P||_F passes the float64 range
+BIG_DEFECT[0, 1] = BIG_DEFECT[2, 3] = 1.7e308
 
 
 @pytest.mark.parametrize("call, error, match", [
@@ -240,6 +242,12 @@ BIG_P = 2.0**1020 * (np.eye(2) + 1.0)  # P @ P passes the float64 range
         lambda: projector_from_orthonormal(2.0**1000 * np.ones((6, 2))), ValueError, "orthonormal",
         id="gram-overflow",
     ),
+    # Q^T Q - I is finite here; its Frobenius norm is not.
+    pytest.param(
+        lambda: projector_from_orthonormal([[1.3e154, 0.0], [0.0, 1.3e154]]), ValueError, "not orthonormal",
+        id="gram-norm-overflow",
+    ),
+    pytest.param(lambda: is_projector(BIG_DEFECT, 1.0), NumericalError, "^is_projector: ", id="defect-norm-overflow"),
 ])
 def test_error_paths(call, error, match):
     with pytest.raises(error, match=match):

@@ -79,9 +79,12 @@ class TestHouseholderQr:
 
     def test_mode_strings(self):
         assert QrMode.of("qr") is QrMode.Q_AND_R
-        assert QrMode.of("r&u") is QrMode.R_AND_REFLECTORS
-        with pytest.raises(ValueError, match="mode"):
-            QrMode.of("banana")
+        assert QrMode.of(" R+U\t") is QrMode.R_AND_REFLECTORS
+        assert QrMode.of("R") is QrMode.R_ONLY
+        assert QrMode.of(QrMode.R_ONLY) is QrMode.R_ONLY
+        for bad in ("banana", "r&u", "ru", "q&r"):
+            with pytest.raises(ValueError, match=r"^unknown QR mode .*; expected one of r, r\+u, qr$"):
+                QrMode.of(bad)
 
 
 class TestBlockedHouseholderQr:

@@ -265,18 +265,15 @@ class TestBidiagSvd:
             assert fro(left.T @ left - np.eye(n)) <= 1e-12 * n
             assert fro(right.T @ right - np.eye(n)) <= 1e-12 * n
 
-    def test_sweep_budget_exhaustion_carries_partial(self):
+    def test_sweep_budget_exhaustion_carries_partial(self, monkeypatch):
         rng = np.random.default_rng(73)
         bid = Bidiagonal(rng.standard_normal(12), rng.standard_normal(11))
-        with pytest.raises(ConvergenceError) as err:
-            bidiag_svd(bid, max_sweeps=1)
+        monkeypatch.setattr(bd_mod, "SWEEPS", 0)
+        with pytest.raises(ConvergenceError, match="within 0 sweeps") as err:
+            bidiag_svd(bid)
         partial = err.value.partial
         assert isinstance(partial, np.ndarray) and len(partial) == 12
         assert (np.diff(partial) <= 0.0).all()
-
-    def test_max_sweeps_validated(self):
-        with pytest.raises(ValueError, match="max_sweeps"):
-            bidiag_svd(Bidiagonal(np.ones(2), np.ones(1)), max_sweeps=0)
 
     def test_two_dimensional_superdiagonal_rejected(self):
         with pytest.raises(ShapeError, match="1-D"):
@@ -303,34 +300,33 @@ class TestBidiagSvd:
         _, sigma, _ = bidiag_svd(Bidiagonal([-4.0], []))
         assert np.array_equal(sigma, [4.0])
 
-    def test_sweep_budget_is_per_leaf_above_the_leaf_size(self):
-        # n = 60 goes through divide and conquer; one sweep per leaf is too
-        # few, and the partial spectrum still covers all 60 values.
+    def test_sweep_budget_is_per_leaf_above_the_leaf_size(self, monkeypatch):
+        # n = 60 goes through divide and conquer; a leaf without sweeps
+        # fails, and the partial spectrum still covers all 60 values.
         n = 60
         assert n > bd_mod.LEAF
         rng = np.random.default_rng(95)
         bid = Bidiagonal(rng.standard_normal(n), rng.standard_normal(n - 1))
+        monkeypatch.setattr(bd_mod, "SWEEPS", 0)
         with pytest.raises(ConvergenceError) as err:
-            bidiag_svd(bid, max_sweeps=1)
+            bidiag_svd(bid)
         partial = err.value.partial
         assert isinstance(partial, np.ndarray) and len(partial) == n
         assert (np.diff(partial) <= 0.0).all() and (partial >= 0.0).all()
         with pytest.raises(ConvergenceError):
-            svd(np.diag(bid.d) + np.diag(bid.e, 1), max_sweeps=1)
-        left, sigma, right = bidiag_svd(bid, max_sweeps=30 * bd_mod.LEAF)
-        assert np.array_equal(sigma, bidiag_svd(bid)[1])
+            svd(np.diag(bid.d) + np.diag(bid.e, 1))
 
-    def test_values_sweep_budget_is_per_leaf_above_the_leaf_size(self):
+    def test_values_sweep_budget_is_per_leaf_above_the_leaf_size(self, monkeypatch):
         # The same check without vectors: the values run the same leaves.
         n = 60
         rng = np.random.default_rng(95)
         b = np.diag(rng.standard_normal(n)) + np.diag(rng.standard_normal(n - 1), 1)
+        monkeypatch.setattr(bd_mod, "SWEEPS", 0)
         with pytest.raises(ConvergenceError) as err:
-            singular_values(b, max_sweeps=1)
+            singular_values(b)
         partial = err.value.partial
         assert isinstance(partial, np.ndarray) and len(partial) == n
         assert (np.diff(partial) <= 0.0).all() and (partial >= 0.0).all()
-        assert np.array_equal(singular_values(b, max_sweeps=30 * bd_mod.LEAF), singular_values(b))
 
     @pytest.mark.parametrize("m, n", [(26, 26), (60, 60), (156, 156), (400, 400), (200, 156), (120, 300)])
     def test_values_and_vectors_run_the_same_leaves(self, m, n, monkeypatch):
@@ -388,7 +384,7 @@ class TestDivideAndConquer:
             # |e_i| >> |d_i| above the split: the upper null vector is ~10^-2m
             # in its last entry, so z_0 falls below the deflation tolerance.
             d[: m // 2] *= 1e-4
-        u, sigma, v = bd_mod._dc(d, e, 0, m, sqre, None)
+        u, sigma, v = bd_mod._dc(d, e, 0, m, sqre)
         b = _dense_block(d, e, sqre)
         assert sigma.shape == (m,) and u.shape == (m, m) and v.shape == (m + sqre, m + sqre)
         assert (sigma >= 0.0).all()
@@ -405,7 +401,7 @@ class TestDivideAndConquer:
         rng = np.random.default_rng(97)
         m = self.L
         d, e = rng.standard_normal(m), rng.standard_normal(m)
-        u, sigma, v = bd_mod._dc(d, e, 0, m, 1, None)
+        u, sigma, v = bd_mod._dc(d, e, 0, m, 1)
         b = _dense_block(d, e, 1)
         assert fro(u * sigma @ v[:, :m].T - b) <= 10 * m * EPS * fro(b)
         assert np.abs(b @ v[:, m]).max() <= 10 * m * EPS * fro(b)
@@ -428,7 +424,7 @@ class TestDivideAndConquer:
         rng = np.random.default_rng(n)
         d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
         _, sigma, _ = bidiag_svd(Bidiagonal(d, e))
-        _, values, _ = bd_mod.bidiagonal_svd(d, e, False, None)
+        _, values, _ = bd_mod.bidiagonal_svd(d, e, False)
         assert np.abs(sigma - values).max() <= 10 * n * EPS * values[0]
 
 
@@ -596,7 +592,7 @@ class TestRotationChains:
             apply_chains(acc, chains)
 
         monkeypatch.setattr(bd_mod, "_apply_chains", flush_spy)
-        u, sigma, v = bd_mod._dc_leaf(d, e, 0, m, 0, None)
+        u, sigma, v = bd_mod._dc_leaf(d, e, 0, m, 0)
         kinds = {ev for ev in events if isinstance(ev, str)}
         assert kinds == {"column", "row"}
         for name in kinds:
@@ -617,7 +613,7 @@ class TestRotationChains:
         m = bd_mod.LEAF
         rng = np.random.default_rng(203 + sqre)
         d, e = rng.standard_normal(m), rng.standard_normal(m - 1 + sqre)
-        bd_mod._dc_leaf(d, e, 0, m, sqre, None)
+        bd_mod._dc_leaf(d, e, 0, m, sqre)
         # only the sqre pre-rotation: the random leaf never deflates
         assert callers == ["column"] * (m * sqre)
 
