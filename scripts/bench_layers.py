@@ -73,7 +73,6 @@ import argparse
 import dataclasses
 import gc
 import importlib
-import inspect
 import json
 import os
 import platform
@@ -128,8 +127,6 @@ def _cpu_model() -> str:
 def cases(ok, repeats):
     """``(layer, m, n, call, calls)`` for every row, on the package ``ok``."""
     bidiagonal_svd = importlib.import_module(ok.__name__ + ".bidiagonal").bidiagonal_svd
-    # A revision from before the sweep budget became a constant takes it as a fourth argument.
-    budget = (None,) if "max_sweeps" in inspect.signature(bidiagonal_svd).parameters else ()
     for n in LEAF_SIZES:
         a = np.random.default_rng(SEED + n).standard_normal((n, n))
         _, bid, _ = ok.bidiagonalize(a)
@@ -159,7 +156,7 @@ def cases(ok, repeats):
             "qr_householder": lambda: ok.qr_householder(a, "r+u"),
             "qr_pivoted": lambda: ok.qr_pivoted(a),
             "bidiagonalize": lambda: ok.bidiagonalize(a),
-            "phase2_values": lambda: bidiagonal_svd(bid.d, bid.e, False, *budget),
+            "phase2_values": lambda: bidiagonal_svd(bid.d, bid.e, False),
             "phase2_vectors": lambda: ok.bidiag_svd(bid),
             "svd": lambda: ok.svd(a, "reduced"),
             "numpy_svd": lambda: np.linalg.svd(a, full_matrices=False),

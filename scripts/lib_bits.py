@@ -22,12 +22,20 @@ The inputs each function takes beside A (a right-hand side, a square,
 triangular, symmetric or Hessenberg block, a projector, a reflector, a
 bidiagonal) are drawn or built with numpy from the same seed, not by the
 library, so a change in one kernel shows only on the routines that run it.
+A second, smaller corpus runs every function in ``orthokit.apps.__all__``
+(``APP_CALLS``) on small inputs at the shapes ``APP_SHAPES``, at the same
+four scales: polynomial fits, PCA, digit training and classification at 784
+pixels, image compression and denoising, and text scoring.  The models,
+images and term counts the apps take are built with numpy too.  The bytes
+that ``save_digit_model``, ``write_digits_csv`` and ``write_pgm`` write are
+compared, and each reader runs on what its own side's writer wrote.
+
 Results are compared with ``bench_layers.same_bits``; a call that raises is
 compared by the exception's type and message, and by
 ``ConvergenceError.partial``.  A ``RuntimeWarning`` is raised as an error,
 so a leaked warning is compared too.  The script prints every call whose
-results differ, and every core function the corpus does not call, then
-the number of calls, and exits 1 if there is any difference.
+results differ, and every core or app function the corpus does not call,
+then the number of calls, and exits 1 if there is any difference.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from bench_layers import package_at, same_bits  # one BLAS thread, and the worki
 import numpy as np
 
 import orthokit
+import orthokit.apps
 
 CORE = ("matrix", "reflectors", "qr", "projectors", "svd", "lstsq")
 SHAPES = ((1, 1), (1, 4), (4, 1), (2, 2), (3, 2), (2, 3), (6, 4), (4, 6), (10, 10), (25, 25), (26, 26),
@@ -57,6 +66,10 @@ SEED = 2025
 # they take the leading block, or rows, of at most this many rows.
 JACOBI_ROWS = 16
 GIVENS_ROWS = 60
+APP_SHAPES = ((6, 4), (12, 8), (40, 24))
+WORDS = ("the", "a", "of", "compute", "computing", "computed", "matrix", "matrices", "orthogonal",
+         "rotation", "rotations", "reflected", "singular", "values", "value", "basis")
+STOPWORDS = frozenset({"the", "a", "of"})
 
 
 def base(m: int, n: int, kind: str, rng) -> np.ndarray:
@@ -162,13 +175,72 @@ CALLS = {
 }
 
 
-def core_functions(ok) -> set:
-    """The functions in the ``__all__`` of each core module of ``ok``."""
-    names = set()
-    for mod in CORE:
-        module = importlib.import_module(f"{ok.__name__}.{mod}")  # ok.svd is the function
-        names.update(n for n in module.__all__ if inspect.isfunction(getattr(module, n)))
-    return names
+def app_inputs(m: int, n: int, exponent: int, rng) -> SimpleNamespace:
+    """What the app corpus passes, scaled by 2^exponent where the data has a
+    scale: ordinates, samples, pixels and term counts.  Digit samples and
+    bases have the container's 784 rows."""
+    s = 2.0**exponent
+    k = max(1, min(m, n) // 2)
+    x = rng.standard_normal((m, n))
+    pixels = rng.uniform(0.0, 255.0, (m, n))
+    counts = rng.integers(0, 3, (m, n)).astype(float)
+    return SimpleNamespace(
+        t=np.sort(rng.uniform(-1.0, 1.0, m)), y=rng.standard_normal(m) * s, degree=n // 2, x=x * s, k=k,
+        components=np.linalg.qr(rng.standard_normal((m, k)))[0], mean=x.mean(axis=1) * s, variances=np.ones(k),
+        classes=[rng.standard_normal((784, n)) * s for _ in range(10)],
+        bases=[np.linalg.qr(rng.standard_normal((784, k)))[0] for _ in range(10)],
+        digits=rng.standard_normal((784, m)) * s, labels=rng.integers(0, 10, m),
+        pixels=pixels * s, threshold=float(np.median(np.linalg.svd(pixels, compute_uv=False))) * s,
+        sentences=[" ".join(rng.choice(WORDS, m)) for _ in range(n)],
+        terms=[f"t{i}" for i in range(m)], counts=counts * s,
+    )
+
+
+def _model_file(apps, v) -> Path:
+    path = v.tmp / "model.okdm"
+    apps.save_digit_model(apps.DigitModel(v.bases, v.k), path)
+    return path
+
+
+def _digits_file(apps, v) -> Path:
+    path = v.tmp / "digits.csv"
+    apps.write_digits_csv(path, v.digits, v.labels)
+    return path
+
+
+def _pgm_file(apps, v) -> Path:
+    path = v.tmp / "image.pgm"
+    apps.write_pgm(apps.GrayImage(v.pixels), path)
+    return path
+
+
+# label -> call(apps, inputs), as CALLS; ``apps`` is the package's apps module.
+APP_CALLS = {
+    "polyfit": lambda apps, v: apps.polyfit(v.t, v.y, v.degree),
+    "pca_fit": lambda apps, v: apps.pca_fit(v.x, v.k),
+    "pca_fit-rows": lambda apps, v: apps.pca_fit(v.x.T, v.k, "rows"),
+    "pca_reduce": lambda apps, v: apps.pca_reduce(apps.PcaModel(v.mean, v.components, v.variances), v.x),
+    "synth_digit_data": lambda apps, v: apps.synth_digit_data(2, classes=3, seed=v.k, dim=v.t.size),
+    "digits_train": lambda apps, v: apps.digits_train(v.classes, v.k),
+    "digits_classify": lambda apps, v: apps.digits_classify(apps.DigitModel(v.bases, v.k), v.digits),
+    "save_digit_model": lambda apps, v: _model_file(apps, v).read_bytes(),
+    "load_digit_model": lambda apps, v: apps.load_digit_model(_model_file(apps, v)),
+    "write_digits_csv": lambda apps, v: _digits_file(apps, v).read_bytes(),
+    "read_digits_csv": lambda apps, v: apps.read_digits_csv(_digits_file(apps, v)),
+    "image_compress": lambda apps, v: apps.image_compress(apps.GrayImage(v.pixels), v.k),
+    "image_denoise": lambda apps, v: apps.image_denoise(apps.GrayImage(v.pixels), v.threshold),
+    "write_pgm": lambda apps, v: _pgm_file(apps, v).read_bytes(),
+    "read_pgm": lambda apps, v: apps.read_pgm(_pgm_file(apps, v)),
+    "tokenize": lambda apps, v: [apps.tokenize(sentence.upper()) for sentence in v.sentences],
+    "stem": lambda apps, v: [apps.stem(word) for word in WORDS],
+    "build_term_sentence": lambda apps, v: apps.build_term_sentence(v.sentences, STOPWORDS),
+    "summarize_scores": lambda apps, v: apps.summarize_scores(apps.TermSentenceMatrix(v.terms, v.counts)),
+}
+
+
+def functions(*modules) -> set:
+    """The functions in the ``__all__`` of each of ``modules``."""
+    return {n for module in modules for n in module.__all__ if inspect.isfunction(getattr(module, n))}
 
 
 @dataclass
@@ -192,12 +264,30 @@ def describe(result) -> str:
     return f"raised {result.error}: {result.message}" if isinstance(result, Raised) else "returned"
 
 
+def cases(ref):
+    """``(calls, tree, against, inputs, where)`` for each input of the core
+    corpus, then of the app corpus; ``tree`` and ``against`` are the modules
+    the calls take."""
+    for m, n in SHAPES:
+        for kind in KINDS:
+            for scale, exponent in SCALES.items():
+                rng = np.random.default_rng([SEED, m, n, KINDS.index(kind), exponent + 2000])
+                yield CALLS, orthokit, ref, inputs(m, n, kind, exponent, rng), f"{m}x{n} {kind} {scale}"
+    apps, ref_apps = orthokit.apps, importlib.import_module(ref.__name__ + ".apps")
+    for m, n in APP_SHAPES:
+        for scale, exponent in SCALES.items():
+            rng = np.random.default_rng([SEED, m, n, len(KINDS), exponent + 2000])
+            yield APP_CALLS, apps, ref_apps, app_inputs(m, n, exponent, rng), f"{m}x{n} {scale}"
+
+
 def main() -> int:
     if len(sys.argv) != 2:
         print(__doc__.strip().splitlines()[3].strip(), file=sys.stderr)
         return 2
     rev = sys.argv[1]
-    missing = sorted(core_functions(orthokit) - {label.split("-")[0] for label in CALLS})
+    called = {label.split("-")[0] for label in [*CALLS, *APP_CALLS]}
+    core = [importlib.import_module(f"orthokit.{mod}") for mod in CORE]  # orthokit.svd is the function
+    missing = sorted(functions(*core, orthokit.apps) - called)
     for name in missing:
         print(f"no corpus call for {name}")
     calls = diffs = 0
@@ -205,18 +295,14 @@ def main() -> int:
         ref = package_at(rev, str(Path(tmp, "rev")))
         files = Path(tmp, "files")
         files.mkdir()
-        for m, n in SHAPES:
-            for kind in KINDS:
-                for scale, exponent in SCALES.items():
-                    rng = np.random.default_rng([SEED, m, n, KINDS.index(kind), exponent + 2000])
-                    v = inputs(m, n, kind, exponent, rng)
-                    v.tmp = files
-                    for label, call in CALLS.items():
-                        tree, old = outcome(call, orthokit, v), outcome(call, ref, v)
-                        calls += 1
-                        if not same_bits(tree, old):
-                            diffs += 1
-                            print(f"{label} {m}x{n} {kind} {scale}: tree {describe(tree)}; {rev} {describe(old)}")
+        for corpus, tree_module, ref_module, v, where in cases(ref):
+            v.tmp = files
+            for label, call in corpus.items():
+                tree, old = outcome(call, tree_module, v), outcome(call, ref_module, v)
+                calls += 1
+                if not same_bits(tree, old):
+                    diffs += 1
+                    print(f"{label} {where}: tree {describe(tree)}; {rev} {describe(old)}")
     print(f"{calls - diffs} of {calls} calls bit-identical")
     return 1 if diffs or missing else 0
 

@@ -36,6 +36,7 @@ __all__ = [
 NUM_CLASSES = 10
 MODEL_MAGIC = b"OKDM"
 MODEL_VERSION = 1
+MODEL_HEADER = struct.Struct("<4sII")  # magic, version, k
 MODEL_DIM = 784  # the container format is fixed to 784-pixel images
 PIXEL_OFFSET, PIXEL_SCALE = 128.0, 48.0  # the CSV writer's pixels from unit-scale samples
 
@@ -167,28 +168,27 @@ def save_digit_model(model: DigitModel, path) -> None:
         if not np.isfinite(basis).all():
             raise ValueError(f"{path}: model entries must be finite (no NaN/Inf)")
     with open(path, "wb") as f:
-        f.write(MODEL_MAGIC)
-        f.write(struct.pack("<II", MODEL_VERSION, model.k))
+        f.write(MODEL_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, model.k))
         for basis in model.bases:
             f.write(np.ascontiguousarray(basis, dtype="<f8").tobytes(order="C"))
 
 
 def load_digit_model(path) -> DigitModel:
     with open(path, "rb") as f:
-        magic = f.read(4)
+        header = f.read(MODEL_HEADER.size)
+        magic = header[: len(MODEL_MAGIC)]
         if magic != MODEL_MAGIC:
             raise ValueError(f"{path}: not a digit model file (bad magic {magic!r})")
-        header = f.read(8)
-        if len(header) != 8:
+        if len(header) != MODEL_HEADER.size:
             raise ValueError(f"{path}: truncated model file")
-        version, k = struct.unpack("<II", header)
+        _, version, k = MODEL_HEADER.unpack(header)
         if version != MODEL_VERSION:
             raise ValueError(f"{path}: unsupported model version {version}")
         if k < 1:
             raise ValueError(f"{path}: model k must be >= 1, got {k}")
         # k comes from the file: check the size before allocating any block.
         count = NUM_CLASSES * MODEL_DIM * k
-        if os.fstat(f.fileno()).st_size < 12 + 8 * count:
+        if os.fstat(f.fileno()).st_size < MODEL_HEADER.size + 8 * count:
             raise ValueError(f"{path}: truncated model file")
         data = np.fromfile(f, dtype="<f8", count=count)
     if not np.isfinite(data).all():

@@ -294,11 +294,9 @@ def read_vector_csv(path) -> np.ndarray:
     raise ShapeError(f"{path}: expected a single row or column, got shape {m.shape}")
 
 
-def write_matrix_csv(a, path, precision: int = 17) -> None:
-    """Write ``a`` in the CSV interchange format.
-
-    ``precision`` counts significant digits; 17 round-trips float64 exactly.
-    """
+def write_matrix_csv(a, path) -> None:
+    """Write ``a`` in the CSV interchange format, to 17 significant digits,
+    which round-trip float64 exactly."""
     a = as_matrix(a)
     with open(path, "w", encoding="utf-8") as f:
-        np.savetxt(f, a, fmt=f"%.{precision}g", delimiter=",")
+        np.savetxt(f, a, fmt="%.17g", delimiter=",")

@@ -423,6 +423,6 @@ def distance_to_singular(a) -> SingularDistance:
     m, n = np.shape(a)
     if m != n:
         raise ShapeError(f"distance_to_singular needs a square matrix, got {(m, n)}")
-    if sig[-1] <= rank_threshold(a):
+    if numerical_rank(sig, rank_threshold(a)) < n:
         raise SingularMatrixError("matrix is numerically singular")
     return SingularDistance(float(sig[-1]), float(sig[-1] / sig[0]))

@@ -160,6 +160,16 @@ TINY_SYSTEM = (np.diag([1e-310, 1e-310]), np.ones(2))
 TALL_SYSTEM = (np.array([[1e-200, 0.0], [0.0, 1e-200], [1e-200, 1e-200]]), np.array([1e200, 1e200, 0.0]))
 BIG_SYSTEM = (np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]) * 1e200, np.array([1.0, 1.0, 2.0]))
 
+# Kahan's matrix diag(s^i) (I - c * strictly upper ones) at n = 90, c = 0.285,
+# and b = ones.  sigma_n = 8.8e-12 lies below the rank threshold 2.6e-11, so
+# its numerical rank is 89, but no pivot norm of its pivoted QR falls below
+# the threshold, so that factorization's rank is 90.
+_KAHAN_C = 0.285
+KAHAN_SYSTEM = (
+    np.sqrt(1.0 - _KAHAN_C**2) ** np.arange(90)[:, None] * (np.eye(90) - _KAHAN_C * np.triu(np.ones((90, 90)), 1)),
+    np.ones(90),
+)
+
 
 def triple_loop_matmul(a, b):
     m, k = a.shape

@@ -325,7 +325,7 @@ class TestCsv:
         rng = np.random.default_rng(7)
         a = rng.standard_normal((4, 3)) * 10.0 ** rng.integers(-12, 12, size=(4, 3))
         path = tmp_path / "m.csv"
-        write_matrix_csv(a, path, precision=17)
+        write_matrix_csv(a, path)
         back = read_matrix_csv(path)
         assert np.array_equal(a, back)
 

@@ -93,7 +93,7 @@ CALLS = {
 }
 
 # The residual norm of these solvers is an unscaled np.linalg.norm (the
-# CHANGES.md FOUND line on `residual_norm = inf`, ROADMAP item 7).
+# CHANGES.md FOUND line on `residual_norm = inf`).
 UNSCALED_RESIDUAL = {"solve", "solve_qr", "solve_qr_pivoted", "solve_svd", "polyfit"}
 
 
@@ -114,7 +114,7 @@ def cases():
         for name in CALLS:
             marks = ()
             if scale == "2^1015" and name in UNSCALED_RESIDUAL:
-                reason = "residual_norm is an unscaled np.linalg.norm (CHANGES FOUND line, ROADMAP item 7)"
+                reason = "residual_norm is an unscaled np.linalg.norm (CHANGES FOUND line)"
                 marks = pytest.mark.xfail(strict=True, raises=RuntimeWarning, reason=reason)
             yield pytest.param(name, scale, id=f"{name}-{scale}", marks=marks)
 

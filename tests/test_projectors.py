@@ -16,7 +16,7 @@ from orthokit import (
     split,
 )
 from orthokit import matrix, projectors
-from helpers import SURVEY_A, SURVEY_B, SURVEY_P, SURVEY_RESIDUAL, SURVEY_X, fro, random_rank_deficient
+from helpers import KAHAN_SYSTEM, SURVEY_A, SURVEY_B, SURVEY_P, SURVEY_RESIDUAL, SURVEY_X, fro, random_rank_deficient
 
 
 def oblique_projector(rng, m, k, skew=0.4):
@@ -137,6 +137,13 @@ class TestProjectorOntoRange:
         a = random_rank_deficient(rng, 6, 3, 2)
         with pytest.raises(RankDeficiencyError, match="SVD"):
             projector_onto_range(a)
+
+    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                       reason="projector_onto_range reads qr_pivoted's pivot-norm rank, 90 here, "
+                              "not the singular values' rank, 89")
+    def test_kahan_matrix_is_rank_deficient(self):
+        with pytest.raises(RankDeficiencyError):
+            projector_onto_range(KAHAN_SYSTEM[0])
 
 
 class TestProjectorFromOrthonormal:
