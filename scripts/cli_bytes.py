@@ -10,8 +10,10 @@ archive`` into a temporary directory.  Every ``orthokit.cli.run`` call is
 recorded: its argv, exit code (or the exception it raised), stdout and
 stderr, keyed by test id and call order, with pytest's temporary directory
 written as ``<tmp>``.  It prints how many calls matched, then each call that
-differs or that only one side made, and exits 1 if there is any.  Whether
-the tests pass does not matter here; their summary lines are printed too.
+differs or that only one side made, and exits 1 if there is any: a differing
+argv or exit code whole, a differing stdout or stderr as the unified diff of
+its lines from REV to the working tree, without context lines.  Whether the
+tests pass does not matter here; their summary lines are printed too.
 
 This file is also the pytest plugin that records the calls: ``-p
 cli_bytes`` with ``scripts`` on the path, writing one JSON line per call to
@@ -20,6 +22,7 @@ the file named by the environment variable ``CLI_BYTES_OUT``.
 
 from __future__ import annotations
 
+import difflib
 import io
 import json
 import os
@@ -117,9 +120,15 @@ def main() -> int:
         if a is None or b is None:
             print(f"  only in {'the working tree' if b is None else rev}")
             continue
-        for field in ("argv", "code", "stdout", "stderr"):
+        for field in ("argv", "code"):
             if a[field] != b[field]:
                 print(f"  {field}:\n    tree: {a[field]!r}\n    {rev}: {b[field]!r}")
+        for field in ("stdout", "stderr"):
+            if a[field] != b[field]:
+                print(f"  {field}:")
+                old, new = b[field].splitlines(keepends=True), a[field].splitlines(keepends=True)
+                for line in difflib.unified_diff(old, new, rev, "tree", n=0, lineterm=""):
+                    print("    " + line.removesuffix("\n"))
     return 1 if bad else 0
 
 

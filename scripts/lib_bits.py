@@ -12,9 +12,11 @@ default arguments (and the other ``norm`` kinds, ``svd``'s full shape), so
 both sides accept the call:
 
 - shapes from 1 x 1 to 300 x 120, tall, square and wide (``SHAPES``);
-- four kinds of matrix (``KINDS``): dense standard-normal, rank-deficient
+- five kinds of matrix (``KINDS``): dense standard-normal, rank-deficient
   (rank about half the smaller side), graded (rows and columns scaled down
-  to 2^-60) and zero-column (every third column zero);
+  to 2^-60), zero-column (every third column zero) and clustered (U diag(sigma)
+  V^T with the singular values in groups of four, each within 1e-13 relative
+  of the others);
 - four scales (``SCALES``): 2^0, 2^600, 2^-600 and 2^-1064, where every
   entry is subnormal.
 
@@ -59,7 +61,7 @@ import orthokit.apps
 CORE = ("matrix", "reflectors", "qr", "projectors", "svd", "lstsq")
 SHAPES = ((1, 1), (1, 4), (4, 1), (2, 2), (3, 2), (2, 3), (6, 4), (4, 6), (10, 10), (25, 25), (26, 26),
           (40, 30), (30, 40), (60, 60), (60, 150), (300, 120))
-KINDS = ("dense", "rank-deficient", "graded", "zero-column")
+KINDS = ("dense", "rank-deficient", "graded", "zero-column", "clustered")
 SCALES = {"2^0": 0, "2^600": 600, "2^-600": -600, "2^-1064": -1064}
 SEED = 2025
 # jacobi_eig's cyclic sweep and qr_givens are Python loops over rotations:
@@ -82,6 +84,11 @@ def base(m: int, n: int, kind: str, rng) -> np.ndarray:
         a *= np.exp2(-np.linspace(0.0, 60.0, m))[:, None] * np.exp2(-np.linspace(0.0, 60.0, n))
     elif kind == "zero-column":
         a[:, ::3] = 0.0
+    elif kind == "clustered":
+        k = min(m, n)
+        u, v = np.linalg.qr(a)[0], np.linalg.qr(rng.standard_normal((n, k)))[0]
+        sigma = np.repeat(rng.uniform(1.0, 10.0, -(-k // 4)), 4)[:k] * (1.0 + 1e-13 * rng.uniform(-0.5, 0.5, k))
+        a = (u * sigma) @ v.T
     return a
 
 

@@ -45,9 +45,9 @@ class LeastSquaresSolution:
 
 @dataclass
 class ConditioningReport:
-    """Sensitivity summary for min ||Ax - b||: cond2(A), the angle theta
-    between b and Ax, and first-order perturbation bounds for the right-hand
-    side (cond / cos theta) and the matrix ((cond^2 tan theta + cond) eps_A).
+    """Sensitivity of min ||Ax - b||: cond2(A), the angle theta between b
+    and Ax, and the first-order factors by which a relative perturbation of
+    b (cond / cos theta) or of A (cond^2 tan theta + cond) can grow in x.
     """
 
     cond: float
@@ -111,10 +111,9 @@ def solve_qr(a, b) -> LeastSquaresSolution:
             f"R diagonal entry {i} is negligible ({diag[i]:.3e} <= {tol:.3e}); "
             "use solve_qr_pivoted or solve_svd"
         )
-    qtb = b.copy()
-    reflect_all(f.reflectors, qtb[:, None], transpose=True)
-    x = back_sub(f.r[:n, :n], qtb[:n])
-    residual = float(np.linalg.norm(qtb[n:]))
+    reflect_all(f.reflectors, b[:, None], transpose=True)  # b is _matching's copy
+    x = back_sub(f.r[:n, :n], b[:n])
+    residual = float(np.linalg.norm(b[n:]))
     return LeastSquaresSolution(x=x, residual_norm=residual, method="qr", rank=n)
 
 
@@ -169,12 +168,11 @@ def solve(a, b) -> LeastSquaresSolution:
     return solve_qr(a, b) if full_rank else solve_svd(a, b)
 
 
-def conditioning_report(a, b, x, eps_a: float = 0.0) -> ConditioningReport:
+def conditioning_report(a, b, x) -> ConditioningReport:
     """Evaluate the sensitivity of a computed least-squares solution.
 
     ``cos_theta = ||Ax|| / ||b||`` is clamped to [0, 1] before the arccos.
-    ``eps_a`` is the relative matrix perturbation ||E|| / ||A|| the matrix
-    bound should be evaluated at.
+    The matrix bound is finite: cond < sqrt(m) 1e12, tan theta < 1.7e16.
     """
     cond = cond2(a)
     a, b = _matching(a, b)
@@ -190,7 +188,7 @@ def conditioning_report(a, b, x, eps_a: float = 0.0) -> ConditioningReport:
     cos_theta = min(1.0, max(0.0, stable_norm(ax) / bnorm))
     theta = math.acos(cos_theta)
     rhs_bound = cond / cos_theta if cos_theta > 0.0 else math.inf
-    matrix_bound = (cond * cond * math.tan(theta) + cond) * eps_a
+    matrix_bound = cond * cond * math.tan(theta) + cond
     return ConditioningReport(
         cond=cond,
         cos_theta=cos_theta,

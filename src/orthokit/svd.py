@@ -105,8 +105,8 @@ def bidiagonalize(a):
     sweep runs over panels of ``BLOCK`` columns (``_panel``, LAPACK
     xGEBRD/xLABRD); the rest of the matrix, and every matrix below the
     crossover, takes one rank-1 update per reflector (xGEBD2).  The sweep
-    runs on a column-major copy of A, as LAPACK's does; d and e are copied
-    out of it.
+    runs on a column-major copy of A, as LAPACK's does; ``Bidiagonal``
+    copies d and e out of it.
     """
     b = as_matrix(a, order="F")  # a fresh column-major copy, swept in place
     m, n = b.shape
@@ -129,9 +129,9 @@ def bidiagonalize(a):
             h = annihilate(b[k:, k + 1 :].T, k + 1)
             if h is not None:
                 right.append(h)
-    d, e = np.diagonal(b).copy(), np.diagonal(b, 1).copy()  # diagonal views are read-only
-    unscale("bidiagonalize", scale, d, e)
-    return left, Bidiagonal(d, e), right
+    bd = Bidiagonal(np.diagonal(b), np.diagonal(b, 1))  # which copies the read-only views
+    unscale("bidiagonalize", scale, bd.d, bd.e)
+    return left, bd, right
 
 
 def _panel(t: np.ndarray, j0: int, nb: int, left: list, right: list) -> None:
@@ -263,6 +263,8 @@ def jacobi_eig(s, max_sweeps: int = 30):
     raise ``NumericalError``.
     """
     s = as_square(s, "jacobi_eig")
+    if max_sweeps < 0:
+        raise ValueError(f"max_sweeps must be >= 0, got {max_sweeps}")
     n = s.shape[0]
     # |a_ij| <= ||S||_2 <= n max|S| throughout, so below the factor 4n
     # nothing can overflow and the sweep runs on S itself (not ``prescale``:

@@ -44,6 +44,7 @@ class TestSolve:
         assert "x = 1236.000000, 1943.000000, 2416.000000" in out
         assert "rank = 3" in out
         assert any(line.startswith("cond = 2.000000") for line in out)
+        assert "matrix_sensitivity_bound = 2.006500" in out
 
     def test_method_selection(self, capsys, survey_files):
         a, b = survey_files

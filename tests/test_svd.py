@@ -851,6 +851,11 @@ class TestJacobi:
         lam, v = jacobi_eig(np.array([[17.0, 8.0], [8.0, 17.0]]))
         assert np.abs(lam - [25.0, 9.0]).max() <= 1e-12
 
+    def test_negative_sweep_budget_rejected(self):
+        # A negative budget would run no sweep and return the diagonal as the eigenvalues.
+        with pytest.raises(ValueError, match="max_sweeps must be >= 0, got -1"):
+            jacobi_eig(np.array([[2.0, 1.0], [1.0, 2.0]]), max_sweeps=-1)
+
     def test_diagonal_input(self):
         lam, v = jacobi_eig(np.diag([1.0, 7.0, 4.0]))
         assert np.array_equal(lam, [7.0, 4.0, 1.0])
