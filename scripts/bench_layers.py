@@ -40,16 +40,25 @@ these rows, over twenty times ``--repeats`` calls each, from the seed
   ``projector_onto_range`` of a standard-normal 2n x n matrix, both drawn
   after the Hessenberg matrix
 
+The small least-squares shapes of the small-batch workload get a
+``solve_qr_pivoted`` row at 12 x 6 and 32 x 16 and a ``solve_qr`` row at
+18 x 16 and 40 x 30, over twenty times ``--repeats`` calls each: a
+standard-normal m x n matrix and m-vector from the seed 4242 + m + n.
+
 Each tall shape m x n in 600 x 60, 1000 x 100 and 1500 x 120 gets one
 standard-normal matrix from the seed 4242 + m + n, timed in the rows
 ``qr_householder``, ``qr_pivoted``, ``form_q`` (the thin m x n Q from the
 ``r+u`` reflectors), ``back_sub`` (that R's n x n block, one standard-normal
 right-hand side from the same seed), ``forward_sub`` (the transpose of that
 block, the same right-hand side), ``solve`` (the default least-squares route
-on A, a standard-normal m-vector drawn after A and b), ``split`` (that
-m-vector split by the ``projector_onto_range`` of A), ``bidiagonalize``,
-``singular_values`` and ``numpy_svdvals`` (``numpy.linalg.svd`` without
-vectors, the ceiling).
+on A, a standard-normal m-vector drawn after A and b), ``solve_qr_pivoted``
+(the same system), ``split`` (that m-vector split by the
+``projector_onto_range`` of A), ``bidiagonalize``, ``singular_values`` and
+``numpy_svdvals`` (``numpy.linalg.svd`` without vectors, the ceiling).
+
+Two more ``singular_values`` rows, at 60 x 60 and 300 x 120, take the
+clustered kind of ``lib_bits.py`` (U diag(sigma) V^T with the singular values
+in groups of four within 1e-13 relative) from the seed 4242 + m + n.
 
 A row gives the minimum and the median wall time over ``--repeats`` calls
 (a third as many, at least two, at n = 400).
@@ -97,6 +106,8 @@ SIZES = (44, 81, 118, 156, 400)
 LEAF_SIZES = (6, 16, 25)
 ROTATION_SIZES = (6, 10, 16)
 TALL = ((600, 60), (1000, 100), (1500, 120))
+SMALL_LSTSQ = {"solve_qr_pivoted": ((12, 6), (32, 16)), "solve_qr": ((18, 16), (40, 30))}
+CLUSTERED = ((60, 60), (300, 120))
 SEED = 4242
 # Alternating pairs per row with --against: at 61, an unchanged tree read
 # within 1 +- 0.02 on 57 of 59 rows (within 1 +- 0.035 on all) on a noisy
@@ -149,6 +160,11 @@ def cases(ok, repeats):
         if n in (6, 16):
             p, v = ok.projector_onto_range(rng.standard_normal((2 * n, n))), rng.standard_normal(2 * n)
             yield "split", 2 * n, n, lambda: ok.split(v, p), 20 * repeats
+    for layer, shapes in SMALL_LSTSQ.items():
+        for m, n in shapes:
+            rng = np.random.default_rng(SEED + m + n)
+            a, c = rng.standard_normal((m, n)), rng.standard_normal(m)
+            yield layer, m, n, lambda: getattr(ok, layer)(a, c), 20 * repeats
     for n in SIZES:
         a = np.random.default_rng(SEED + n).standard_normal((n, n))
         _, bid, _ = ok.bidiagonalize(a)
@@ -176,6 +192,7 @@ def cases(ok, repeats):
             "back_sub": lambda: ok.back_sub(f.r[:n], b),
             "forward_sub": lambda: ok.forward_sub(f.r[:n].T, b),
             "solve": lambda: ok.solve(a, c),
+            "solve_qr_pivoted": lambda: ok.solve_qr_pivoted(a, c),
             "split": lambda: ok.split(c, p),
             "bidiagonalize": lambda: ok.bidiagonalize(a),
             "singular_values": lambda: ok.singular_values(a),
@@ -183,6 +200,11 @@ def cases(ok, repeats):
         }
         for layer, fn in layers.items():
             yield layer, m, n, fn, repeats
+    from lib_bits import base  # lib_bits imports this module
+
+    for m, n in CLUSTERED:
+        a = base(m, n, "clustered", np.random.default_rng(SEED + m + n))
+        yield "singular_values", m, n, lambda: ok.singular_values(a), repeats
 
 
 def rows(repeats):

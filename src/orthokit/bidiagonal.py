@@ -92,11 +92,9 @@ def _wilkinson_mu(d, e, lo, hi, w):
     t11 = dm * dm + em1 * em1
     t12 = dm * em
     t22 = dn * dn + em * em
-    if t12 == 0.0:
-        return t22
     half = 0.5 * (t11 - t22)
     root = math.hypot(half, t12)
-    denom = half + (root if half >= 0.0 else -root)  # |denom| >= root >= |t12| > 0
+    denom = half + (root if half >= 0.0 else -root)  # |denom| >= root >= |t12| > 0, the block unreduced
     # associated as t12 * (t12 / denom): t12^2 alone could underflow
     return t22 - t12 * (t12 / denom)
 

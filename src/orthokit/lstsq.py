@@ -138,14 +138,10 @@ def solve_qr_pivoted(a, b, y_hat=None, t_digits: int = DEFAULT_T_DIGITS) -> Leas
             raise ValueError("y_hat entries must be finite")
     qtb = b.copy()
     reflect_all(f.reflectors, qtb[:, None], transpose=True)
-    if r > 0:
-        rhs = qtb[:r] - f.r[:r, r:] @ y_hat
-        y_tilde = back_sub(f.r[:r, :r], rhs)
-    else:
-        y_tilde = np.zeros(0)
-    y = np.concatenate([y_tilde, y_hat])
     x = np.zeros(n)
-    x[f.perm] = y
+    x[f.perm[r:]] = y_hat
+    if r:
+        x[f.perm[:r]] = back_sub(f.r[:r, :r], qtb[:r] - f.r[:r, r:] @ y_hat)
     return _solution(a, b, x, "qr_pivoted", r, n - r)
 
 

@@ -40,7 +40,7 @@ def is_projector(p, tol: float) -> ProjectorCheck:
     p = as_square(p, "a projector")
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         d = p @ p - p
-    defect = frobenius(d) if np.isfinite(d).all() else np.inf
+    defect = frobenius(d)  # Inf or NaN past the float64 range
     require_finite("is_projector", defect)
     return ProjectorCheck(defect <= tol, defect)
 

@@ -105,13 +105,8 @@ def qr_householder(a, mode=QrMode.Q_AND_R) -> QrFactorization:
             reflect_all(panel, r[:, j1:], transpose=True)
         reflectors += panel
     unscale("qr_householder", scale, r)
-    r = np.ascontiguousarray(r)
-    if mode is QrMode.R_ONLY:
-        return QrFactorization(r=r)
-    if mode is QrMode.R_AND_REFLECTORS:
-        return QrFactorization(r=r, reflectors=reflectors)
-    q = form_q(reflectors, m)
-    return QrFactorization(r=r, q=q, reflectors=reflectors)
+    q = form_q(reflectors, m) if mode is QrMode.Q_AND_R else None
+    return QrFactorization(r=np.ascontiguousarray(r), q=q, reflectors=None if mode is QrMode.R_ONLY else reflectors)
 
 
 def form_q(reflectors, m: int, cols: int | None = None) -> np.ndarray:

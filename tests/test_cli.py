@@ -5,7 +5,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from orthokit import cli
+from orthokit import cli, qr_givens, qr_householder, qr_pivoted
 from orthokit.cli import run
 from orthokit.matrix import write_matrix_csv
 from orthokit.apps import GrayImage, write_pgm
@@ -45,6 +45,11 @@ class TestSolve:
         assert "rank = 3" in out
         assert any(line.startswith("cond = 2.000000") for line in out)
         assert "matrix_sensitivity_bound = 2.006500" in out
+
+    def test_full_rank_prints_no_free_params(self, capsys, survey_files):
+        out, _ = run_lines(capsys, ["solve", *survey_files])
+        assert "rank = 3" in out
+        assert not [line for line in out if line.startswith("free_params")]
 
     def test_method_selection(self, capsys, survey_files):
         a, b = survey_files
@@ -99,6 +104,27 @@ class TestQrCommand:
         out, _ = run_lines(capsys, ["qr", str(path), "--mode", "r"])
         assert out[0] == "R ="
         assert out[1].startswith("-1.732051")
+
+    @pytest.mark.parametrize("mode", ["qr", "r"])
+    def test_q_block_only_in_qr_mode(self, capsys, tmp_path, mode):
+        path = tmp_path / "a.csv"
+        write_matrix_csv(SURVEY_A, path)
+        out, _ = run_lines(capsys, ["qr", str(path), "--method", "pivoted", "--mode", mode])
+        m = SURVEY_A.shape[0]
+        assert out[: 1 + m] == list(cli._matrix_lines("R", qr_pivoted(SURVEY_A).r, 6))
+        if mode == "qr":
+            assert out[1 + m] == "Q =" and len(out) == 2 * (1 + m) + 2
+        else:
+            assert "Q =" not in out and len(out) == 1 + m + 2
+
+    @pytest.mark.parametrize("method, qr", [("householder", qr_householder), ("givens", qr_givens)])
+    def test_unpivoted_methods_print_only_r_and_q(self, capsys, tmp_path, method, qr):
+        # No perm and no rank: these factorizations carry neither.
+        path = tmp_path / "a.csv"
+        write_matrix_csv(SURVEY_A, path)
+        out, _ = run_lines(capsys, ["qr", str(path), "--method", method])
+        f = qr(SURVEY_A)
+        assert out == list(cli._matrix_lines("R", f.r, 6)) + list(cli._matrix_lines("Q", f.q, 6))
 
     def test_pivoted_reports_perm_and_rank(self, capsys, tmp_path):
         path = tmp_path / "a.csv"
@@ -360,6 +386,7 @@ class TestImageCommands:
         assert dst.exists()
         out2, _ = run_lines(capsys, ["denoise", str(src), str(tmp_path / "d.pgm"), "--threshold", "10"])
         assert (tmp_path / "d.pgm").exists()
+        assert out2 == []  # not even an empty line
 
     def test_denoise_nan_threshold_is_an_input_error(self, capsys, tmp_path):
         write_pgm(GrayImage(np.full((4, 3), 100.0)), tmp_path / "in.pgm")
@@ -410,6 +437,18 @@ class TestDigitsWorkflow:
         assert any(line.startswith("labels = ") for line in out)
         acc_lines = [line for line in out if line.startswith("accuracy = ")]
         assert acc_lines and float(acc_lines[0].split("=")[1]) == 1.0
+
+    def test_unlabeled_classify_prints_no_accuracy(self, capsys, tmp_path):
+        from orthokit.apps import synth_digit_data, write_digits_csv
+
+        data, model = tmp_path / "digits.csv", tmp_path / "model.okdm"
+        write_digits_csv(data, *synth_digit_data(2, classes=10, seed=9))
+        run_lines(capsys, ["digits", "train", str(data), "--k", "1", "--model", str(model)])
+        # the same pixels without the label field
+        unlabeled = tmp_path / "unlabeled.csv"
+        unlabeled.write_text("".join(line.split(",", 1)[1] for line in data.read_text().splitlines(True)[:3]))
+        out, _ = run_lines(capsys, ["digits", "classify", "--model", str(model), str(unlabeled)])
+        assert [line.split(" = ")[0] for line in out] == ["residuals[0]", "residuals[1]", "residuals[2]", "labels"]
 
     def test_train_from_directory(self, capsys, tmp_path):
         from orthokit.apps import synth_digit_data

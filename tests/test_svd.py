@@ -516,6 +516,31 @@ class TestBlockFarBelowTheLargestEntry:
         for values in (sigma, singular_values(b)):
             assert np.abs(values - ref).max() <= tol * ref[0]
 
+    @pytest.mark.parametrize("kind", ["d-peak", "e-peak", "d-falls", "d-rises"])
+    def test_each_shift_is_taken_over_its_blocks_largest_entry(self, monkeypatch, kind):
+        # Graded by 2^-8 a row away from the peak, so a scale taken from
+        # another entry of the block is another power of two.
+        n = 12
+        rng = np.random.default_rng(len(kind))
+        rows = np.arange(n)
+        peak = -8 * np.abs(rows - n // 2)
+        grade = {"d-peak": peak, "e-peak": 0 * rows, "d-falls": -8 * rows, "d-rises": 8 * rows - 100}[kind]
+        d = np.ldexp(rng.uniform(0.5, 1.0, n), grade)
+        if kind == "e-peak":  # e above d, peaking in the middle
+            e = np.ldexp(rng.uniform(0.5, 1.0, n - 1), 8 + peak[:-1])
+        else:
+            e = d[:-1] * rng.uniform(0.25, 0.5, n - 1)
+        steps = []
+        step = bd_mod._implicit_step
+
+        def spy(dl, el, lo, hi, w):
+            steps.append((w, bd_mod.pow2_scale(max(map(abs, dl[lo : hi + 1] + el[lo:hi])))))
+            return step(dl, el, lo, hi, w)
+
+        monkeypatch.setattr(bd_mod, "_implicit_step", spy)
+        bidiag_svd(Bidiagonal(d, e))
+        assert steps and all(w == expected for w, expected in steps)
+
     def test_bidiagonal_with_a_tiny_trailing_block(self):
         d, e = np.array([1.0, 1.0, 1e-200, 2e-200, 3e-200]), np.array([0.5, 0.0, 1e-200, 1e-200])
         b = np.diag(d) + np.diag(e, 1)
@@ -606,6 +631,21 @@ class TestRotationChains:
         assert fro(v.T @ v - np.eye(m)) <= tol
         ref = np.linalg.svd(b, compute_uv=False)
         assert np.abs(np.sort(sigma)[::-1] - ref).max() <= tol * ref[0]
+
+    def test_a_long_leaf_multiplies_at_most_leaf_chains_at_once(self, monkeypatch):
+        sizes = []
+        chain_factors = bd_mod._chain_factors
+
+        def spy(chains, n):
+            sizes.append(len(chains))
+            return chain_factors(chains, n)
+
+        monkeypatch.setattr(bd_mod, "_chain_factors", spy)
+        m = bd_mod.LEAF
+        rng = np.random.default_rng(205)
+        bd_mod._dc_leaf(rng.standard_normal(m), rng.standard_normal(m - 1), 0, m, 0)
+        assert sum(sizes) > 2 * bd_mod.LEAF  # one chain for u and one for v a sweep
+        assert max(sizes) <= bd_mod.LEAF
 
     @pytest.mark.parametrize("sqre", [0, 1])
     def test_leaves_rotate_only_to_deflate(self, monkeypatch, sqre):
