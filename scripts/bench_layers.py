@@ -40,10 +40,15 @@ these rows, over twenty times ``--repeats`` calls each, from the seed
   ``projector_onto_range`` of a standard-normal 2n x n matrix, both drawn
   after the Hessenberg matrix
 
-The small least-squares shapes of the small-batch workload get a
-``solve_qr_pivoted`` row at 12 x 6 and 32 x 16 and a ``solve_qr`` row at
-18 x 16 and 40 x 30, over twenty times ``--repeats`` calls each: a
-standard-normal m x n matrix and m-vector from the seed 4242 + m + n.
+``solve_qr`` gets a row at 18 x 16 and 40 x 30, where the rule that picks
+how Q^T b is applied would change (ROADMAP item 5), over twenty times
+``--repeats`` calls each: a standard-normal m x n matrix and m-vector from
+the seed 4242 + m + n.
+
+``solve_qr_pivoted`` gets a row for each system that the lstsq-tall workload
+sends it: 600 x 60 of rank 40, 1200 x 100 of rank 70 and 900 x 80 of full
+rank, built as ``bench/workloads.py`` builds them (``gen.matrix`` with that
+rank, unscaled, then ``gen.rhs_with_residual``) from the seed 4242 + m + n.
 
 Each tall shape m x n in 600 x 60, 1000 x 100 and 1500 x 120 gets one
 standard-normal matrix from the seed 4242 + m + n, timed in the rows
@@ -51,10 +56,10 @@ standard-normal matrix from the seed 4242 + m + n, timed in the rows
 ``r+u`` reflectors), ``back_sub`` (that R's n x n block, one standard-normal
 right-hand side from the same seed), ``forward_sub`` (the transpose of that
 block, the same right-hand side), ``solve`` (the default least-squares route
-on A, a standard-normal m-vector drawn after A and b), ``solve_qr_pivoted``
-(the same system), ``split`` (that m-vector split by the
-``projector_onto_range`` of A), ``bidiagonalize``, ``singular_values`` and
-``numpy_svdvals`` (``numpy.linalg.svd`` without vectors, the ceiling).
+on A, a standard-normal m-vector drawn after A and b), ``split`` (that
+m-vector split by the ``projector_onto_range`` of A), ``bidiagonalize``,
+``singular_values`` and ``numpy_svdvals`` (``numpy.linalg.svd`` without
+vectors, the ceiling).
 
 Two more ``singular_values`` rows, at 60 x 60 and 300 x 120, take the
 clustered kind of ``lib_bits.py`` (U diag(sigma) V^T with the singular values
@@ -96,9 +101,11 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.append(str(ROOT / "bench"))  # gen, the workloads' input generators
 
 import numpy as np  # noqa: E402
 
+import gen  # noqa: E402
 import orthokit  # noqa: E402
 from cli_bytes import package_source_at  # noqa: E402
 
@@ -106,7 +113,8 @@ SIZES = (44, 81, 118, 156, 400)
 LEAF_SIZES = (6, 16, 25)
 ROTATION_SIZES = (6, 10, 16)
 TALL = ((600, 60), (1000, 100), (1500, 120))
-SMALL_LSTSQ = {"solve_qr_pivoted": ((12, 6), (32, 16)), "solve_qr": ((18, 16), (40, 30))}
+SOLVE_QR = ((18, 16), (40, 30))
+PIVOTED = ((600, 60, 40), (1200, 100, 70), (900, 80, 80))  # m, n, rank
 CLUSTERED = ((60, 60), (300, 120))
 SEED = 4242
 # Alternating pairs per row with --against: at 61, an unchanged tree read
@@ -160,11 +168,10 @@ def cases(ok, repeats):
         if n in (6, 16):
             p, v = ok.projector_onto_range(rng.standard_normal((2 * n, n))), rng.standard_normal(2 * n)
             yield "split", 2 * n, n, lambda: ok.split(v, p), 20 * repeats
-    for layer, shapes in SMALL_LSTSQ.items():
-        for m, n in shapes:
-            rng = np.random.default_rng(SEED + m + n)
-            a, c = rng.standard_normal((m, n)), rng.standard_normal(m)
-            yield layer, m, n, lambda: getattr(ok, layer)(a, c), 20 * repeats
+    for m, n in SOLVE_QR:
+        rng = np.random.default_rng(SEED + m + n)
+        a, c = rng.standard_normal((m, n)), rng.standard_normal(m)
+        yield "solve_qr", m, n, lambda: ok.solve_qr(a, c), 20 * repeats
     for n in SIZES:
         a = np.random.default_rng(SEED + n).standard_normal((n, n))
         _, bid, _ = ok.bidiagonalize(a)
@@ -192,7 +199,6 @@ def cases(ok, repeats):
             "back_sub": lambda: ok.back_sub(f.r[:n], b),
             "forward_sub": lambda: ok.forward_sub(f.r[:n].T, b),
             "solve": lambda: ok.solve(a, c),
-            "solve_qr_pivoted": lambda: ok.solve_qr_pivoted(a, c),
             "split": lambda: ok.split(c, p),
             "bidiagonalize": lambda: ok.bidiagonalize(a),
             "singular_values": lambda: ok.singular_values(a),
@@ -200,6 +206,11 @@ def cases(ok, repeats):
         }
         for layer, fn in layers.items():
             yield layer, m, n, fn, repeats
+    for m, n, rank in PIVOTED:
+        rng = np.random.default_rng(SEED + m + n)
+        a = gen.matrix(rng, m, n, rank=rank)[0]
+        c = gen.rhs_with_residual(rng, a)
+        yield "solve_qr_pivoted", m, n, lambda: ok.solve_qr_pivoted(a, c), repeats
     from lib_bits import base  # lib_bits imports this module
 
     for m, n in CLUSTERED:

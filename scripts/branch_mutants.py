@@ -4,8 +4,9 @@
 
 Run from the repository root.  Every ``if`` statement in ``src/orthokit``
 that has no ``else`` and whose body does not start with ``raise`` (an
-``elif`` is such an ``if`` of its own) makes two mutants: its test replaced
-by ``True``, and by ``False``.  Each mutant is written into a copy of
+``elif`` is such an ``if`` of its own), and every conditional expression
+``x if test else y``, makes two mutants: its test replaced by ``True``, and
+by ``False``.  Each mutant is written into a copy of
 ``src``, ``tests`` and ``pyproject.toml``, and tier-1 runs on that copy
 (``pytest -x -q tests``), ``WORKERS`` copies at a time, one BLAS thread
 each.  A mutant survives when the suite still passes; a run that fails,
@@ -15,11 +16,11 @@ must pass.
 The script prints every survivor, and exits 1 when one is missing from
 ``KEPT``: that branch either changes no result, so it can go, or changes
 one that no test checks, so it needs a test.  ``KEPT`` holds the branches
-that stay, keyed by file, the stripped text of the ``if`` line and the
-forced value, each with the reason it stays: a speed branch only saves
-work, and a safety branch guards a case tier-1 does not reach.  A ``KEPT``
-entry that no survivor matches is printed as stale.  The 160 mutants take
-about 11 minutes on a 2-core host.
+that stay, keyed by file, the stripped text of the line where the ``if``
+or the expression starts and the forced value, each with the reason it
+stays: a speed branch only saves work, and a safety branch guards a case
+tier-1 does not reach.  A ``KEPT`` entry that no survivor matches is
+printed as stale.  The 220 mutants take about 26 minutes on a 2-core host.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ KEPT = {
         SPEED + ": cholesky's empty last column; without the test it ran 1.07x at n = 6, 1.03x at n = 16",
     ("svd.py", "if u.shape[1] > k:", True): SPEED + ": fixing the signs of no extra column",
     ("bidiagonal.py", "if act.size == 0:", False): SPEED + ": iterating on no active root",
+    ("bidiagonal.py", "u, v = np.eye(m) if want_u else None, np.eye(m + sqre)", True):
+        SPEED + ": values-only leaves build and rotate a U that no caller reads",
     ("bidiagonal.py", "if u1 is not None:", True):
         SPEED + ": values-only merges build a U basis, of NaN, that no caller reads",
     ("bidiagonal.py", "if r == 0.0:", False):
@@ -63,18 +66,17 @@ KEPT = {
         "safety: the z0 clamp keeps a root of the secular equation off the pole at 0",
     ("bidiagonal.py", "if n == 1:", False):
         "safety: the general path lands on |z| by chance, and its reduceat counts the one pole twice",
-    ("apps/text.py", "if u.sum() + v.sum() < 0.0:", False):
-        "safety: the sign flip; tier-1 never runs it, nor did 130 random count matrices with a repeated sigma_1",
     ("cli.py", 'if __name__ == "__main__":', False): "safety: the entry point; tier-1 calls cli.run, not the module",
 }
 
 
 def branches(root: Path):
-    """(file, source bytes, node) for every surveyed ``if``, in file and line order."""
+    """(file, source bytes, node) for every surveyed ``if`` statement or
+    expression, in file and line order."""
     for path in sorted((root / PACKAGE).rglob("*.py")):
         source = path.read_bytes()
-        nodes = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.If) and not n.orelse
-                 and not isinstance(n.body[0], ast.Raise)]
+        nodes = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.IfExp) or isinstance(n, ast.If)
+                 and not n.orelse and not isinstance(n.body[0], ast.Raise)]
         for node in sorted(nodes, key=lambda n: n.lineno):
             yield path.relative_to(root / PACKAGE).as_posix(), source, node
 

@@ -93,8 +93,8 @@ def norm_tol(a: np.ndarray, rtol: float) -> float:
 
 
 def frobenius(a: np.ndarray) -> float:
-    """||a||_F of a finite array, summed after ``prescale`` divides it in
-    place; Inf past the float64 range, for the caller to report."""
+    """||a||_F, summed after ``prescale`` divides ``a`` in place: Inf past the float64
+    range, and Inf or NaN for a non-finite ``a``, with no warning, for the caller to report."""
     return prescale(a) * float(np.sqrt((a * a).sum()))
 
 

@@ -75,8 +75,8 @@ def projector_from_orthonormal(q1) -> np.ndarray:
     q1 = as_matrix(q1)
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite defect is not orthonormal
         g = q1.T @ q1 - np.eye(q1.shape[1])
-    gram_defect = frobenius(g) if np.isfinite(g).all() else np.inf
-    if gram_defect > 1e-10:
+    gram_defect = frobenius(g)  # Inf or NaN past the float64 range
+    if not gram_defect <= 1e-10:
         raise ValueError(f"columns are not orthonormal (||Q^T Q - I||_F = {gram_defect:.3e})")
     return q1 @ q1.T
 

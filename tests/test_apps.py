@@ -103,6 +103,9 @@ class TestPca:
         m_rows = pca_fit(x.T.copy(), 2, samples_as="rows")
         assert np.abs(m_cols.variances - m_rows.variances).max() <= 1e-12
         assert np.abs(np.abs(m_cols.components) - np.abs(m_rows.components)).max() <= 1e-10
+        r_rows = pca_reduce(m_rows, x.T.copy(), samples_as="rows")
+        assert r_rows.shape == (20, 5)
+        assert np.abs(r_rows - pca_reduce(m_cols, x).T).max() <= 1e-10
 
     def test_reduce_full_rank_reproduces(self):
         rng = np.random.default_rng(126)
@@ -393,6 +396,18 @@ class TestText:
         assert np.linalg.norm(ts.a @ v - sigma * u) <= 1e-9 * max(1, sigma)
         assert np.linalg.norm(ts.a.T @ u - sigma * v) <= 1e-9 * max(1, sigma)
         assert (u >= -1e-10).all() and (v >= -1e-10).all()
+
+    def test_mixed_leading_pair_is_flipped_to_a_nonnegative_sum(self):
+        # sigma_1 = 2 five times (two 2 x 2 blocks of ones, two 2s and a 4 x 1
+        # block of ones).  svd's leading pair mixes three of those blocks with
+        # opposite signs, and its u and v sum to about -0.33.
+        rows = ["0010000000", "0000002000", "0000000100", "0100000001", "0000100000", "0002000000", "0100000001",
+                "0000100000", "1000000010", "1000000010", "0000010000", "0000100000", "0000100000"]
+        ts = build_term_sentence(["x"])
+        ts.a = np.array([[float(c) for c in row] for row in rows])
+        u, v = summarize_scores(ts)
+        assert u.sum() + v.sum() >= 0.0
+        assert np.linalg.norm(ts.a @ v - 2.0 * u) <= 1e-12 and np.linalg.norm(ts.a.T @ u - 2.0 * v) <= 1e-12
 
     def test_sentence_permutation_equivariance(self):
         sentences = ["apple banana", "banana banana cherry", "apple cherry cherry"]

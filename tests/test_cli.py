@@ -5,7 +5,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from orthokit import cli, qr_givens, qr_householder, qr_pivoted
+from orthokit import cli, qr_givens, qr_householder, qr_pivoted, svd
 from orthokit.cli import run
 from orthokit.matrix import write_matrix_csv
 from orthokit.apps import GrayImage, write_pgm
@@ -92,9 +92,11 @@ class TestSvdCommand:
     def test_factor_output(self, capsys, tmp_path):
         path = tmp_path / "m.csv"
         write_matrix_csv(SVD_5X3, path)
-        out, _ = run_lines(capsys, ["svd", "--reduced", str(path)])
-        assert out[0].startswith("sigma = ")
-        assert "U =" in out and "Vt =" in out
+        for flags, shape in [(["--reduced"], "reduced"), ([], "full")]:
+            out, _ = run_lines(capsys, ["svd", *flags, str(path)])
+            assert out[0].startswith("sigma = ")
+            assert "U =" in out and "Vt =" in out
+            assert out[1 : out.index("Vt =")] == list(cli._matrix_lines("U", svd(SVD_5X3, shape).u, 6))
 
 
 class TestQrCommand:

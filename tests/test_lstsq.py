@@ -382,6 +382,12 @@ class TestConditioning:
         assert rep.cos_theta == pytest.approx(1.0, abs=1e-12)
         assert rep.rhs_sensitivity_bound == pytest.approx(rep.cond, rel=1e-12)
 
+    def test_rhs_orthogonal_to_the_range(self):
+        # A x = 0, so cos(theta) = 0 and the right-hand-side bound is infinite.
+        rep = conditioning_report(np.eye(3, 2), np.array([0.0, 0.0, 1.0]), np.zeros(2))
+        assert rep.cos_theta == 0.0 and rep.theta == pytest.approx(np.pi / 2, rel=1e-15)
+        assert rep.rhs_sensitivity_bound == np.inf and np.isfinite(rep.matrix_sensitivity_bound)
+
     @pytest.mark.parametrize("e", [660, -660])
     def test_report_is_exact_under_power_of_two_scaling(self, e):
         # ||b|| and ||Ax|| square entries near 2^(+-1320) unless prescaled.

@@ -75,16 +75,13 @@ class TestHouseholderQr:
         r_only = qr_householder(a, QrMode.R_ONLY).r
         full = qr_householder(a, QrMode.Q_AND_R)
         assert np.array_equal(r_only, full.r)
-        assert qr_householder(a, "r").r is not None  # string alias accepted
-
-    def test_each_mode_returns_only_its_parts(self):
-        a = np.random.default_rng(44).standard_normal((6, 4))
-        r_only = qr_householder(a, "r")
-        assert r_only.q is None and r_only.reflectors is None
+        # each mode returns only its parts; string aliases accepted
+        assert full.q.shape == (6, 6) and len(full.reflectors) == 4
+        assert full.rotations is None and full.rotation_count == 0
         with_u = qr_householder(a, "r+u")
         assert with_u.q is None and len(with_u.reflectors) == 4
-        full = qr_householder(a, "qr")
-        assert full.q.shape == (6, 6) and len(full.reflectors) == 4
+        r_alias = qr_householder(a, "r")
+        assert r_alias.r is not None and r_alias.q is None and r_alias.reflectors is None
 
     def test_mode_strings(self):
         assert QrMode.of("qr") is QrMode.Q_AND_R

@@ -424,7 +424,8 @@ class TestDivideAndConquer:
         rng = np.random.default_rng(n)
         d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
         _, sigma, _ = bidiag_svd(Bidiagonal(d, e))
-        _, values, _ = bd_mod.bidiagonal_svd(d, e, False)
+        u, values, v = bd_mod.bidiagonal_svd(d, e, False)
+        assert u is None and v is None
         assert np.abs(sigma - values).max() <= 10 * n * EPS * values[0]
 
 
@@ -540,6 +541,27 @@ class TestBlockFarBelowTheLargestEntry:
         monkeypatch.setattr(bd_mod, "_implicit_step", spy)
         bidiag_svd(Bidiagonal(d, e))
         assert steps and all(w == expected for w, expected in steps)
+
+    @pytest.mark.parametrize("n", [2, 3, 12])
+    def test_each_shift_is_the_wilkinson_shift_of_its_block(self, monkeypatch, n):
+        # The eigenvalue of the trailing 2 x 2 of B^T B, B the block over w,
+        # nearer its last diagonal entry.
+        shifts = []
+        mu = bd_mod._wilkinson_mu
+
+        def spy(d, e, lo, hi, w):
+            b = (np.diag(d[lo : hi + 1]) + np.diag(e[lo:hi], 1)) / w
+            shifts.append((b, mu(d, e, lo, hi, w)))
+            return shifts[-1][1]
+
+        monkeypatch.setattr(bd_mod, "_wilkinson_mu", spy)
+        rng = np.random.default_rng(n)
+        bidiag_svd(Bidiagonal(rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n - 1)))
+        assert shifts
+        for b, shift in shifts:
+            t = (b.T @ b)[-2:, -2:]
+            eig = np.linalg.eigvalsh(t)
+            assert abs(shift - eig[np.argmin(np.abs(eig - t[1, 1]))]) <= 1e-12 * eig[-1]
 
     def test_bidiagonal_with_a_tiny_trailing_block(self):
         d, e = np.array([1.0, 1.0, 1e-200, 2e-200, 3e-200]), np.array([0.5, 0.0, 1e-200, 1e-200])
