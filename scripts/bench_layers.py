@@ -20,7 +20,10 @@ from the fixed seed 4242 + n, and each row times one layer on it:
 
 The single-leaf sizes n in 6, 16 and 25 (one divide-and-conquer leaf each,
 the SVD path of the small-batch workload) get a ``phase2_vectors`` row
-alone, from the seed 4242 + n, over twenty times ``--repeats`` calls.
+alone, from the seed 4242 + n, over twenty times ``--repeats`` calls.  The
+sizes n in 60 and 100 (two merge levels at LEAF 25, the commonest size
+class of the svd-dense workload) get ``phase2_values`` and
+``phase2_vectors`` rows alone, from the seed 4242 + n.
 
 The small sizes n in 6, 10 and 16 (the rotation sweeps, triangular
 solves, Cholesky and projector splits of the small-batch workload) get
@@ -111,6 +114,7 @@ from cli_bytes import package_source_at  # noqa: E402
 
 SIZES = (44, 81, 118, 156, 400)
 LEAF_SIZES = (6, 16, 25)
+PHASE2_SIZES = (60, 100)
 ROTATION_SIZES = (6, 10, 16)
 TALL = ((600, 60), (1000, 100), (1500, 120))
 SOLVE_QR = ((18, 16), (40, 30))
@@ -150,6 +154,11 @@ def cases(ok, repeats):
         a = np.random.default_rng(SEED + n).standard_normal((n, n))
         _, bid, _ = ok.bidiagonalize(a)
         yield "phase2_vectors", n, n, lambda: ok.bidiag_svd(bid), 20 * repeats
+    for n in PHASE2_SIZES:
+        a = np.random.default_rng(SEED + n).standard_normal((n, n))
+        _, bid, _ = ok.bidiagonalize(a)
+        yield "phase2_values", n, n, lambda: bidiagonal_svd(bid.d, bid.e, False), repeats
+        yield "phase2_vectors", n, n, lambda: ok.bidiag_svd(bid), repeats
     for n in ROTATION_SIZES:
         rng = np.random.default_rng(SEED + n)
         q = ok.qr_householder(rng.standard_normal((n, n))).q

@@ -55,17 +55,17 @@ KEPT = {
     ("matrix.py", "if j + 1 < n:", True):
         SPEED + ": cholesky's empty last column; without the test it ran 1.07x at n = 6, 1.03x at n = 16",
     ("svd.py", "if u.shape[1] > k:", True): SPEED + ": fixing the signs of no extra column",
-    ("bidiagonal.py", "if act.size == 0:", False): SPEED + ": iterating on no active root",
     ("bidiagonal.py", "u, v = np.eye(m) if want_u else None, np.eye(m + sqre)", True):
         SPEED + ": values-only leaves build and rotate a U that no caller reads",
-    ("bidiagonal.py", "if u1 is not None:", True):
-        SPEED + ": values-only merges build a U basis, of NaN, that no caller reads",
+    ("bidiagonal.py", "if d.shape[0] > 1:  # one row broadcasts; several are taken root by root", True):
+        SPEED + ": each root gathers a copy of the one problem's row of poles",
     ("bidiagonal.py", "if r == 0.0:", False):
         "safety: ends the zero-d chase at an exact zero, where c = d / r would be 0 / 0",
     ("bidiagonal.py", "if abs(zk[0]) <= tol:", False):
         "safety: the z0 clamp keeps a root of the secular equation off the pole at 0",
     ("bidiagonal.py", "if n == 1:", False):
-        "safety: the general path lands on |z| by chance, and its reduceat counts the one pole twice",
+        "bits: a one-pole arrow keeps u = 1 and v = sign(z); the general Loewner path gives -1 and -sign(z), "
+        "the same product",
     ("cli.py", 'if __name__ == "__main__":', False): "safety: the entry point; tier-1 calls cli.run, not the module",
 }
 

@@ -4,8 +4,13 @@ term-sentence frequency matrix.
 Scores follow a mutual reinforcement principle: a term scores high when it
 appears in high-scoring sentences, and vice versa.  Those two conditions
 are exactly the defining relations A v = sigma u, A^T u = sigma v of the
-leading singular pair, which is entrywise nonnegative for a nonnegative
-matrix.
+leading singular pair.  For a nonnegative matrix whose sigma_1 is simple,
+that pair is entrywise nonnegative up to one common sign (Perron-Frobenius).
+When sigma_1 repeats, as for a matrix of disjoint blocks of equal weight,
+``svd`` may return any unit pair of its singular subspace, with entries of
+both signs.  ``summarize_scores`` flips only the common sign, so that the
+entries sum to at least zero; some scores can then be negative, and a term
+or sentence of a block that the pair gives a negative weight ranks last.
 """
 
 from __future__ import annotations

@@ -6,14 +6,14 @@ upper-bidiagonal matrix B.
 two (LAPACK xBDSDC), so a piece far below B's largest entry keeps its
 relative accuracy.  A piece of more than LEAF rows, with vectors or
 without, goes through divide and conquer (M. Gu & S. C. Eisenstat, SIAM J.
-Matrix Anal. Appl. 16, 1995; xLASD0-xLASD4): split at its middle row into
-an upper k x (k+1) block and a lower block, both solved recursively, the
-row between them coupling the halves into an arrow matrix.  Its deflation
-follows xLASD2; the secular equation of each merge is solved for all roots
-at once by R.-C. Li's middle-way iteration (LAPACK Working Note 89, 1994);
-the vectors come from the z-hat of the Loewner formula, orthogonal however
-close the roots lie.  Values alone skip u but keep v, whose boundary rows
-form each merge's z (xLASD6 with ICOMPQ = 0).
+Matrix Anal. Appl. 16, 1995) by tree level, as xLASD0/xLASDA do: split at
+middle rows down to leaves of at most LEAF rows, then merged a level at a
+time, the row between two halves coupling them into an arrow matrix.  A
+level makes one deflation test (xLASD2) and one solve of all its secular
+equations by R.-C. Li's middle-way iteration (LAPACK Working Note 89,
+1994); the vectors come from the z-hat of the Loewner formula, orthogonal
+however close the roots lie.  Values alone skip u but keep v, whose
+boundary rows form each merge's z (xLASD6 with ICOMPQ = 0).
 
 The leaves, and a values-only piece of at most LEAF rows, run implicit-shift
 QR steps on Python floats (Wilkinson shift on the trailing 2x2 of B^T B,
@@ -37,10 +37,12 @@ from .matrix import pow2_scale, prescale, unscale
 from .reflectors import givens_params, rotate
 
 # Divide and conquer splits a bidiagonal of more than LEAF rows; its leaves
-# of at most LEAF rows run the implicit QR.  Timed on bidiag_svd over
-# n = 40-160: leaves of 16, 20, 25 and 32 rows were within 4% of each other.
+# of at most LEAF rows run the implicit QR.  Against 25 (phase two, n = 44-400):
+# 16 took 0.84-1.00x from n = 81 up but 1.03-1.07x at 44 and 60, 20 gained
+# only at 100 and 400, and 32 lost 1.10-1.25x at 60 and 118.
 LEAF = 25
 SWEEPS = 30  # the sweep budget of each implicit-QR run, per row of that run
+STEPS = 100  # the middle-way step budget of each level's secular solve
 
 EPS = float(np.finfo(float).eps)
 
@@ -226,126 +228,119 @@ def _qr_svd(d: list, e: list, u, v) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Divide and conquer (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995;
-# LAPACK xBDSDC/xLASD0-xLASD4).  A block is rows lo:hi of the bidiagonal
-# (d, e): m = hi - lo rows and m + sqre columns, its last row holding
-# e[hi-1] too when sqre = 1.  Each call returns (u, sigma, v) with
-# block = u [diag(sigma) 0] v^T, sigma >= 0 in no particular order, and with
-# sqre = 1 the last column of v spanning the block's null space; without
-# ``want_u``, u is None.
+# Divide and conquer.  A block is rows lo:hi of the bidiagonal (d, e): m =
+# hi - lo rows and m + sqre columns, its last row holding e[hi-1] too when
+# sqre = 1.  Its result is (u, sigma, v) with block = u [diag(sigma) 0] v^T,
+# sigma >= 0 in no particular order, and with sqre = 1 the last column of v
+# spanning the block's null space; without ``want_u``, u is None.  Blocks of
+# more than LEAF rows split at their middle row k into rows lo:k (sqre = 1)
+# and k+1:hi, coupled by d[k] and e[k].
 
 
-def _dc(d, e, lo, hi, sqre, want_u=True):
-    m = hi - lo
-    if m <= LEAF:
-        return _dc_leaf(d, e, lo, hi, sqre, want_u)
-    # Rows lo:k form a k x (k+1) block (sqre = 1); row k couples it to the
-    # lower block through alpha = d[k] and beta = e[k].
-    k = lo + m // 2
-    upper = _dc(d, e, lo, k, 1, want_u)
-    lower = _dc(d, e, k + 1, hi, sqre, want_u)
-    return _dc_merge(upper, float(d[k]), float(e[k]), lower, sqre)
-
-
-def _dc_leaf(d, e, lo, hi, sqre, want_u=True):
-    m = hi - lo
-    u, v = np.eye(m) if want_u else None, np.eye(m + sqre)
-    dl, el = d[lo:hi].tolist(), e[lo : hi - 1 + sqre].tolist()
-    if sqre:
-        # m column rotations chase e[hi-1] out: column m becomes zero.
-        _chase_zero_d(dl, el, m, 0, v)
-        el.pop()
+def _dc(d, e, sqre, want_u=True):
+    """The result of the block (d, e): the leaves run the implicit QR, then
+    the levels merge from the deepest up.  ``ConvergenceError.partial`` has
+    the failing leaf's or level's values on its rows, |d| on the others."""
+    tree, done = [[(0, d.size, sqre)]], {}
+    while any(hi - lo > LEAF for lo, hi, _ in tree[-1]):
+        tree.append([half for lo, hi, sqre in tree[-1] if hi - lo > LEAF
+                     for half in ((lo, (lo + hi) // 2, 1), ((lo + hi) // 2 + 1, hi, sqre))])
     try:
-        sigma = _qr_svd(dl, el, u, v[:, :m])
+        for lo, hi, sqre in [leaf for level in tree for leaf in level if leaf[1] - leaf[0] <= LEAF]:
+            blocks, m = [(lo, hi, sqre)], hi - lo
+            u, v = np.eye(m) if want_u else None, np.eye(m + sqre)
+            dl, el = d[lo:hi].tolist(), e[lo : hi - 1 + sqre].tolist()
+            if sqre:
+                # m column rotations chase e[hi-1] out: column m becomes zero.
+                _chase_zero_d(dl, el, m, 0, v)
+                el.pop()
+            done[lo, hi] = u, _qr_svd(dl, el, u, v[:, :m]), v
+        for blocks in ([block for block in level if block[1] - block[0] > LEAF] for level in tree[-2::-1]):
+            _dc_level(d, e, blocks, done)
     except ConvergenceError as err:
-        full = np.abs(d)  # the diagonal stands in for the rest of the piece
-        full[lo:hi] = err.partial
-        err.partial = full
+        part, err.partial = err.partial, np.abs(d)
+        err.partial[np.concatenate([np.arange(lo, hi) for lo, hi, _ in blocks])] = part
         raise
-    return u, sigma, v
+    return done[0, d.size]
 
 
-def _dc_merge(upper, alpha, beta, lower, sqre):
-    u1, s1, v1 = upper
-    u2, s2, v2 = lower
-    k, m2 = s1.size, s2.size
-    n = k + 1 + m2
-    # Exact power-of-two scaling keeps the squares below in range; it is
-    # joint over two arrays and the coupling row, so not ``prescale``.
-    scale = pow2_scale(max(float(s1.max()), float(s2.max()), abs(alpha), abs(beta)))
-    alpha /= scale
-    beta /= scale
-    # B = ub [M 0] vb^T with M the arrow matrix: first row z, diagonal
-    # (0, s1, s2) with s1 and s2 merged in ascending order.  Row k of B is
-    # the first row; column 0 is the upper block's null vector, turned by
-    # (c0, s0) into the lower block's when sqre = 1, and the other column
-    # of that pair is the merged null vector.
-    d = np.concatenate(([0.0], s1, s2)) / scale
-    z = np.concatenate(([alpha * v1[k, k]], alpha * v1[k, :k], beta * v2[0, :m2]))
-    phi = beta * v2[0, m2] if sqre else 0.0
-    c0, s0 = givens_params(z[0], phi)
-    z[0] = c0 * z[0] + s0 * phi
-    order = np.concatenate(([0], 1 + np.argsort(d[1:], kind="stable")))
-    d, z = d[order], z[order]
-    # Deflation (xLASD2): a negligible z_j leaves d_j and its vectors as they
-    # are; two poles within tol are rotated so one of them has z_j = 0.
-    tol = 8.0 * EPS * max(float(d[-1]), abs(alpha), abs(beta))
-    dl, zl = d.tolist(), z.tolist()
-    kept, deflated, turns, prev = [0], [], [], 0
-    for j in range(1, n):
-        if abs(zl[j]) <= tol:
-            deflated.append(j)
-            continue
-        if prev and dl[j] - dl[prev] <= tol:
-            c, s = givens_params(zl[j], -zl[prev])
-            turns.append((order[prev], order[j], c, s))
-            zl[j] = c * zl[j] - s * zl[prev]
-            deflated.append(prev)
-        elif prev:
-            kept.append(prev)
-        prev = j
-    if prev:
-        kept.append(prev)
-    # Poles at least tol from d_0 = 0, and z_0 at least tol: the secular
-    # equation then has distinct poles and no root at a pole.
-    dk = np.maximum(d[kept], tol)
-    dk[0] = 0.0
-    zk = np.array(zl)[kept]
-    if abs(zk[0]) <= tol:
-        zk[0] = tol
-    sig, um, vm = _arrow_svd(dk, zk)
-    # Each basis is built only now, one at a time, to keep the peak memory
-    # down, in the children's column order (0, s1, s2).
-    cols = order[kept + deflated]
-    ub = None
-    if u1 is not None:
-        ub = np.zeros((n, n), order="F")
-        ub[k, 0] = 1.0
-        ub[:k, 1 : k + 1] = u1
-        ub[k + 1 :, k + 1 :] = u2
-        _merged_basis(ub, turns, cols, um)
-    del um
-    vb = np.zeros((n + sqre, n + sqre), order="F")
-    vb[: k + 1, 0] = v1[:, k]
-    vb[: k + 1, 1 : k + 1] = v1[:, :k]
-    vb[k + 1 :, k + 1 :] = v2
-    if sqre:
-        rotate(vb[:, 0], vb[:, n], c0, s0)
-    _merged_basis(vb, turns, cols, vm)
-    return ub, np.concatenate((sig, d[deflated])) * scale, vb
-
-
-def _merged_basis(w, turns, cols, vecs):
-    """Turn w, the children's columns side by side and any null column last,
-    in place into the merge's basis: the deflation turns, the columns in
-    ``cols`` order, then the first len(vecs) times the arrow's vectors.  w
-    is column-major, like the bases ``bidiagonal_svd`` returns: the product
-    of a row-major w has other bits."""
-    for a, b, c, s in turns:
-        rotate(w[:, a], w[:, b], c, s)
-    w[:, : cols.size] = w[:, cols]
-    nk = len(vecs)
-    w[:, :nk] = w[:, :nk] @ vecs
+def _dc_level(d, e, blocks, done):
+    """Merge each of one level's blocks from its two children in ``done``,
+    with one deflation test and one secular solve for the whole level."""
+    arrows = []
+    for lo, hi, sqre in blocks:
+        mid = (lo + hi) // 2
+        (u1, s1, v1), (u2, s2, v2) = done.pop((lo, mid)), done.pop((mid + 1, hi))
+        k, alpha, beta = s1.size, float(d[mid]), float(e[mid])
+        # Exact power-of-two scaling keeps the squares below in range; it is
+        # joint over two arrays and the coupling row, so not ``prescale``.
+        scale = pow2_scale(max(float(s1.max()), float(s2.max()), abs(alpha), abs(beta)))
+        alpha, beta = alpha / scale, beta / scale
+        # The block is ub [M 0] vb^T with M the arrow matrix: first row z,
+        # diagonal (0, s1, s2) with s1 and s2 merged in ascending order.  Row
+        # mid is the first row; column 0 is the upper block's null vector,
+        # turned by (c0, s0) into the lower block's when sqre = 1, and the
+        # other column of that pair is the merged null vector.
+        dm = np.concatenate(([0.0], s1, s2)) / scale
+        z = np.concatenate(([alpha * v1[k, k]], alpha * v1[k, :k], beta * v2[0, : s2.size]))
+        phi = beta * v2[0, s2.size] if sqre else 0.0
+        c0, s0 = givens_params(z[0], phi)
+        z[0] = c0 * z[0] + s0 * phi
+        order = np.concatenate(([0], 1 + np.argsort(dm[1:], kind="stable")))
+        tol = 8.0 * EPS * max(float(dm.max()), abs(alpha), abs(beta))
+        arrows.append((dm[order], z[order], order, tol, scale, (c0, s0, u1, u2, v1, v2)))
+    ds, zs, cols, tols, scales, children = zip(*arrows)
+    (dm, z, col), tol = map(np.concatenate, (ds, zs, cols)), np.repeat(tols, [*map(len, ds)])
+    # Deflation (xLASD2), one test for the level: a negligible z_j leaves d_j
+    # and its vectors as they are; of two other poles within tol, a turn gives
+    # the lower one z_j = 0; a block's first pole, 0, stays.  The deflated go
+    # in the order the xLASD2 sweep meets them, a turned one with its partner.
+    # Kept poles at least tol from d_0 = 0, and z_0 >= tol, keep roots off poles.
+    first = col == 0
+    blk = np.cumsum(first) - 1
+    tiny = np.flatnonzero(~first & (np.abs(z) <= tol))
+    live = np.flatnonzero(first | ~(np.abs(z) <= tol))
+    pair = (np.diff(dm[live]) <= tol[live[1:]]) & ~first[live[:-1]] & ~first[live[1:]]
+    low, high = live[:-1][pair], live[1:][pair]
+    zl, turns = z.tolist(), [[] for _ in blocks]
+    for i, j in zip(low.tolist(), high.tolist()):
+        c, s = givens_params(zl[j], -zl[i])
+        turns[blk[i]].append((col[i], col[j], c, s))
+        zl[j] = c * zl[j] - s * zl[i]
+    out = np.concatenate((tiny, low))[np.argsort(np.concatenate((tiny, high)))]
+    kept = live[~np.append(pair, False)]
+    dk, zk, tk, fk = np.maximum(dm[kept], tol[kept]), np.array(zl)[kept], tol[kept], first[kept]
+    dk[fk] = 0.0
+    zk = np.where(fk & (np.abs(zk) <= tk), tk, zk)
+    try:
+        org, tau = _secular_roots(dk, zk, np.bincount(blk[kept]))
+    except ConvergenceError as err:  # the roots so far beside the deflated poles
+        dm[kept] = err.partial
+        err.partial = dm * np.repeat(scales, [*map(len, ds)])
+        raise
+    for b, ((lo, hi, sqre), scale, turn) in enumerate(zip(blocks, scales, turns)):
+        c0, s0, u1, u2, v1, v2 = children[b]
+        r, q = blk[kept] == b, out[blk[out] == b]
+        sig, um, vm = _arrow_svd(dk[r], zk[r], org[r], tau[r])
+        m, k = hi - lo, (hi - lo) // 2
+        # The children's bases side by side, column-major as ``bidiagonal_svd``
+        # returns them (a row-major product has other bits); then the turns,
+        # the kept columns and the deflated, and the arrow's vectors.
+        ub = None if u1 is None else np.zeros((m, m), order="F")
+        if ub is not None:
+            ub[k, 0], ub[:k, 1 : k + 1], ub[k + 1 :, k + 1 :] = 1.0, u1, u2
+        vb = np.zeros((m + sqre, m + sqre), order="F")
+        vb[: k + 1, : k + 1], vb[k + 1 :, k + 1 :] = np.roll(v1, 1, axis=1), v2
+        if sqre:
+            rotate(vb[:, 0], vb[:, m], c0, s0)
+        perm = col[np.concatenate((kept[r], q))]
+        for w, vecs in ((ub, um), (vb, vm)):
+            if w is not None:
+                for x, y, c, s in turn:
+                    rotate(w[:, x], w[:, y], c, s)
+                w[:, :m] = w[:, perm]
+                w[:, : len(vecs)] = w[:, : len(vecs)] @ vecs
+        done[lo, hi] = ub, np.concatenate((sig, dm[q])) * scale, vb
 
 
 def _sq_gaps(d, o, t):
@@ -357,32 +352,33 @@ def _sq_gaps(d, o, t):
     return g
 
 
-def _secular_terms(d, z2, o, t, p):
-    """f's terms at sigma_r = o_r + t_r, split at pole p_r < d.size - 1: the
-    gaps to poles p_r and p_r + 1, the sums psi over the poles up to p_r and
-    phi over the rest, and their derivatives in sigma^2."""
+def _secular_terms(d, z2, o, t, p, rows, n):
+    """f's terms at sigma_r = o_r + t_r over the first n_r poles of row rows[r]
+    of d and z2 (or their one row), split at pole p_r: the gaps to poles p_r
+    and p_r + 1, the sums psi up to p_r and phi after, and their derivatives."""
+    if d.shape[0] > 1:  # one row broadcasts; several are taken root by root
+        d, z2 = d[rows], z2[rows]
     g = _sq_gaps(d, o, t)
-    dp, dq = np.take_along_axis(g, p[:, None] + [0, 1], axis=1).T
-    # Each row's two sums by one reduceat, without a temporary the size of g.
-    idx = np.repeat(np.arange(t.size) * d.size, 2)
-    idx[1::2] += p + 1
+    # Each row's two sums (and its padding's) by one reduceat, with no g-sized temporary.
+    idx = np.repeat(np.arange(0, g.size, g.shape[1]), 3)
+    idx[1::3] += p + 1
+    idx[2::3] += n
+    dp, dq = g.ravel()[idx[1::3] - 1], g.ravel()[idx[1::3]]
     term = np.divide(z2, g)
-    psi, phi = np.add.reduceat(term.ravel(), idx).reshape(-1, 2).T
-    dpsi, dphi = np.add.reduceat(np.divide(term, g, out=g).ravel(), idx).reshape(-1, 2).T
+    psi, phi, _ = np.add.reduceat(term.ravel(), idx).reshape(-1, 3).T
+    dpsi, dphi, _ = np.add.reduceat(np.divide(term, g, out=g).ravel(), idx).reshape(-1, 3).T
     return dp, dq, psi, phi, dpsi, dphi
 
 
-def _arrow_svd(d, z):
+def _arrow_svd(d, z, org, tau):
     """SVD of the arrow matrix M with first row z and diagonal d (d[0] = 0,
-    d ascending with distinct entries, z[0] != 0): M = um diag(sigma) vm^T.
-
-    The vectors are built from the z-hat that makes the computed sigma the
-    exact singular values (Loewner formula, as paired ratios), so they are
-    orthogonal to working precision however close the roots lie."""
+    d ascending with distinct entries, z[0] != 0) from its secular roots
+    d[org] + tau: M = um diag(sigma) vm^T.  The vectors come from the z-hat
+    that makes the computed sigma exact (Loewner formula, as paired ratios),
+    so they are orthogonal to working precision however close the roots lie."""
     n = d.size
     if n == 1:
         return np.abs(z), np.ones((1, 1)), np.where(z < 0.0, -1.0, 1.0)[None]
-    org, tau = _secular_roots(d, z)
     o = d[org]
     p = _sq_gaps(d, o, tau).T  # p[j, r] = d_j^2 - sigma_r^2
     # zhat_j^2 = p[j, n-1] times the ratios p[j, r] / (d_j^2 - d_k^2) that
@@ -405,71 +401,75 @@ def _arrow_svd(d, z):
     return o + tau, um, vm
 
 
-def _secular_roots(d, z):
-    """Roots of f(s) = 1 + sum_j z_j^2 / (d_j^2 - s^2), d ascending from
-    d[0] = 0: one root in each (d_i, d_i+1) and one above d[-1].
-
-    Each root is sigma_i = d[org_i] + tau_i with its origin at the nearer
-    pole, so the distances to the poles keep their relative accuracy.  The
-    iteration is R.-C. Li's middle way (LAPACK Working Note 89, 1994): f is
-    modelled by c + s/(d_p^2 - s^2) + S/(d_p+1^2 - s^2), matching the sums
-    over the poles up to p and after p in value and derivative, and the
-    step is the model's root; a step that leaves the bracket is replaced by
-    bisection.  All roots iterate together."""
-    n = d.size
+def _secular_roots(d, z, n):
+    """Roots (org, tau), flat like d, of f_b(s) = 1 + sum_j z_bj^2 / (d_bj^2 -
+    s^2) for the problems b whose d_b (ascending from 0) and z_b are the next
+    n_b entries of d and z, roots below 2: one in each (d_bi, d_bi+1) and one
+    above the last pole, sigma = d_b[org] + tau from the nearer pole so that
+    its distances to the poles keep their relative accuracy.  R.-C. Li's middle
+    way (LAPACK Working Note 89, 1994) models f by c + s/(d_p^2 - s^2) +
+    S/(d_p+1^2 - s^2), matching the sums up to p and after p in value and
+    derivative, and steps to the model's root, or bisects when that leaves the
+    bracket.  A root iterates on its own problem's poles, so a problem gets
+    the bits it gets alone; one pole's root is |z_b0|.  ``ConvergenceError``,
+    ``partial`` the roots so far, when STEPS steps leave a root unconverged."""
     z2 = z * z
-    i = np.arange(n)
-    org = i.copy()
-    lo, hi = np.zeros(n), np.empty(n)
-    pole = np.minimum(i, n - 2)  # the model's poles are pole and pole + 1
-    # The first evaluation: root i < n-1 at the midpoint of (d_i^2, d_i+1^2)
-    # from the origin d_i, the last halfway to its bound sqrt(d[-1]^2 +
-    # ||z||^2).  f there tells which half holds root i, and so which pole is
-    # nearer; the first step then starts from that pole with the same terms.
-    dl, du = d[:-1], d[1:]
+    rho = np.array([x.sum() for x in np.split(z2, np.cumsum(n)[:-1])])
+    # A row per problem, padded with poles 4 (above every root) and z = 0.
+    real = np.arange(n.max() + 1) < n[:, None]
+    row, i = np.nonzero(real)
+    dp, zp = np.full(real.shape, 4.0), np.zeros(real.shape)
+    dp[real], zp[real] = d, z2
+    d, z2, nr = dp, zp, n[row]
+    last = i == nr - 1
+    # The first evaluation: root i < n-1 at the midpoint of (d_i^2, d_i+1^2) from the origin
+    # d_i, the last halfway to its bound sqrt(d[n-1]^2 + ||z||^2).  f there tells which half
+    # holds root i, so which pole is nearer; the first step starts from it with the same terms.
+    dl, du = d[row, i], d[row, i + 1]
     half = 0.5 * (du - dl) * (du + dl)
     smid = np.sqrt(dl * dl + half)
     tmid = half / (dl + smid)
-    rho = float(z2.sum())
-    hi[-1] = rho / (d[-1] + math.sqrt(d[-1] * d[-1] + rho))
-    terms = _secular_terms(d, z2, d, np.append(tmid, 0.5 * hi[-1]), pole)
-    up = 1.0 + terms[2][:-1] + terms[3][:-1] < 0.0
-    org[:-1] += up
-    lo[:-1] = np.where(up, -half / (du + smid), 0.0)
-    hi[:-1] = np.where(up, 0.0, tmid)
-    tau = np.append(np.where(up, lo[:-1], hi[:-1]), 0.5 * hi[-1])
-    act = i
-    for _ in range(100):  # middle-way steps converge in about 10
+    top = rho[row] / (dl + np.sqrt(dl * dl + rho[row]))
+    tau = np.where(nr == 1, np.abs(z), np.where(last, 0.5 * top, tmid))
+    ints = np.array((np.arange(i.size), np.minimum(i, nr - 2), row, nr))  # index, model pole, row, poles
+    terms = _secular_terms(d, z2, dl, tau, *ints[1:])
+    up = (1.0 + terms[2] + terms[3] < 0.0) & ~last
+    org = i + up
+    lo = np.where(up, -half / (du + smid), 0.0)
+    hi = np.where(last, top, np.where(up, 0.0, tmid))
+    x = np.array((d[row, org], np.where(up, lo, tau), lo, hi))  # each root's origin, tau and bracket
+    x, ints, terms = x[:, nr > 1], ints[:, nr > 1], [y[nr > 1] for y in terms]
+    for _ in range(STEPS):  # middle-way steps converge in about 10
         dp, dq, psi, phi, dpsi, dphi = terms
-        t = tau[act]
-        o = d[org[act]]
+        o, t, la, ha = x
         w = 1.0 + psi + phi
         dw = dpsi + dphi
+        sig = o + t
         # Rounding error of w: of the sums (each of one sign), and of
         # sigma = o + tau itself.
-        done = np.abs(w) <= EPS * (8.0 * (1.0 + np.abs(psi) + np.abs(phi)) + 2.0 * (o + t) * np.abs(t) * dw)
-        la = lo[act] = np.where(w < 0.0, t, lo[act])
-        ha = hi[act] = np.where(w > 0.0, t, hi[act])
+        done = np.abs(w) <= EPS * (8.0 * (1.0 + np.abs(psi) + np.abs(phi)) + 2.0 * sig * np.abs(t) * dw)
+        np.copyto(la, t, where=w < 0.0)
+        np.copyto(ha, t, where=w > 0.0)
         c = w - dp * dpsi - dq * dphi
         a = (dp + dq) * w - dp * dq * dw
         b = dp * dq * w
         root = np.sqrt(np.abs(a * a - 4.0 * b * c))
         q = a + np.where(a < 0.0, -root, root)
-        sig = o + t
-        new = 0.5 * (la + ha)
-        for eta in (np.divide(2.0 * b, q, out=np.full_like(q, np.nan), where=q != 0.0),
-                    np.divide(q, 2.0 * c, out=np.full_like(q, np.nan), where=c != 0.0)):
+        # The model's roots as steps in sigma^2, 2b/q and q/2c (a zero divisor's Inf or NaN fails
+        # the bracket test), the second preferred; when neither lands inside the bracket, bisection.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            eta = np.divide((2.0 * b, q), (q, 2.0 * c))
             s2 = sig * sig + eta
-            cand = t + eta / (sig + np.sqrt(np.where(s2 > 0.0, s2, 0.0)))
-            ok = (s2 > 0.0) & (cand > la) & (cand < ha)
-            new = np.where(ok, cand, new)
+            cand = t + eta / (sig + np.sqrt(s2))
+        ok = (s2 > 0.0) & (cand > la) & (cand < ha)
+        new = np.where(ok[1], cand[1], np.where(ok[0], cand[0], 0.5 * (la + ha)))
         done |= (new <= la) | (new >= ha)  # the bracket is two adjacent floats
-        tau[act] = np.where(done, t, new)
-        act = act[~done]
-        if act.size == 0:
-            break
-        terms = _secular_terms(d, z2, d[org[act]], tau[act], pole[act])
-    return org, tau
+        tau[ints[0]] = t[:] = np.where(done, t, new)
+        if done.all():
+            return org, tau
+        x, ints = x[:, ~done], ints[:, ~done]
+        terms = _secular_terms(d, z2, x[0], x[1], *ints[1:])
+    raise ConvergenceError(f"secular equation did not converge within {STEPS} steps", partial=d[row, org] + tau)
 
 
 def bidiagonal_svd(d, e, want_uv: bool):
@@ -490,7 +490,7 @@ def bidiagonal_svd(d, e, want_uv: bool):
             de = np.concatenate((d[lo:hi], e[lo : hi - 1]))
             scale = prescale(de)
             if want_uv or m > LEAF:
-                up, sp, vp = _dc(de[:m], de[m:], 0, m, 0, want_uv)
+                up, sp, vp = _dc(de[:m], de[m:], 0, want_uv)
             else:
                 sp = _qr_svd(de[:m].tolist(), de[m:].tolist(), None, None)
             unscale("bidiagonal SVD", scale, sp)

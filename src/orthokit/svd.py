@@ -180,10 +180,12 @@ def bidiag_svd(b: Bidiagonal):
     sorted descending.  B is split at its negligible superdiagonal entries,
     and a piece of more than ``bidiagonal.LEAF`` rows goes through divide and
     conquer, whose leaves of at most LEAF rows run the implicit QR.  Each
-    implicit-QR run has ``bidiagonal.SWEEPS`` (30) sweeps per row; when a
-    run exhausts them, ``ConvergenceError`` carries a partial spectrum of
-    all n values, sorted descending: that run's current diagonal on its
-    rows and |B|'s diagonal on the others.
+    implicit-QR run has ``bidiagonal.SWEEPS`` (30) sweeps per row, and each
+    level of merges ``bidiagonal.STEPS`` (100) secular steps; when a run or
+    a level exhausts them, ``ConvergenceError`` carries a partial spectrum
+    of all n values, sorted descending: that run's current diagonal, or
+    that level's current roots and deflated values, on its rows and |B|'s
+    diagonal on the others.
     """
     left, sigma, right = bidiagonal_svd(b.d, b.e, want_uv=True)
     return np.ascontiguousarray(left), sigma, np.ascontiguousarray(right)

@@ -9,7 +9,9 @@ prescribed rank, graded columns) and a scale 2^e with e in [-1000, 1000]
 (the Jacobi cross-check, which squares A, stays in [-250, 250]).  The SVD
 is also drawn with min(m, n) on either side of the divide-and-conquer leaf
 size, with graded, clustered, repeated or exactly zero singular values, and
-already bidiagonal.  Every
+already bidiagonal.  The secular solve of divide and conquer is also
+drawn on its own, as batches of arrows with random, graded, clustered or
+small-z_0 spectra.  Every
 comparison is made in units of 2^e, so the oracle's own norms cannot
 overflow.  Subnormal entries come from such a matrix at 2^-k, k in
 [1050, 1070], rounded onto the subnormal grid.  The profile is
@@ -375,6 +377,45 @@ def test_bidiag_svd_by_divide_and_conquer(n, kind, e, seed):
     assert fro(left.T @ left - np.eye(n)) <= tol * np.sqrt(n)
     assert fro(right.T @ right - np.eye(n)) <= tol * np.sqrt(n)
     assert np.abs(unit - np.ldexp(singular_values(np.ldexp(b, e)), -e)).max() <= tol * unit[0]
+
+
+@st.composite
+def arrow_problems(draw):
+    """``(d, z)``: the secular equation of an arrow in a merge's units, 2 to
+    60 poles from d_0 = 0 up to at most 1, distinct by more than the merge's
+    deflation tolerance, and ||z|| = 1.  The poles are random, graded over
+    14 decades or clustered (groups of four within 1e-13 relative); z is
+    random, or with z_0 at the merge's clamp 8 eps."""
+    k = draw(st.integers(2, 60))
+    kind = draw(st.sampled_from(["random", "graded", "clustered", "small-z0"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    poles = rng.uniform(0.0, 1.0, k - 1)
+    if kind == "graded":
+        poles = np.logspace(0, -14, k - 1) * rng.uniform(0.5, 1.0, k - 1)
+    elif kind == "clustered":
+        poles = np.repeat(rng.uniform(0.1, 0.5, k), 4)[: k - 1] * (1.0 + 1e-13 * (np.arange(k - 1) % 4))
+    d = np.concatenate(([0.0], np.sort(poles)))
+    assume((np.diff(d) > 8 * EPS).all())
+    z = rng.standard_normal(k)
+    z /= np.linalg.norm(z)
+    if kind == "small-z0":
+        z[0] = 8 * EPS
+    return d, z
+
+
+@PROFILE
+@given(st.lists(arrow_problems(), min_size=1, max_size=5))
+def test_secular_roots_do_not_depend_on_the_batch(problems):
+    # One level's secular solve: each problem gets the bits it gets alone.
+    from orthokit.bidiagonal import _secular_roots
+
+    sizes = np.array([d.size for d, _ in problems])
+    org, tau = _secular_roots(np.concatenate([d for d, _ in problems]), np.concatenate([z for _, z in problems]),
+                              sizes)
+    for (d, z), start in zip(problems, np.cumsum(sizes) - sizes):
+        alone = _secular_roots(d, z, np.array([d.size]))
+        assert np.array_equal(org[start : start + d.size], alone[0])
+        assert tau[start : start + d.size].tobytes() == alone[1].tobytes()
 
 
 @LARGE

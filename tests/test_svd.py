@@ -328,6 +328,38 @@ class TestBidiagSvd:
         assert isinstance(partial, np.ndarray) and len(partial) == n
         assert (np.diff(partial) <= 0.0).all() and (partial >= 0.0).all()
 
+    def test_secular_step_budget_raises_with_every_value(self, monkeypatch):
+        # n = 60 merges on two levels; one middle-way step leaves roots
+        # unconverged, and the partial spectrum still covers all 60 values.
+        n = 60
+        rng = np.random.default_rng(95)
+        b = np.diag(rng.standard_normal(n)) + np.diag(rng.standard_normal(n - 1), 1)
+        monkeypatch.setattr(bd_mod, "STEPS", 1)
+        for solve in (lambda: svd(b), lambda: singular_values(b)):
+            with pytest.raises(ConvergenceError, match="within 1 steps") as err:
+                solve()
+            partial = err.value.partial
+            assert isinstance(partial, np.ndarray) and len(partial) == n
+            assert (np.diff(partial) <= 0.0).all() and (partial >= 0.0).all()
+
+    @pytest.mark.parametrize("n, levels", [(80, 2), (156, 3)])
+    @pytest.mark.parametrize("want_uv", [True, False])
+    def test_one_secular_solve_per_tree_level(self, n, levels, want_uv, monkeypatch):
+        # At LEAF 25, 80 rows split into leaves of about 20 under two merge
+        # levels and 156 rows into leaves of about 19 under three.
+        assert bd_mod.LEAF == 25
+        sizes = []
+        roots = bd_mod._secular_roots
+
+        def spy(d, z, k):
+            sizes.append(k.size)
+            return roots(d, z, k)
+
+        monkeypatch.setattr(bd_mod, "_secular_roots", spy)
+        rng = np.random.default_rng(n)
+        bd_mod.bidiagonal_svd(rng.standard_normal(n), rng.standard_normal(n - 1), want_uv)
+        assert sizes == [2 ** (levels - 1 - h) for h in range(levels)]
+
     @pytest.mark.parametrize("m, n", [(26, 26), (60, 60), (156, 156), (400, 400), (200, 156), (120, 300)])
     def test_values_and_vectors_run_the_same_leaves(self, m, n, monkeypatch):
         # No implicit-QR run sees more than LEAF rows, and the values alone
@@ -384,7 +416,7 @@ class TestDivideAndConquer:
             # |e_i| >> |d_i| above the split: the upper null vector is ~10^-2m
             # in its last entry, so z_0 falls below the deflation tolerance.
             d[: m // 2] *= 1e-4
-        u, sigma, v = bd_mod._dc(d, e, 0, m, sqre)
+        u, sigma, v = bd_mod._dc(d, e, sqre)
         b = _dense_block(d, e, sqre)
         assert sigma.shape == (m,) and u.shape == (m, m) and v.shape == (m + sqre, m + sqre)
         assert (sigma >= 0.0).all()
@@ -401,17 +433,22 @@ class TestDivideAndConquer:
         rng = np.random.default_rng(97)
         m = self.L
         d, e = rng.standard_normal(m), rng.standard_normal(m)
-        u, sigma, v = bd_mod._dc(d, e, 0, m, 1)
+        u, sigma, v = bd_mod._dc(d, e, 1)
         b = _dense_block(d, e, 1)
         assert fro(u * sigma @ v[:, :m].T - b) <= 10 * m * EPS * fro(b)
         assert np.abs(b @ v[:, m]).max() <= 10 * m * EPS * fro(b)
 
     def test_secular_roots_interlace_and_solve_the_equation(self):
+        # Four arrows solved as one batch, in a merge's units: poles in
+        # [0, 1] and ||z|| = 1, so every root is below 2.
         rng = np.random.default_rng(98)
-        for k in (2, 3, 10, 60):
-            d = np.concatenate(([0.0], np.sort(rng.uniform(0.01, 1.0, k - 1))))
-            z = rng.standard_normal(k)
-            sigma, um, vm = bd_mod._arrow_svd(d, z)
+        sizes = np.array([2, 3, 10, 60])
+        arrows = [(np.concatenate(([0.0], np.sort(rng.uniform(0.01, 1.0, k - 1)))), rng.standard_normal(k))
+                  for k in sizes]
+        arrows = [(d, z / np.linalg.norm(z)) for d, z in arrows]
+        org, tau = bd_mod._secular_roots(*map(np.concatenate, zip(*arrows)), sizes)
+        for (d, z), k, start in zip(arrows, sizes, np.cumsum(sizes) - sizes):
+            sigma, um, vm = bd_mod._arrow_svd(d, z, org[start : start + k], tau[start : start + k])
             assert (sigma > d).all() and (sigma[:-1] < d[1:]).all()
             arrow = np.diag(d)
             arrow[0] = z
@@ -639,7 +676,7 @@ class TestRotationChains:
             apply_chains(acc, chains)
 
         monkeypatch.setattr(bd_mod, "_apply_chains", flush_spy)
-        u, sigma, v = bd_mod._dc_leaf(d, e, 0, m, 0)
+        u, sigma, v = bd_mod._dc(d, e, 0)
         kinds = {ev for ev in events if isinstance(ev, str)}
         assert kinds == {"column", "row"}
         for name in kinds:
@@ -665,7 +702,7 @@ class TestRotationChains:
         monkeypatch.setattr(bd_mod, "_chain_factors", spy)
         m = bd_mod.LEAF
         rng = np.random.default_rng(205)
-        bd_mod._dc_leaf(rng.standard_normal(m), rng.standard_normal(m - 1), 0, m, 0)
+        bd_mod._dc(rng.standard_normal(m), rng.standard_normal(m - 1), 0)
         assert sum(sizes) > 2 * bd_mod.LEAF  # one chain for u and one for v a sweep
         assert max(sizes) <= bd_mod.LEAF
 
@@ -675,7 +712,7 @@ class TestRotationChains:
         m = bd_mod.LEAF
         rng = np.random.default_rng(203 + sqre)
         d, e = rng.standard_normal(m), rng.standard_normal(m - 1 + sqre)
-        bd_mod._dc_leaf(d, e, 0, m, sqre)
+        bd_mod._dc(d, e, sqre)
         # only the sqre pre-rotation: the random leaf never deflates
         assert callers == ["column"] * (m * sqre)
 
