@@ -286,21 +286,21 @@ def _dc_level(d, e, blocks, done):
         phi = beta * v2[0, s2.size] if sqre else 0.0
         c0, s0 = givens_params(z[0], phi)
         z[0] = c0 * z[0] + s0 * phi
-        order = np.concatenate(([0], 1 + np.argsort(dm[1:], kind="stable")))
+        order = np.argsort(dm, kind="stable")  # d_0 = 0 stays first
         tol = 8.0 * EPS * max(float(dm.max()), abs(alpha), abs(beta))
         arrows.append((dm[order], z[order], order, tol, scale, (c0, s0, u1, u2, v1, v2)))
     ds, zs, cols, tols, scales, children = zip(*arrows)
-    (dm, z, col), tol = map(np.concatenate, (ds, zs, cols)), np.repeat(tols, [*map(len, ds)])
+    size = [*map(len, ds)]
+    (dm, z, col), tol = map(np.concatenate, (ds, zs, cols)), np.repeat(tols, size)
     # Deflation (xLASD2), one test for the level: a negligible z_j leaves d_j
     # and its vectors as they are; of two other poles within tol, a turn gives
-    # the lower one z_j = 0; a block's first pole, 0, stays.  The deflated go
-    # in the order the xLASD2 sweep meets them, a turned one with its partner.
-    # Kept poles at least tol from d_0 = 0, and z_0 >= tol, keep roots off poles.
-    first = col == 0
-    blk = np.cumsum(first) - 1
-    tiny = np.flatnonzero(~first & (np.abs(z) <= tol))
-    live = np.flatnonzero(first | ~(np.abs(z) <= tol))
-    pair = (np.diff(dm[live]) <= tol[live[1:]]) & ~first[live[:-1]] & ~first[live[1:]]
+    # the lower one z_j = 0 (a NaN keeps each block's first pole, 0, and its
+    # border out of the pairs).  The deflated go in the order the xLASD2 sweep
+    # meets them; kept poles >= tol from d_0 = 0, and z_0 >= tol, keep roots off poles.
+    first, blk = col == 0, np.repeat(np.arange(len(blocks)), size)
+    tiny = ~first & (np.abs(z) <= tol)
+    tiny, live = np.flatnonzero(tiny), np.flatnonzero(~tiny)
+    pair = np.diff(np.where(first, np.nan, dm)[live]) <= tol[live[1:]]
     low, high = live[:-1][pair], live[1:][pair]
     zl, turns = z.tolist(), [[] for _ in blocks]
     for i, j in zip(low.tolist(), high.tolist()):
@@ -316,7 +316,7 @@ def _dc_level(d, e, blocks, done):
         org, tau = _secular_roots(dk, zk, np.bincount(blk[kept]))
     except ConvergenceError as err:  # the roots so far beside the deflated poles
         dm[kept] = err.partial
-        err.partial = dm * np.repeat(scales, [*map(len, ds)])
+        err.partial = dm * np.repeat(scales, size)
         raise
     for b, ((lo, hi, sqre), scale, turn) in enumerate(zip(blocks, scales, turns)):
         c0, s0, u1, u2, v1, v2 = children[b]
@@ -330,7 +330,7 @@ def _dc_level(d, e, blocks, done):
         if ub is not None:
             ub[k, 0], ub[:k, 1 : k + 1], ub[k + 1 :, k + 1 :] = 1.0, u1, u2
         vb = np.zeros((m + sqre, m + sqre), order="F")
-        vb[: k + 1, : k + 1], vb[k + 1 :, k + 1 :] = np.roll(v1, 1, axis=1), v2
+        vb[: k + 1, 0], vb[: k + 1, 1 : k + 1], vb[k + 1 :, k + 1 :] = v1[:, k], v1[:, :k], v2
         if sqre:
             rotate(vb[:, 0], vb[:, m], c0, s0)
         perm = col[np.concatenate((kept[r], q))]
@@ -413,14 +413,13 @@ def _secular_roots(d, z, n):
     bracket.  A root iterates on its own problem's poles, so a problem gets
     the bits it gets alone; one pole's root is |z_b0|.  ``ConvergenceError``,
     ``partial`` the roots so far, when STEPS steps leave a root unconverged."""
-    z2 = z * z
-    rho = np.array([x.sum() for x in np.split(z2, np.cumsum(n)[:-1])])
     # A row per problem, padded with poles 4 (above every root) and z = 0.
     real = np.arange(n.max() + 1) < n[:, None]
     row, i = np.nonzero(real)
-    dp, zp = np.full(real.shape, 4.0), np.zeros(real.shape)
-    dp[real], zp[real] = d, z2
-    d, z2, nr = dp, zp, n[row]
+    dp, z2 = np.full(real.shape, 4.0), np.zeros(real.shape)
+    dp[real], z2[real] = d, z * z
+    d, nr = dp, n[row]
+    rho = np.array([zb[:nb].sum() for zb, nb in zip(z2, n.tolist())])
     last = i == nr - 1
     # The first evaluation: root i < n-1 at the midpoint of (d_i^2, d_i+1^2) from the origin
     # d_i, the last halfway to its bound sqrt(d[n-1]^2 + ||z||^2).  f there tells which half
@@ -467,7 +466,7 @@ def _secular_roots(d, z, n):
         tau[ints[0]] = t[:] = np.where(done, t, new)
         if done.all():
             return org, tau
-        x, ints = x[:, ~done], ints[:, ~done]
+        x, ints = x.compress(~done, axis=1), ints.compress(~done, axis=1)
         terms = _secular_terms(d, z2, x[0], x[1], *ints[1:])
     raise ConvergenceError(f"secular equation did not converge within {STEPS} steps", partial=d[row, org] + tau)
 
@@ -489,10 +488,11 @@ def bidiagonal_svd(d, e, want_uv: bool):
             m = hi - lo
             de = np.concatenate((d[lo:hi], e[lo : hi - 1]))
             scale = prescale(de)
-            if want_uv or m > LEAF:
+            if m > LEAF:
                 up, sp, vp = _dc(de[:m], de[m:], 0, want_uv)
-            else:
-                sp = _qr_svd(de[:m].tolist(), de[m:].tolist(), None, None)
+            else:  # one implicit-QR run
+                up, vp = (np.eye(m), np.eye(m)) if want_uv else (None, None)
+                sp = _qr_svd(de[:m].tolist(), de[m:].tolist(), up, vp)
             unscale("bidiagonal SVD", scale, sp)
             sigma[lo:hi] = sp
             if want_uv:
