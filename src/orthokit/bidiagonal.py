@@ -11,11 +11,11 @@ middle rows down to leaves of at most LEAF rows, then merged a level at a
 time, the row between two halves coupling them into an arrow matrix.  A
 level makes one deflation test (xLASD2) and one solve of all its secular
 equations by R.-C. Li's middle-way iteration (LAPACK Working Note 89,
-1994); the vectors come from the z-hat of the Loewner formula, orthogonal
-however close the roots lie.  Values alone skip u but keep v, whose
+1994); each merge's vectors come from the z-hat of the Loewner formula,
+orthogonal however close the roots lie.  Values alone skip u but keep v, whose
 boundary rows form each merge's z (xLASD6 with ICOMPQ = 0).
 
-The leaves, and a values-only piece of at most LEAF rows, run implicit-shift
+The leaves, and a piece of at most LEAF rows, run implicit-shift
 QR steps on Python floats (Wilkinson shift on the trailing 2x2 of B^T B,
 taken with the first rotation on the block over a power of two near its
 largest entry), deflating by the same test.  Each sweep's rotation chains
@@ -37,9 +37,9 @@ from .matrix import pow2_scale, prescale, unscale
 from .reflectors import givens_params, rotate
 
 # Divide and conquer splits a bidiagonal of more than LEAF rows; its leaves
-# of at most LEAF rows run the implicit QR.  Against 25 (phase two, n = 44-400):
-# 16 took 0.84-1.00x from n = 81 up but 1.03-1.07x at 44 and 60, 20 gained
-# only at 100 and 400, and 32 lost 1.10-1.25x at 60 and 118.
+# of at most LEAF rows run the implicit QR.  By tree level, LEAF 16 took
+# 0.81-0.90x of 25's phase two with vectors at n = 81, 100, 156 and 400 (the
+# same tree at 60 and 118), but 1.05x at 44 and 1.15x at 25.
 LEAF = 25
 SWEEPS = 30  # the sweep budget of each implicit-QR run, per row of that run
 STEPS = 100  # the middle-way step budget of each level's secular solve
