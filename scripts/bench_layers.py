@@ -48,6 +48,11 @@ how Q^T b is applied would change (ROADMAP item 5), over twenty times
 ``--repeats`` calls each: a standard-normal m x n matrix and m-vector from
 the seed 4242 + m + n.
 
+``qr_pivoted`` gets a row at 6 x 3, 12 x 6, 20 x 10 and 32 x 16, the 2n x n
+shapes on which the small-batch workload's ``solve`` and
+``projector_onto_range`` requests run it, over twenty times ``--repeats``
+calls each: a standard-normal m x n matrix from the seed 4242 + m + n.
+
 ``solve_qr_pivoted`` gets a row for each system that the lstsq-tall workload
 sends it: 600 x 60 of rank 40, 1200 x 100 of rank 70 and 900 x 80 of full
 rank, built as ``bench/workloads.py`` builds them (``gen.matrix`` with that
@@ -118,6 +123,7 @@ PHASE2_SIZES = (60, 100)
 ROTATION_SIZES = (6, 10, 16)
 TALL = ((600, 60), (1000, 100), (1500, 120))
 SOLVE_QR = ((18, 16), (40, 30))
+PIVOTED_SMALL = ((6, 3), (12, 6), (20, 10), (32, 16))
 PIVOTED = ((600, 60, 40), (1200, 100, 70), (900, 80, 80))  # m, n, rank
 CLUSTERED = ((60, 60), (300, 120))
 SEED = 4242
@@ -181,6 +187,9 @@ def cases(ok, repeats):
         rng = np.random.default_rng(SEED + m + n)
         a, c = rng.standard_normal((m, n)), rng.standard_normal(m)
         yield "solve_qr", m, n, lambda: ok.solve_qr(a, c), 20 * repeats
+    for m, n in PIVOTED_SMALL:
+        a = np.random.default_rng(SEED + m + n).standard_normal((m, n))
+        yield "qr_pivoted", m, n, lambda: ok.qr_pivoted(a), 20 * repeats
     for n in SIZES:
         a = np.random.default_rng(SEED + n).standard_normal((n, n))
         _, bid, _ = ok.bidiagonalize(a)

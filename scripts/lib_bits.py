@@ -8,8 +8,9 @@ Run from the repository root.  ``src/orthokit`` at REV is extracted with
 package ``orthokit_against``, as ``bench_layers.py --against`` does; BLAS
 runs on one thread.  A fixed, seeded corpus then goes through every function
 in the ``__all__`` of each core module (``CORE``), each called with its
-default arguments (and the other ``norm`` kinds, ``svd``'s full shape), so
-both sides accept the call:
+default arguments (and the other ``norm`` kinds, ``svd``'s full shape, and
+``T_DIGITS`` in ``qr_pivoted``, ``solve_qr_pivoted``, ``matrix_rank`` and
+``default_rank_threshold``), so both sides accept the call:
 
 - shapes from 1 x 1 to 300 x 120, tall, square and wide (``SHAPES``);
 - five kinds of matrix (``KINDS``): dense standard-normal, rank-deficient
@@ -68,6 +69,9 @@ SEED = 2025
 # they take the leading block, or rows, of at most this many rows.
 JACOBI_ROWS = 16
 GIVENS_ROWS = 60
+# The four functions that take the rank threshold's t_digits also run at
+# these, beside the default 12; each refuses 0.
+T_DIGITS = (0, 1, 6, 15)
 APP_SHAPES = ((6, 4), (12, 8), (40, 24))
 WORDS = ("the", "a", "of", "compute", "computing", "computed", "matrix", "matrices", "orthogonal",
          "rotation", "rotations", "reflected", "singular", "values", "value", "basis")
@@ -180,6 +184,13 @@ CALLS = {
     "solve": lambda ok, v: ok.solve(v.a, v.b),
     "conditioning_report": lambda ok, v: ok.conditioning_report(v.a, v.b, v.x),
 }
+for _t in T_DIGITS:
+    CALLS.update({
+        f"qr_pivoted-t{_t}": lambda ok, v, t=_t: ok.qr_pivoted(v.a, t),
+        f"solve_qr_pivoted-t{_t}": lambda ok, v, t=_t: ok.solve_qr_pivoted(v.a, v.b, t_digits=t),
+        f"matrix_rank-t{_t}": lambda ok, v, t=_t: ok.matrix_rank(v.a, t),
+        f"default_rank_threshold-t{_t}": lambda ok, v, t=_t: ok.default_rank_threshold(v.a, t),
+    })
 
 
 def app_inputs(m: int, n: int, exponent: int, rng) -> SimpleNamespace:

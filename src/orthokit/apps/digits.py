@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..matrix import as_matrix, prescale, read_matrix_csv, unscale, write_matrix_csv
+from ..matrix import as_matrix, as_real, prescale, read_matrix_csv, unscale, write_matrix_csv
 from ..qr import form_q, qr_householder, QrMode
 from ..svd import svd
 
@@ -129,7 +129,7 @@ def write_digits_csv(path, x, labels) -> None:
     """Write samples in the labeled CSV format, mapped through
     ``PIXEL_OFFSET + PIXEL_SCALE * value`` and quantized to 0..255."""
     x = as_matrix(x)
-    labels = np.asarray(labels, dtype=float)
+    labels = as_real(labels, "labels")
     if labels.size != x.shape[1]:
         raise ValueError(f"{labels.size} labels for {x.shape[1]} samples")
     if x.shape[0] != MODEL_DIM:

@@ -17,10 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefiniteError, RankDeficiencyError, ShapeError
-from .matrix import DEFAULT_T_DIGITS, as_matrix, as_vector, back_sub, cholesky, forward_sub, require_finite
+from .matrix import (
+    DEFAULT_T_DIGITS, as_matrix, as_real, as_vector, back_sub, cholesky, forward_sub, rank_threshold, require_finite,
+)
 from .qr import QrMode, qr_householder, qr_pivoted
 from .reflectors import reflect_all, stable_norm
-from .svd import cond2, numerical_rank, rank_threshold, svd
+from .svd import cond2, numerical_rank, svd
 
 __all__ = [
     "LeastSquaresSolution",
@@ -118,7 +120,7 @@ def solve_qr(a, b) -> LeastSquaresSolution:
 
 
 def solve_qr_pivoted(a, b, y_hat=None, t_digits: int = DEFAULT_T_DIGITS) -> LeastSquaresSolution:
-    """Solve min ||Ax - b|| for any rank via column-pivoted QR.
+    """Solve min ||Ax - b|| for any rank via column-pivoted QR, its rank at ``matrix.rank_threshold``.
 
     With rank r < n the solution family has n - r free parameters ``y_hat``
     (default zero, the basic solution); every choice gives the same
@@ -128,14 +130,9 @@ def solve_qr_pivoted(a, b, y_hat=None, t_digits: int = DEFAULT_T_DIGITS) -> Leas
     a, b = _matching(a, b)
     n = a.shape[1]
     r = f.rank
-    if y_hat is None:
-        y_hat = np.zeros(n - r)
-    else:
-        y_hat = np.asarray(y_hat, dtype=float).reshape(-1)
-        if y_hat.size != n - r:
-            raise ShapeError(f"y_hat must have length n - rank = {n - r}, got {y_hat.size}")
-        if not np.isfinite(y_hat).all():
-            raise ValueError("y_hat entries must be finite")
+    y_hat = np.zeros(n - r) if y_hat is None else as_real(y_hat, "y_hat entries").reshape(-1)
+    if y_hat.size != n - r:
+        raise ShapeError(f"y_hat must have length n - rank = {n - r}, got {y_hat.size}")
     qtb = b.copy()
     reflect_all(f.reflectors, qtb[:, None], transpose=True)
     x = np.zeros(n)

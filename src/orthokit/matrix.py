@@ -46,16 +46,26 @@ def as_matrix(a, order: str = "C") -> np.ndarray:
     """Coerce ``a`` to a fresh 2-D row-major float64 array (column-major
     with ``order="F"``, the working copy of a Householder sweep).
 
-    Rejects empty shapes and non-finite entries; this is the validation
-    gate for all externally supplied matrix data.
+    Rejects empty shapes, complex entries and non-finite entries; this is
+    the validation gate for all externally supplied matrix data.
     """
-    m = np.array(a, dtype=float, order=order)
+    m = as_real(a, "matrix entries", order)
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got array of ndim {m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ShapeError(f"matrix dimensions must be positive, got {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    return m
+
+
+def as_real(x, what: str, order: str = "C") -> np.ndarray:
+    """A fresh float64 array of ``x``'s entries; ``ValueError`` naming ``what``
+    for complex ones (a cast would drop their imaginary parts), NaN or Inf."""
+    m = np.asarray(x)
+    if m.dtype.kind == "c":
+        raise ValueError(f"{what} must be real, not complex")
+    m = np.array(m, dtype=float, order=order)
+    if not np.logical_and.reduce(np.isfinite(m), axis=None):  # .all() without its Python wrapper
+        raise ValueError(f"{what} must be finite (no NaN/Inf)")
     return m
 
 
@@ -77,8 +87,8 @@ def pow2_scale(top: float) -> float:
     return math.ldexp(1.0, min(exp, 1023))
 
 
-# Decimal digits of data accuracy behind the default rank threshold
-# 10^-t * ||A||_inf of the pivoted QR and the SVD.
+# Decimal digits of data accuracy behind the default ``rank_threshold``,
+# the one rank threshold of the pivoted QR and the SVD.
 DEFAULT_T_DIGITS = 12
 
 
@@ -90,6 +100,14 @@ def norm_tol(a: np.ndarray, rtol: float) -> float:
     s = pow2_scale(float(mag.max()))
     mag /= s
     return rtol * float(mag.sum(axis=1).max()) * s
+
+
+def rank_threshold(a, t_digits: int = DEFAULT_T_DIGITS) -> float:
+    """delta = 10^-t * ||A||_inf, at or below which pivot norms and singular values count as
+    zero (entries accurate to t decimal digits); reads an A its caller has validated in place."""
+    if t_digits < 1:
+        raise ValueError(f"t_digits must be >= 1, got {t_digits}")
+    return norm_tol(np.asarray(a, dtype=float), 10.0 ** (-t_digits))
 
 
 def frobenius(a: np.ndarray) -> float:
@@ -129,14 +147,12 @@ def require_finite(what: str, *arrays) -> None:
 
 
 def as_vector(b) -> np.ndarray:
-    """Coerce ``b`` to a fresh 1-D float64 array with finite entries."""
-    v = np.array(b, dtype=float)
+    """Coerce ``b`` to a fresh 1-D float64 array with real, finite entries."""
+    v = as_real(b, "vector entries")
     if v.ndim != 1:
         raise ShapeError(f"expected a 1-D vector, got array of ndim {v.ndim}")
     if v.size < 1:
         raise ShapeError("vector length must be positive")
-    if not np.isfinite(v).all():
-        raise ValueError("vector entries must be finite (no NaN/Inf)")
     return v
 
 

@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ShapeError
-from .matrix import DEFAULT_T_DIGITS, as_matrix, as_square, prescale, require_finite, unscale
+from .matrix import DEFAULT_T_DIGITS, as_matrix, as_square, prescale, rank_threshold, require_finite, unscale
 from .reflectors import (
     BLOCK,
     GivensRotation,
@@ -177,7 +177,7 @@ def qr_pivoted(a, t_digits: int = DEFAULT_T_DIGITS) -> QrFactorization:
     ordered by rounding in their norms.  Remaining norms are maintained by
     downdating kappa_j -= r_kj^2, with an exact recompute whenever the
     downdated square falls below 1e-8 of its reference value.  The rank is
-    the number of pivot norms exceeding delta = 10^-t_digits * norm(a, inf).
+    the number of pivot norms exceeding ``matrix.rank_threshold(a, t_digits)``.
 
     The sweep runs over panels of up to ``BLOCK`` columns (xGEQP3/xLAQPS:
     Quintana-Orti, Sun & Bischof, SIAM J. Sci. Comput. 1998).  Within a
@@ -189,15 +189,11 @@ def qr_pivoted(a, t_digits: int = DEFAULT_T_DIGITS) -> QrFactorization:
     recompute reads the updated trailing columns.
     """
     r = as_matrix(a, order="F")  # a fresh column-major copy, swept in place
-    if t_digits < 1:
-        raise ValueError(f"t_digits must be >= 1, got {t_digits}")
     m, n = r.shape
     # Exact power-of-two prescaling so the squared column norms stay in range.
     scale = prescale(r)
-    mag = np.abs(r)
-    delta = 10.0 ** (-t_digits) * float(mag.sum(axis=1).max())
-    mag *= mag
-    kappa = mag.sum(axis=0)
+    delta = rank_threshold(r, t_digits)
+    kappa = (r * r).sum(axis=0)
     floor = NORM_DOWNDATE_GUARD * kappa
     perm = np.arange(n)
     reflectors: list[HouseholderReflector] = []

@@ -31,7 +31,8 @@ import numpy as np
 from .bidiagonal import bidiagonal_svd
 from .errors import ConvergenceError, ShapeError, SingularMatrixError
 from .matrix import (
-    DEFAULT_T_DIGITS, as_matrix, as_square, as_vector, norm, norm_tol, pow2_scale, prescale, require_finite, unscale,
+    DEFAULT_T_DIGITS, as_matrix, as_real, as_square, as_vector, norm, norm_tol, pow2_scale, prescale, rank_threshold,
+    require_finite, unscale,
 )
 from .reflectors import BLOCK, HouseholderReflector, annihilate, reflect_all, rotate, subtract_product
 
@@ -84,13 +85,11 @@ class Bidiagonal:
 
     def __post_init__(self):
         self.d = as_vector(self.d)
-        self.e = np.array(self.e, dtype=float)
+        self.e = as_real(self.e, "superdiagonal entries")
         if self.e.ndim != 1:
             raise ShapeError(f"superdiagonal must be a 1-D vector, got array of ndim {self.e.ndim}")
         if self.e.size != self.d.size - 1:
             raise ShapeError(f"superdiagonal length {self.e.size} != diagonal length {self.d.size} - 1")
-        if not np.isfinite(self.e).all():
-            raise ValueError("superdiagonal entries must be finite (no NaN/Inf)")
 
 
 def bidiagonalize(a):
@@ -219,12 +218,12 @@ def svd(a, shape: str = "reduced") -> SvdFactorization:
     """
     if shape not in ("full", "reduced"):
         raise ValueError(f"shape must be 'full' or 'reduced', got {shape!r}")
-    # bidiagonalize validates A and copies it once; 0 x n is not wide, so it reports (0, n).
-    a = np.asarray(a, dtype=float)
-    wide = a.ndim == 2 and 0 < a.shape[0] < a.shape[1]
-    left, bid, right = bidiagonalize(a.T if wide else a)
+    # bidiagonalize validates A and copies it once, uncast; 0 x n is not wide, so it reports (0, n).
+    dims = np.shape(a)
+    wide = len(dims) == 2 and 0 < dims[0] < dims[1]
+    left, bid, right = bidiagonalize(np.transpose(a) if wide else a)
     ub, sig, v = bidiagonal_svd(bid.d, bid.e, want_uv=True)
-    m, n = max(a.shape), min(a.shape)
+    m, n = max(dims), min(dims)
     # U = Q_L [U_B 0; 0 I] and V = Q_R V_B, for A^T if A is wide.
     u = np.eye(m, m if shape == "full" else n)
     u[:n, :n] = ub
@@ -239,9 +238,9 @@ def svd(a, shape: str = "reduced") -> SvdFactorization:
 
 def singular_values(a) -> np.ndarray:
     """Singular values only (no factor accumulation)."""
-    a = np.asarray(a, dtype=float)
-    wide = a.ndim == 2 and 0 < a.shape[0] < a.shape[1]
-    _, bid, _ = bidiagonalize(a.T if wide else a)
+    dims = np.shape(a)
+    wide = len(dims) == 2 and 0 < dims[0] < dims[1]
+    _, bid, _ = bidiagonalize(np.transpose(a) if wide else a)
     _, sig, _ = bidiagonal_svd(bid.d, bid.e, want_uv=False)
     return sig
 
@@ -317,26 +316,16 @@ def jacobi_eig(s, max_sweeps: int = 30):
 
 
 def default_rank_threshold(a, t_digits: int = DEFAULT_T_DIGITS) -> float:
-    """delta = 10^-t * ||A||_inf: singular values at or below delta count
-    as zero (entries assumed accurate to t decimal digits)."""
+    """``matrix.rank_threshold`` of A, validated first: the one threshold of
+    the singular values and of ``qr_pivoted``'s pivot norms."""
     return rank_threshold(as_matrix(a), t_digits)
-
-
-def rank_threshold(a, t_digits: int = DEFAULT_T_DIGITS) -> float:
-    """``default_rank_threshold`` of an A its caller's factorization has
-    already validated, read in place rather than copied again."""
-    if t_digits < 1:
-        raise ValueError(f"t_digits must be >= 1, got {t_digits}")
-    return norm_tol(np.asarray(a, dtype=float), 10.0 ** (-t_digits))
 
 
 def numerical_rank(sigma, threshold: float) -> int:
     """Number of singular values strictly above ``threshold``."""
-    sigma = np.asarray(sigma, dtype=float)
+    sigma = as_real(sigma, "singular values")
     if sigma.ndim != 1:
         raise ShapeError("sigma must be a 1-D vector")
-    if not np.isfinite(sigma).all():
-        raise ValueError("singular values must be finite (no NaN/Inf)")
     if np.isnan(threshold):
         raise ValueError("threshold must not be NaN")
     if np.any(sigma < 0.0):
@@ -347,6 +336,7 @@ def numerical_rank(sigma, threshold: float) -> int:
 
 
 def matrix_rank(a, t_digits: int = DEFAULT_T_DIGITS) -> int:
+    """The number of singular values above ``matrix.rank_threshold(a, t_digits)``."""
     return numerical_rank(singular_values(a), rank_threshold(a, t_digits))
 
 

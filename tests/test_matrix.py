@@ -1,9 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthokit import (
+    Bidiagonal,
     CsvFormatError,
     NotPositiveDefiniteError,
     NumericalError,
@@ -14,15 +17,28 @@ from orthokit import (
     back_sub,
     cholesky,
     forward_sub,
+    jacobi_eig,
     mat_mul,
     norm,
+    numerical_rank,
+    qr_householder,
     read_matrix_csv,
     read_vector_csv,
+    singular_values,
+    solve,
+    solve_qr_pivoted,
+    svd,
     transpose,
     write_matrix_csv,
 )
+from orthokit.apps import polyfit, write_digits_csv
 from orthokit.matrix import parse_matrix_csv, prescale, unscale
 from helpers import SURVEY_A, SURVEY_GRAM, fro, triple_loop_matmul, written
+
+# Hermitian, with eigenvalues 1 and 3; its real part has the double eigenvalue 2.
+HERMITIAN = np.array([[2.0, 1j], [-1j, 2.0]])
+# Python complex numbers, which numpy cannot cast to float at all.
+COMPLEX_LIST = [1.0, 2j, 3.0]
 
 
 class TestMatMul:
@@ -318,6 +334,27 @@ class TestValidation:
     def test_non_2d_rejected(self):
         with pytest.raises(ShapeError):
             as_matrix([1.0, 2.0])
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: jacobi_eig(HERMITIAN), id="jacobi_eig"),
+        pytest.param(lambda: singular_values(HERMITIAN), id="singular_values"),
+        pytest.param(lambda: svd(HERMITIAN), id="svd"),
+        pytest.param(lambda: svd(HERMITIAN[:1]), id="svd-wide"),
+        pytest.param(lambda: qr_householder(HERMITIAN), id="qr_householder"),
+        pytest.param(lambda: cholesky(HERMITIAN), id="cholesky"),
+        pytest.param(lambda: back_sub(np.eye(3), np.array(COMPLEX_LIST)), id="as_vector"),
+        pytest.param(lambda: numerical_rank(COMPLEX_LIST, 0.0), id="numerical_rank"),
+        pytest.param(lambda: Bidiagonal([1.0, 2.0, 3.0], COMPLEX_LIST[:2]), id="Bidiagonal-e"),
+        pytest.param(lambda: polyfit(COMPLEX_LIST, [1.0, 2.0, 3.0], 1), id="polyfit"),
+        pytest.param(lambda: solve(np.ones((3, 2)), COMPLEX_LIST), id="solve"),
+        pytest.param(lambda: solve_qr_pivoted(np.ones((3, 2)), [1.0, 2.0, 3.0], y_hat=[1j]), id="y_hat"),
+        pytest.param(lambda: write_digits_csv(os.devnull, np.zeros((784, 1)), [1j]), id="digit-labels"),
+    ])
+    def test_complex_entries_are_refused(self, call):
+        # A cast to float would drop the imaginary parts (jacobi_eig would
+        # return 2 and 2 for HERMITIAN), or fail with numpy's TypeError.
+        with pytest.raises(ValueError, match="must be real, not complex"):
+            call()
 
 
 class TestCsv:

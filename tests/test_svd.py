@@ -8,6 +8,7 @@ from orthokit import (
     Bidiagonal,
     ConvergenceError,
     NumericalError,
+    RankDeficiencyError,
     ShapeError,
     SingularMatrixError,
     bidiag_svd,
@@ -24,7 +25,10 @@ from orthokit import (
     projector_onto_range,
     pseudoinverse,
     qr_householder,
+    qr_pivoted,
     singular_values,
+    solve,
+    solve_qr,
     subspace_bases,
     svd,
 )
@@ -1094,13 +1098,26 @@ class TestNormsAndRank:
 
     @pytest.mark.parametrize("f", [matrix_rank, default_rank_threshold])
     def test_rank_threshold_needs_a_digit(self, f):
-        # The same check as qr_pivoted's, which takes the same t_digits.
+        # The one check, in matrix.rank_threshold, which qr_pivoted runs too.
         with pytest.raises(ValueError, match="t_digits must be >= 1, got 0"):
             f(np.eye(2), 0)
 
-    def test_rank_from_duplicated_columns_matches_pivoted_qr(self):
-        from orthokit import qr_pivoted
+    def test_every_rank_decision_reads_the_one_threshold(self, monkeypatch):
+        # With delta = inf, a full-rank A has rank 0 wherever the rank is
+        # decided: the pivot norms, the singular values, and solve_qr's R.
+        for name in ("qr", "svd", "lstsq"):
+            monkeypatch.setattr(sys.modules[f"orthokit.{name}"], "rank_threshold", lambda a, t_digits=12: np.inf)
+        rng = np.random.default_rng(83)
+        a, b = rng.standard_normal((12, 6)), rng.standard_normal(12)
+        assert qr_pivoted(a).rank == 0
+        assert matrix_rank(a) == 0
+        assert solve(a, b).rank == 0
+        with pytest.raises(RankDeficiencyError):
+            solve_qr(a, b)
+        with pytest.raises(RankDeficiencyError):
+            projector_onto_range(a)
 
+    def test_rank_from_duplicated_columns_matches_pivoted_qr(self):
         rng = np.random.default_rng(80)
         b = rng.standard_normal((6, 2))
         a = np.column_stack([b[:, 0], b[:, 1], b[:, 0], b[:, 1]])
