@@ -48,6 +48,12 @@ how Q^T b is applied would change (ROADMAP item 5), over twenty times
 ``--repeats`` calls each: a standard-normal m x n matrix and m-vector from
 the seed 4242 + m + n.
 
+``qr_householder`` gets a row at 300 x 20 and 200 x 30, the shapes of the
+``solve`` requests of the lstsq-tall and cli-apps workloads, just past the
+crossover where its sweep starts taking panels, and at the tall narrow
+1500 x 24, one panel of at most ``BLOCK`` columns: a standard-normal m x n
+matrix from the seed 4242 + m + n.
+
 ``qr_pivoted`` gets a row at 6 x 3, 12 x 6, 20 x 10 and 32 x 16, the 2n x n
 shapes on which the small-batch workload's ``solve`` and
 ``projector_onto_range`` requests run it, over twenty times ``--repeats``
@@ -123,6 +129,7 @@ PHASE2_SIZES = (60, 100)
 ROTATION_SIZES = (6, 10, 16)
 TALL = ((600, 60), (1000, 100), (1500, 120))
 SOLVE_QR = ((18, 16), (40, 30))
+HOUSEHOLDER_NARROW = ((300, 20), (200, 30), (1500, 24))
 PIVOTED_SMALL = ((6, 3), (12, 6), (20, 10), (32, 16))
 PIVOTED = ((600, 60, 40), (1200, 100, 70), (900, 80, 80))  # m, n, rank
 CLUSTERED = ((60, 60), (300, 120))
@@ -187,6 +194,9 @@ def cases(ok, repeats):
         rng = np.random.default_rng(SEED + m + n)
         a, c = rng.standard_normal((m, n)), rng.standard_normal(m)
         yield "solve_qr", m, n, lambda: ok.solve_qr(a, c), 20 * repeats
+    for m, n in HOUSEHOLDER_NARROW:
+        a = np.random.default_rng(SEED + m + n).standard_normal((m, n))
+        yield "qr_householder", m, n, lambda: ok.qr_householder(a, "r+u"), repeats
     for m, n in PIVOTED_SMALL:
         a = np.random.default_rng(SEED + m + n).standard_normal((m, n))
         yield "qr_pivoted", m, n, lambda: ok.qr_pivoted(a), 20 * repeats

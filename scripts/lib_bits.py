@@ -61,7 +61,7 @@ import orthokit.apps
 
 CORE = ("matrix", "reflectors", "qr", "projectors", "svd", "lstsq")
 SHAPES = ((1, 1), (1, 4), (4, 1), (2, 2), (3, 2), (2, 3), (6, 4), (4, 6), (10, 10), (25, 25), (26, 26),
-          (40, 30), (30, 40), (60, 60), (60, 150), (300, 120))
+          (40, 30), (30, 40), (60, 60), (60, 150), (300, 20), (300, 120))
 KINDS = ("dense", "rank-deficient", "graded", "zero-column", "clustered")
 SCALES = {"2^0": 0, "2^600": 600, "2^-600": -600, "2^-1064": -1064}
 SEED = 2025

@@ -3,16 +3,17 @@ structure check), and column-pivoted rank-revealing QR with incremental
 column-norm downdating.
 
 The Householder routes record the k-th reflector unpadded, with offset k,
-and both sweep panels of ``BLOCK`` columns.  ``qr_householder`` (xGEQRF)
-annihilates each column of a panel within the panel, and the trailing
-columns then take the panel's reflectors as one blocked product;
-``form_q`` applies the reflectors through the same blocked path.
-``qr_pivoted`` (xGEQP3/xLAQPS) cannot annihilate a panel ahead of time,
-since each pivot depends on the norms the previous columns leave, so it
-delays only the trailing update (see its docstring).  Both sweep a
-column-major copy of A, whose columns they read and update one at a time;
-R comes back row-major, like every other result.  ``qr_givens`` (and so
-``qr_hessenberg``) sweeps one array [A | I] into [R | Q^T].
+and sweep panels of ``BLOCK`` columns through one left-looking step,
+``_eliminate`` (xLAQPS: Quintana-Orti, Sun & Bischof, SIAM J. Sci. Comput.
+1998), which brings only the column it eliminates and that column's row up
+to date; the rest of the trailing matrix takes the panel as one product.
+``qr_householder`` (xGEQRF) takes panels while the trailing matrix has at
+least ``PANEL_CROSSOVER`` entries, as ``bidiagonalize`` does, and one
+rank-1 ``annihilate`` per column below; ``qr_pivoted`` (xGEQP3) takes them
+throughout.  Both sweep a column-major copy of A, whose columns they read
+and update one at a time; R comes back row-major, like every other result.
+``form_q`` applies the reflectors through ``reflect_all``.  ``qr_givens``
+(and so ``qr_hessenberg``) sweeps one array [A | I] into [R | Q^T].
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import ShapeError
 from .matrix import DEFAULT_T_DIGITS, as_matrix, as_square, prescale, rank_threshold, require_finite, unscale
 from .reflectors import (
     BLOCK,
+    PANEL_CROSSOVER,
     GivensRotation,
     HouseholderReflector,
     annihilate,
@@ -83,7 +85,9 @@ def qr_householder(a, mode=QrMode.Q_AND_R) -> QrFactorization:
 
     Handles m >= n and m < n (the sweep runs min(m-1, n) steps).  The
     returned R carries exact zeros below the diagonal; Q is formed only
-    when requested.
+    when requested.  A column whose subdiagonal part is already zero gets
+    no reflector.  Below ``PANEL_CROSSOVER`` trailing entries, each column
+    takes one rank-1 update of the whole trailing matrix (xGEQR2).
     """
     mode = QrMode.of(mode)
     r = as_matrix(a, order="F")  # a fresh column-major copy, swept in place
@@ -93,20 +97,38 @@ def qr_householder(a, mode=QrMode.Q_AND_R) -> QrFactorization:
     scale = prescale(r)
     reflectors = []
     steps = min(m - 1, n)
-    for j0 in range(0, steps, BLOCK):
-        j1 = min(j0 + BLOCK, n)
-        panel = []
-        # Columns whose subdiagonal part is already zero get no reflector.
-        for k in range(j0, min(j1, steps)):
-            h = annihilate(r[k:, k:j1], k)
-            if h is not None:
-                panel.append(h)
-        if j1 < n:
-            reflect_all(panel, r[:, j1:], transpose=True)
-        reflectors += panel
+    j0 = 0
+    while j0 < steps and (m - j0) * (n - j0) >= PANEL_CROSSOVER:
+        j1 = min(j0 + BLOCK, steps)
+        v = np.zeros((m, j1 - j0), order="F")
+        ft = np.zeros((j1 - j0, n))
+        for k in range(j0, j1):
+            _eliminate(r, v, ft, k - j0, k, reflectors)
+        subtract_product(r[j1:, j1:], v[j1:], ft[:, j1:])
+        j0 = j1
+    for k in range(j0, steps):
+        h = annihilate(r[k:, k:], k)
+        if h is not None:
+            reflectors.append(h)
     unscale("qr_householder", scale, r)
     q = form_q(reflectors, m) if mode is QrMode.Q_AND_R else None
     return QrFactorization(r=np.ascontiguousarray(r), q=q, reflectors=None if mode is QrMode.R_ONLY else reflectors)
+
+
+def _eliminate(r: np.ndarray, v: np.ndarray, ft: np.ndarray, i: int, k: int, reflectors: list) -> None:
+    """Step i of a panel whose update ``r <- r - V F^T`` is pending (v holds
+    V, ft holds F^T): column k of ``r`` takes it and is annihilated, its
+    reflector (if any) is appended to ``reflectors`` and extends V and F^T,
+    and row k then takes it, which makes that row final.  Row k of v and
+    column k of ft belong to row and column k of r, column i of v and row i
+    of ft to this step; rows of v above a reflector's offset stay zero."""
+    r[k:, k] -= v[k:, :i] @ ft[:i, k]
+    h = annihilate(r[k:, k : k + 1], k)
+    if h is not None:
+        reflectors.append(h)
+        v[k:, i] = h.u
+        ft[i, k + 1 :] = h.beta * (h.u @ r[k:, k + 1 :] - (h.u @ v[k:, :i]) @ ft[:i, k + 1 :])
+    r[k, k + 1 :] -= v[k, : i + 1] @ ft[: i + 1, k + 1 :]
 
 
 def form_q(reflectors, m: int, cols: int | None = None) -> np.ndarray:
@@ -179,14 +201,11 @@ def qr_pivoted(a, t_digits: int = DEFAULT_T_DIGITS) -> QrFactorization:
     downdated square falls below 1e-8 of its reference value.  The rank is
     the number of pivot norms exceeding ``matrix.rank_threshold(a, t_digits)``.
 
-    The sweep runs over panels of up to ``BLOCK`` columns (xGEQP3/xLAQPS:
-    Quintana-Orti, Sun & Bischof, SIAM J. Sci. Comput. 1998).  Within a
-    panel only the pivot column and the pivot row are brought up to date,
-    through the auxiliary matrix F of the panel's update ``A <- A - V F^T``
-    (V holds the panel's reflector vectors); the rest of the trailing
-    matrix takes that update as one matrix product when the panel ends.
-    A norm that needs the exact recompute ends the panel early, since the
-    recompute reads the updated trailing columns.
+    The sweep runs over panels of up to ``BLOCK`` columns (xGEQP3), each
+    pivot column eliminated by ``_eliminate`` (xLAQPS), so only the pivot
+    column and row are up to date until the panel ends.  A norm that needs
+    the exact recompute ends the panel early, since the recompute reads the
+    updated trailing columns.
     """
     r = as_matrix(a, order="F")  # a fresh column-major copy, swept in place
     m, n = r.shape
@@ -200,9 +219,7 @@ def qr_pivoted(a, t_digits: int = DEFAULT_T_DIGITS) -> QrFactorization:
     steps = rank = min(m, n)
     j0 = 0
     while j0 < steps:
-        # ft holds F^T.  Row k of v and column k of ft belong to row and
-        # column k of r, column i of v and row i of ft to step j0 + i; rows
-        # of v above a reflector's offset stay zero.  v is column-major,
+        # V and F^T of the panel (see ``_eliminate``).  v is column-major,
         # like r: each step writes one column of it.
         v = np.zeros((m, min(BLOCK, steps - j0)), order="F")
         ft = np.zeros((v.shape[1], n))
@@ -215,13 +232,7 @@ def qr_pivoted(a, t_digits: int = DEFAULT_T_DIGITS) -> QrFactorization:
             pivot_norm = math.sqrt(max(kappa[k], 0.0))
             if k < rank and pivot_norm <= delta:
                 rank = k
-            r[k:, k] -= v[k:, :i] @ ft[:i, k]
-            h = annihilate(r[k:, k : k + 1], k)
-            if h is not None:
-                reflectors.append(h)
-                v[k:, i] = h.u
-                ft[i, k + 1 :] = h.beta * (h.u @ r[k:, k + 1 :] - (h.u @ v[k:, :i]) @ ft[:i, k + 1 :])
-            r[k, k + 1 :] -= v[k, : i + 1] @ ft[: i + 1, k + 1 :]
+            _eliminate(r, v, ft, i, k, reflectors)
             kappa[k + 1 :] -= r[k, k + 1 :] ** 2
             stale = kappa[k + 1 :] < floor[k + 1 :]
             if stale.any():

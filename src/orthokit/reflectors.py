@@ -3,12 +3,13 @@
 A reflector ``H = I - beta * u u^T`` (beta = 2 / u^T u) is stored unpadded
 as (offset, u, beta): it acts on rows ``offset:`` of an operator of
 dimension ``offset + u.size`` (Golub & Van Loan, *Matrix Computations*,
-5.1.6).  ``reflect_all`` is the one apply path of every reflector product
-in the package: below ``CROSSOVER`` reflectors, or on a single column, it
-loops over ``reflect``, the rank-1 update ``a -= beta u (u^T a)`` on rows
-``offset:``; otherwise it applies groups of up to ``BLOCK`` reflectors in
-compact WY form ``I - V T V^T`` as three matrix products (Schreiber & Van
-Loan, SIAM J. Sci. Stat. Comput. 1989; LAPACK xLARFT/xLARFB).
+5.1.6).  ``reflect_all`` is the one apply path of every product of stored
+reflectors (Q, Q^T b, the SVD's back-transform): below ``CROSSOVER``
+reflectors, or on a single column, it loops over ``reflect``, the rank-1
+update ``a -= beta u (u^T a)`` on rows ``offset:``; otherwise it applies
+groups of up to ``BLOCK`` reflectors in compact WY form ``I - V T V^T`` as
+three matrix products (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput.
+1989; LAPACK xLARFT/xLARFB).
 ``annihilate`` is the one elimination step of the sweeps,
 ``subtract_product`` the one delayed trailing update ``A -= X Y`` of the
 blocked ones, ``givens_params`` the one rotation-parameter kernel (the
@@ -42,6 +43,15 @@ __all__ = [
 # behind T costs as much as the rank-1 updates, or more on tall inputs.
 BLOCK = 32
 CROSSOVER = 4
+
+# ``qr_householder`` and ``bidiagonalize`` sweep panels of BLOCK columns
+# while the trailing matrix has at least this many entries, and one rank-1
+# update per reflector below.  Chosen by timing with one BLAS thread, where
+# both panels start to pay: the bidiagonalization panel is faster from about
+# 4000 entries on (and made bidiagonalize 1.2-1.55x slower at 3^2 to 16^2);
+# the QR panel read 1.03-1.23x the unblocked sweep at 1600-4800 entries,
+# 0.96-1.08x at 6000-6400 and 0.77-0.96x from 8000 on.
+PANEL_CROSSOVER = 5000
 
 
 @dataclass
@@ -170,7 +180,7 @@ def annihilate(block: np.ndarray, offset: int) -> HouseholderReflector | None:
     ``offset``, or None if ``block[1:, 0]`` is already zero.  A row is
     eliminated through a transposed view."""
     x = block[:, 0]
-    if not np.any(x[1:]):
+    if not x[1:].any():
         return None
     h, nrm = _reflector(x)
     alpha = -_sign_nonneg(x[0]) * nrm

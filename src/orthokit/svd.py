@@ -34,7 +34,7 @@ from .matrix import (
     DEFAULT_T_DIGITS, as_matrix, as_real, as_square, as_vector, norm, norm_tol, pow2_scale, prescale, rank_threshold,
     require_finite, unscale,
 )
-from .reflectors import BLOCK, HouseholderReflector, annihilate, reflect_all, rotate, subtract_product
+from .reflectors import BLOCK, PANEL_CROSSOVER, HouseholderReflector, annihilate, reflect_all, rotate, subtract_product
 
 __all__ = [
     "SvdFactorization",
@@ -57,14 +57,6 @@ __all__ = [
     "distance_to_singular",
     "SingularDistance",
 ]
-
-# ``bidiagonalize`` sweeps panels of BLOCK columns while the trailing matrix
-# has at least this many entries, and one rank-1 update per reflector below.
-# Chosen by timing with one BLAS thread: from about 4000 entries on, the
-# panel is faster; below that, its extra products cost what they save (the
-# panel at every size made bidiagonalize 1.2-1.55x slower at 3^2 to 16^2).
-PANEL_CROSSOVER = 5000
-
 
 @dataclass
 class SvdFactorization:

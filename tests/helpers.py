@@ -223,6 +223,22 @@ def spectral_norm_oracle(a):
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
+def householder_qr_reference(a):
+    """Householder QR with one rank-1 update of the whole trailing matrix
+    per column.  Same prescaling, skip rule and column-major working copy
+    as ``qr_householder``; returns ``(r, reflectors)``."""
+    r = np.array(a, dtype=float, order="F")
+    m, n = r.shape
+    scale = pow2_scale(float(np.abs(r).max()))
+    r /= scale
+    reflectors = []
+    for k in range(min(m - 1, n)):
+        h = annihilate(r[k:, k:], k)
+        if h is not None:
+            reflectors.append(h)
+    return r * scale, reflectors
+
+
 def pivoted_qr_reference(a, t_digits=12):
     """Sequential column-pivoted QR: one rank-1 update of the whole trailing
     matrix per column, and the exact norm recompute at the step where the

@@ -15,7 +15,7 @@ from orthokit import (
     qr_pivoted,
 )
 from orthokit.matrix import pow2_scale
-from orthokit.reflectors import BLOCK, annihilate, rotate
+from orthokit.reflectors import BLOCK, PANEL_CROSSOVER, annihilate, rotate
 from helpers import (
     SURVEY_A,
     SURVEY_Q_PRINTED,
@@ -23,6 +23,7 @@ from helpers import (
     ZEROING_A,
     ZEROING_GIVENS,
     fro,
+    householder_qr_reference,
     layouts,
     pivoted_qr_reference,
     random_rank_deficient,
@@ -93,11 +94,27 @@ class TestHouseholderQr:
                 QrMode.of(bad)
 
 
-class TestBlockedHouseholderQr:
-    """Shapes past one panel of BLOCK columns, ending in a partial panel;
-    zero columns inside a panel and on both sides of a panel edge."""
+def _panel_starts(m, n):
+    """Columns at which ``qr_householder`` starts a panel of BLOCK columns
+    (fewer in the last panel of a wide matrix): the multiples of BLOCK below
+    min(m - 1, n), up to the first at which the trailing matrix has fewer
+    than PANEL_CROSSOVER entries."""
+    starts = []
+    for j0 in range(0, min(m - 1, n), BLOCK):
+        if (m - j0) * (n - j0) < PANEL_CROSSOVER:
+            break
+        starts.append(j0)
+    return starts
 
-    CASES = [(300, 100, []), (97, 97, []), (130, 65, [10, 31, 32]), (40, 90, [31, 32])]
+
+class TestBlockedHouseholderQr:
+    """Shapes of one or more panels of BLOCK columns, ending in a partial
+    panel or in the rank-1 tail, and shapes of more than BLOCK columns below
+    the crossover; zero columns inside a panel and on both sides of a panel
+    edge."""
+
+    CASES = [(300, 100, []), (97, 97, []), (130, 65, [10, 31, 32]), (40, 90, [31, 32]), (1500, 24, [9]),
+             (150, 70, [31, 32])]
 
     @pytest.mark.parametrize("m, n, zero_cols", CASES)
     def test_factors_against_numpy_oracle(self, m, n, zero_cols):
@@ -115,6 +132,39 @@ class TestBlockedHouseholderQr:
         r_np = np.linalg.qr(a, mode="r")
         assert np.abs(np.abs(f.r[:k]) - np.abs(r_np[:k])).max() <= tol * np.abs(a).max()
         assert [h.offset for h in f.reflectors] == [j for j in range(min(m - 1, n)) if j not in zero_cols]
+
+    @pytest.mark.parametrize("m, n, panels", [(300, 20, 1), (200, 30, 1), (1500, 24, 1), (150, 70, 1),
+                                              (600, 70, 2), (160, 160, 3), (40, 200, 1), (70, 1000, 3),
+                                              (100, 49, 0), (60, 60, 0)])
+    def test_panel_columns_are_eliminated_through_one_column_views(self, m, n, panels, monkeypatch):
+        calls = []
+
+        def spy(block, offset):
+            calls.append((offset, block.shape[1]))
+            return annihilate(block, offset)
+
+        monkeypatch.setattr(importlib.import_module("orthokit.qr"), "annihilate", spy)
+        qr_householder(np.random.default_rng(m + n).standard_normal((m, n)), QrMode.R_ONLY)
+        starts = _panel_starts(m, n)
+        assert starts == [BLOCK * i for i in range(panels)]
+        # A panel column goes through a one-column view; from column
+        # ``tail`` on, each column passes the whole trailing block.
+        steps = min(m - 1, n)
+        tail = min(starts[-1] + BLOCK, steps) if starts else 0
+        assert calls == [(k, 1 if k < tail else n - k) for k in range(steps)]
+
+    @pytest.mark.parametrize("m, n", [(70, 70), (100, 49), (64, 40), (20, 200), (4999, 1), (6, 4), (4, 6), (3, 1),
+                                      (1, 1)])
+    @pytest.mark.parametrize("exp", [-900, 0, 900])
+    def test_bit_identical_to_the_rank1_sweep_below_the_crossover(self, m, n, exp):
+        assert m * n < PANEL_CROSSOVER
+        a = np.ldexp(np.random.default_rng(m + n).standard_normal((m, n)), exp)
+        f = qr_householder(a, QrMode.R_AND_REFLECTORS)
+        r, reflectors = householder_qr_reference(a)
+        assert np.array_equal(f.r, r)
+        assert len(f.reflectors) == len(reflectors)
+        for h, g in zip(f.reflectors, reflectors):
+            assert h.offset == g.offset and h.beta == g.beta and np.array_equal(h.u, g.u)
 
     def test_modes_share_r_and_reflectors(self):
         a = np.random.default_rng(65).standard_normal((150, 70))
